@@ -449,9 +449,15 @@ def cmd_verify_bounds(args) -> int:
     rows, theorem_bad, _ = _scan_families(args, cfg, THEOREM_BOUNDS)
     _emit_rows(args, rows)
     checked = sum(1 for r in rows if r.hypotheses_ok and r.actual_cardinality is not None)
+    # a row has no cardinality only when its family hit the tuple guard
+    skipped = sum(1 for r in rows if r.actual_cardinality is None)
+    skip_note = f"{skipped} skipped by the tuple guard, " if skipped else ""
+    if theorem_bad:
+        verdict = "VIOLATIONS FOUND"
+    else:
+        verdict = "all bounds hold" if checked else "nothing checked"
     print(
-        f"verify-bounds: {len(rows)} rows, {checked} checked, "
-        f"{'VIOLATIONS FOUND' if theorem_bad else 'all bounds hold'}",
+        f"verify-bounds: {len(rows)} rows, {checked} checked, {skip_note}{verdict}",
         file=sys.stderr,
     )
     return 2 if theorem_bad else 0

@@ -4,11 +4,18 @@ Two independent fast routes to value-set cardinalities, both cross-checked
 against the exact backtracking enumerator in the test suite:
 
   * a bitset fold over the full subset lattice (`lattice_min_cardinality`):
-    one pass computes, for every one of the (2^p)^n families at once, the
-    set of attainable values, then reduces to the minimum cardinality per
-    size profile;
+    one pass computes, for every one of the (2^p)^n families, the set of
+    attainable values and reduces it to the minimum cardinality per size
+    profile.  The fold of the first axis is streamed: the subsets of A_1 are
+    walked depth first and each slab of (2^p)^(n-1) masks goes straight into
+    the per-profile minimum, so the (2^p)^n mask grid that `fold_masks`
+    returns is never built.  Peak memory is about (3p+3)*(2^p)^(n-1) bytes:
+    50 MB and a fraction of a second for GF(7), n = 4;
   * a per-family vectorized evaluation (`family_cardinality_fast`) for
     seeded samples at primes too large for the lattice.
+
+Every array these routes allocate is sized from the shapes first and refused
+with `SearchSpaceTooLarge` when it would pass `LATTICE_BYTE_GUARD` bytes.
 
 Elements of GF(p) are the residues 0..p-1 throughout, so a subset is a
 p-bit mask and a set of attained values is again a p-bit mask.
@@ -19,14 +26,22 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
-from .errors import HypothesisViolated
+from .errors import HypothesisViolated, SearchSpaceTooLarge
 from .poly import SparsePoly
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
+LATTICE_BYTE_GUARD = 1 << 30  # largest allocation, in bytes, a sweep may ask for
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    if nbytes > LATTICE_BYTE_GUARD:
+        raise SearchSpaceTooLarge(
+            f"{what} needs about {nbytes} bytes, over the {LATTICE_BYTE_GUARD}-byte guard"
+        )
 
 
 # ---------- seeded randomness ----------
@@ -121,36 +136,40 @@ def pow_mod_grid(grid: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
+def _fold_axis(S: np.ndarray, axis: int, p: int, restricted: bool) -> np.ndarray:
+    """Replace coordinate axis ``axis`` of S (size p) by a subset axis
+    (size 2^p) whose entry m is the OR of S over the elements of m.  The axes
+    before ``axis`` are still coordinates, so the injectivity constraint is
+    exactly "skip x when some leading axis index equals x"."""
+    M = 1 << p
+    prefix = (p,) * axis
+    trailing = S.ndim - axis - 1
+    out = np.zeros(prefix + (M,) + S.shape[axis + 1 :], dtype=np.uint8)
+    if restricted and axis > 0:
+        grids = np.indices(prefix)
+    sel = []
+    for x in range(p):
+        s_x = S[(slice(None),) * axis + (x,)]
+        if restricted and axis > 0:
+            bad = np.any(grids == x, axis=0).reshape(prefix + (1,) * trailing)
+            s_x = np.where(bad, np.uint8(0), s_x)
+        # ascontiguousarray promotes 0-d slices to 1-d; keep scalars scalar
+        sel.append(np.ascontiguousarray(s_x) if np.ndim(s_x) else s_x)
+    head = (slice(None),) * axis
+    for m in range(1, M):
+        x = (m & -m).bit_length() - 1
+        out[head + (m,)] = out[head + (m & (m - 1),)] | sel[x]
+    return out
+
+
 def fold_masks(table: np.ndarray, p: int, restricted: bool = True) -> np.ndarray:
     """Fold the (p,)*n value grid into the (2^p,)*n grid of attained-value
-    masks, one entry per family of subsets.
-
-    Axes fold last to first; when an axis folds, the still-explicit leading
-    axes are the earlier coordinates, so the injectivity constraint is
-    exactly "skip x when some leading axis index equals x".
-    """
+    masks, one entry per family of subsets.  Axes fold last to first."""
     n = table.ndim
-    M = 1 << p
+    _check_bytes((1 << p) ** n, f"the GF({p}), n = {n} mask grid")
     S = table
     for axis in range(n - 1, -1, -1):
-        prefix = (p,) * axis
-        trailing = S.ndim - axis - 1
-        out = np.zeros(prefix + (M,) + S.shape[axis + 1 :], dtype=np.uint8)
-        if restricted and axis > 0:
-            grids = np.indices(prefix)
-        sel = []
-        for x in range(p):
-            s_x = S[(slice(None),) * axis + (x,)]
-            if restricted and axis > 0:
-                bad = np.any(grids == x, axis=0).reshape(prefix + (1,) * trailing)
-                s_x = np.where(bad, np.uint8(0), s_x)
-            # ascontiguousarray promotes 0-d slices to 1-d; keep scalars scalar
-            sel.append(np.ascontiguousarray(s_x) if np.ndim(s_x) else s_x)
-        head = (slice(None),) * axis
-        for m in range(1, M):
-            x = (m & -m).bit_length() - 1
-            out[head + (m,)] = out[head + (m & (m - 1),)] | sel[x]
-        S = out
+        S = _fold_axis(S, axis, p, restricted)
     return S
 
 
@@ -163,17 +182,21 @@ def _popcount_order(p: int):
     return order, starts
 
 
+def _reduce_profiles(card: np.ndarray, p: int, axes) -> np.ndarray:
+    """Minimum of ``card`` over the masks of each popcount, one subset axis
+    of ``axes`` at a time; each reduced axis shrinks from 2^p to p+1."""
+    order, starts = _popcount_order(p)
+    for axis in axes:
+        card = np.minimum.reduceat(card.take(order, axis=axis), starts, axis=axis)
+    return card
+
+
 def min_cardinality_by_sizes(mask_grid: np.ndarray, p: int) -> np.ndarray:
     """Reduce the (2^p,)*n mask grid to a (p+1,)*n array: entry [s1..sn] is
     the minimum value-set cardinality over all families with |A_i| = s_i."""
     n = mask_grid.ndim
-    order, starts = _popcount_order(p)
-    card = np.bitwise_count(mask_grid)
-    del mask_grid
-    for axis in range(n):
-        card = card.take(order, axis=axis)
-        card = np.minimum.reduceat(card, starts, axis=axis)
-    return card
+    # the last axis first: its reduction shrinks the array the most cheaply
+    return _reduce_profiles(np.bitwise_count(mask_grid), p, range(n - 1, -1, -1))
 
 
 def lattice_min_cardinality(
@@ -183,10 +206,38 @@ def lattice_min_cardinality(
     tail: SparsePoly | None = None,
     restricted: bool = True,
 ) -> np.ndarray:
-    """End-to-end lattice route: minimum cardinality per size profile."""
-    table = value_table(p, k, leading, tail)
-    grid = fold_masks(table, p, restricted=restricted)
-    return min_cardinality_by_sizes(grid, p)
+    """End-to-end lattice route: minimum cardinality per size profile, equal
+    to ``min_cardinality_by_sizes(fold_masks(value_table(...)), p)``.
+
+    Axes n-1..1 fold as in `fold_masks`, leaving S[x] = the slab of masks
+    for A_1 = {x}.  The subsets of A_1 are then walked depth first, each one
+    its parent plus a larger element, so a subset's slab is its parent's slab
+    OR S[x]; only the chain of ancestor slabs is alive.  Each slab's
+    popcounts fold into acc[|A_1|] at once.
+    """
+    n = len(leading)
+    _check_bytes((3 * p + 3) * (1 << p) ** (n - 1), f"the GF({p}), n = {n} lattice")
+    S = value_table(p, k, leading, tail)
+    for axis in range(n - 1, 0, -1):
+        S = _fold_axis(S, axis, p, restricted)
+    acc = np.full((p + 1,) + S.shape[1:], np.iinfo(np.uint8).max, dtype=np.uint8)
+    acc[0] = 0  # A_1 empty: no value is attained
+    # an explicit stack, since a recursive closure would be a reference cycle
+    # keeping S and acc alive until the cyclic collector runs
+    chain = []  # (largest element, slab) for each prefix of the current subset
+    x = 0
+    while True:
+        if x < p:
+            cur = chain[-1][1] | S[x, ...] if chain else S[x, ...]
+            chain.append((x, cur))
+            row = acc[len(chain), ...]  # a view, even when n = 1
+            np.minimum(row, np.bitwise_count(cur), out=row)
+            x += 1
+        elif chain:
+            x = chain.pop()[0] + 1
+        else:
+            break
+    return _reduce_profiles(acc, p, range(n - 1, 0, -1))
 
 
 def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):
@@ -231,6 +282,8 @@ def family_cardinality_fast(
     n = len(sets)
     if leading is None:
         leading = (1,) * n
+    # n index grids plus the value, term and filter grids, 8 bytes a tuple
+    _check_bytes(prod(len(s) for s in sets) * 8 * (n + 3), f"a family of {n} sets")
     arrays = [np.asarray(sorted(s), dtype=np.int64) % p for s in sets]
     grids = np.meshgrid(*arrays, indexing="ij") if n > 1 else [arrays[0]]
     total = np.zeros(tuple(len(a) for a in arrays), dtype=np.int64)

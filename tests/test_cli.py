@@ -92,6 +92,17 @@ def test_verify_bounds_guard_skips_are_not_fatal(tmp_path):
     assert any(r[6] != "" for r in rows)  # bounds still reported
 
 
+def test_verify_bounds_summary_counts_guard_skips(tmp_path, capsys):
+    cfg = write_config(tmp_path, verify_bounds_config())
+    assert cli.main(["verify-bounds", "--config", cfg, "--guard-tuples", "2"]) == 0
+    assert capsys.readouterr().err.strip() == (
+        "verify-bounds: 24 rows, 0 checked, 24 skipped by the tuple guard, nothing checked"
+    )
+    assert cli.main(["verify-bounds", "--config", cfg]) == 0
+    # with nothing skipped the line keeps its exact form
+    assert capsys.readouterr().err.strip() == "verify-bounds: 24 rows, 12 checked, all bounds hold"
+
+
 def test_verify_bounds_byte_determinism(tmp_path):
     cfg = write_config(tmp_path, verify_bounds_config())
     outputs = []

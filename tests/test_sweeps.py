@@ -1,7 +1,9 @@
 """Vectorized sweep routes cross-checked against the exact enumerator."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from restrictedsums import (
     HypothesisViolated,
     PowerSumForm,
+    SearchSpaceTooLarge,
     SetFamily,
     SparsePoly,
     check_lattice_bounds,
@@ -29,6 +32,7 @@ from restrictedsums import (
     unrestricted_value_set,
     value_table,
 )
+from restrictedsums.sweeps import LATTICE_BYTE_GUARD
 
 
 def mask_of(subset) -> int:
@@ -209,6 +213,53 @@ def test_lattice_route_agrees_with_per_family_route():
         via_lattice = int(np.bitwise_count(grid[mask_of(sets[0]), mask_of(sets[1])]))
         via_fast = family_cardinality_fast(p, sets, k, leading, tail)
         assert via_lattice == via_fast
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_streamed_lattice_route_equals_full_grid_route(p):
+    # n = 1 streams 0-d slabs; p = 7, n = 4 would need a 268 MB grid here
+    for n in range(1, 5 if p <= 5 else 4):
+        for restricted in (True, False):
+            rng = random.Random(derive_seed("stream", p, n, restricted))
+            k = rng.randint(1, 4)
+            leading = random_leading(rng, n, p)
+            tail = random_tail(rng, n, k)
+            got = lattice_min_cardinality(p, k, leading, tail, restricted)
+            grid = fold_masks(value_table(p, k, leading, tail), p, restricted)
+            expected = min_cardinality_by_sizes(grid, p)
+            assert got.dtype == expected.dtype == np.uint8
+            assert got.shape == (p + 1,) * n
+            assert np.array_equal(got, expected), (p, n, k, leading, restricted)
+
+
+def test_streamed_lattice_route_memory():
+    p, n, k = 7, 3, 2
+    full_grid_bytes = (1 << p) ** n  # 2 MB
+    lattice_min_cardinality(p, k, (1,) * n)  # warm numpy's lazy caches
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = lattice_min_cardinality(p, k, (1,) * n)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak - before < full_grid_bytes
+    # a reference cycle would keep the folded slabs alive until a collection
+    assert after - before <= result.nbytes + 4096
+
+
+def test_byte_guards_refuse_before_allocating():
+    assert (1 << 7) ** 4 <= LATTICE_BYTE_GUARD < (1 << 7) ** 5
+    table = value_table(7, 2, (1,) * 5)
+    with pytest.raises(SearchSpaceTooLarge):
+        fold_masks(table, 7)  # 34 GB of masks
+    with pytest.raises(SearchSpaceTooLarge):
+        lattice_min_cardinality(7, 2, (1,) * 5)
+    with pytest.raises(SearchSpaceTooLarge):
+        family_cardinality_fast(13, [range(13)] * 7, 2)  # 13^7 tuples
 
 
 def test_check_lattice_bounds_clean_and_tight():
