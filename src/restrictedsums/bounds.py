@@ -5,6 +5,9 @@ sets themselves) plus the field characteristic as an :class:`ExtendedNat`,
 checks the hypotheses of the bound it implements, and returns a
 :class:`BoundResult` whose ``value`` is the clamped lower bound.
 
+:data:`BOUNDS` adds, per token, the conditions sizes cannot show (unit leading
+coefficients, k = 1, one shared set); size and k hypotheses live only here.
+
 Report tokens (the ``name`` field) are short stable identifiers used in CSV
 output and configs:
 
@@ -21,6 +24,7 @@ output and configs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from typing import Callable
 
 from .errors import HypothesisViolated, Infeasible, InternalInvariantBroken
 from .fields import ExtendedNat
@@ -87,6 +91,20 @@ def residue_class_bound(sizes, k: int, char: ExtendedNat) -> BoundResult:
     return BoundResult("thm12", value, detail={"q": q})
 
 
+def _main_term(m: int, n: int, k: int) -> int:
+    """(n*(m-n) - {n}_k * {m-n}_k) / k, exact because n*(m-n) == {n}_k * {m-n}_k (mod k)."""
+    num = n * (m - n) - least_residue(n, k) * least_residue(m - n, k)
+    if num % k != 0:
+        raise InternalInvariantBroken(f"main term not divisible by k: {num} / {k}")
+    return num // k
+
+
+def _equal_size_sum(m: int, n: int, k: int) -> int:
+    """The main term plus the correction {m}_k * [[ {m}_k < {n}_k ]]."""
+    r = least_residue(m, k)
+    return _main_term(m, n, k) + r * iverson(r < least_residue(n, k))
+
+
 def equal_size_floor_sum(m: int, n: int, k: int) -> int:
     """Closed form for sum(floor_minima((m,)*n, k)):
 
@@ -99,10 +117,7 @@ def equal_size_floor_sum(m: int, n: int, k: int) -> int:
     """
     if not 1 <= k <= n <= m:
         raise HypothesisViolated(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={m}")
-    num = n * (m - n) - least_residue(n, k) * least_residue(m - n, k)
-    if num % k != 0:
-        raise InternalInvariantBroken(f"main term not divisible by k: {num} / {k}")
-    return num // k + least_residue(m, k) * iverson(least_residue(m, k) < least_residue(n, k))
+    return _equal_size_sum(m, n, k)
 
 
 def equal_size_bound(m: int, n: int, k: int, char: ExtendedNat) -> BoundResult:
@@ -115,12 +130,7 @@ def equal_size_bound(m: int, n: int, k: int, char: ExtendedNat) -> BoundResult:
         raise HypothesisViolated(f"need m >= n >= 1, got m={m}, n={n}")
     if k < 1:
         raise HypothesisViolated(f"need k >= 1, got k={k}")
-    num = n * (m - n) - least_residue(n, k) * least_residue(m - n, k)
-    if num % k != 0:
-        raise InternalInvariantBroken(f"main term not divisible by k: {num} / {k}")
-    main = num // k + least_residue(m, k) * iverson(
-        least_residue(m, k) < least_residue(n, k)
-    )
+    main = _equal_size_sum(m, n, k)
     return BoundResult("thm13", char.clamp(main + 1), detail={"main_term": main})
 
 
@@ -168,11 +178,8 @@ def single_set_conjecture_bound(
         raise HypothesisViolated(f"need n >= k >= 1, got n={n}, k={k}")
     if m < n:
         raise HypothesisViolated(f"need m >= n, got m={m}, n={n}")
-    num = n * (m - n) - least_residue(n, k) * least_residue(m - n, k)
-    if num % k != 0:
-        raise InternalInvariantBroken(f"main term not divisible by k: {num} / {k}")
     first = char - iverson(negated_pair and n == 2)
-    value = first.clamp(num // k + 1)
+    value = first.clamp(_main_term(m, n, k) + 1)
     return BoundResult("conj11", value, conjectural=True)
 
 
@@ -223,8 +230,62 @@ def roots_model_cardinality(n: int, k: int, q: int, r: int) -> BoundResult:
     m = k * q + r
     if not 1 <= n <= m:
         raise Infeasible(f"need 1 <= n <= k*q + r = {m}, got n = {n}")
-    num = n * (m - n) - least_residue(n, k) * least_residue(m - n, k)
-    if num % k != 0:
-        raise InternalInvariantBroken(f"main term not divisible by k: {num} / {k}")
-    value = num // k + r * iverson(least_residue(n, k) > r) + 1
+    value = _main_term(m, n, k) + r * iverson(least_residue(n, k) > r) + 1
     return BoundResult("ex41", value, detail={"size": m})
+
+
+# ---------- the registry of family-scan tokens ----------
+
+
+def _common_size(sizes) -> int:
+    """The one size all sets share."""
+    if len(set(sizes)) != 1:
+        raise HypothesisViolated(f"sizes must be equal, got {tuple(sizes)}")
+    return sizes[0]
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One report token: its floor, the value set it bounds, and the
+    conditions on the family and form that a size-only floor cannot check."""
+
+    floor: Callable[..., BoundResult]  # (sizes, k, char, negated_pair)
+    restricted: bool = True  # bounds injective tuples; False: all tuples
+    conjectural: bool = False  # violations are recorded, never asserted
+    unit: bool = False  # every leading coefficient is 1 in the field
+    linear: bool = False  # k == 1
+    shared_set: bool = False  # every set is the same set
+
+    def evaluate(self, family, k: int, leading) -> int | None:
+        """The floor for this family and form f = sum a_i x_i^k + ..., or
+        None when a hypothesis fails."""
+        field = family.field
+        lead = [field.embed(a) for a in leading]
+        if self.unit and any(a != field.one for a in lead) or self.linear and k != 1:
+            return None
+        if self.shared_set and any(s != family.sets[0] for s in family.sets):
+            return None
+        negated_pair = len(lead) == 2 and (lead[0] + lead[1]).is_zero
+        try:
+            return self.floor(family.sizes, k, field.characteristic, negated_pair).value
+        except HypothesisViolated:
+            return None
+
+
+# The floors are looked up by name at call time, so patching a module-level
+# floor also changes the registry.
+BOUNDS = {
+    "thm12": Bound(lambda s, k, c, neg: residue_class_bound(s, k, c), unit=True),
+    "thm13": Bound(lambda s, k, c, neg: equal_size_bound(_common_size(s), len(s), k, c), unit=True),
+    "thm11u": Bound(lambda s, k, c, neg: unrestricted_floor_bound(s, k, c), restricted=False),
+    "thm11r": Bound(lambda s, k, c, neg: restricted_floor_bound(s, k, c)),
+    "anr": Bound(lambda s, k, c, neg: increasing_sizes_bound(s, c), unit=True, linear=True),
+    "dsh": Bound(
+        lambda s, k, c, neg: distinct_sum_bound(s[0], len(s), c), unit=True, linear=True, shared_set=True
+    ),
+    "conj11": Bound(
+        lambda s, k, c, neg: single_set_conjecture_bound(s[0], len(s), k, c, neg),
+        conjectural=True,
+        shared_set=True,
+    ),
+}

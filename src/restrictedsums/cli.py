@@ -18,16 +18,7 @@ import time
 from dataclasses import dataclass
 from math import comb, prod
 
-from .bounds import (
-    distinct_sum_bound,
-    equal_size_bound,
-    increasing_sizes_bound,
-    residue_class_bound,
-    restricted_floor_bound,
-    roots_model_cardinality,
-    single_set_conjecture_bound,
-    unrestricted_floor_bound,
-)
+from .bounds import BOUNDS, roots_model_cardinality
 from .coeff import coefficient_formula, proof_replay, target_monomial
 from .enumeration import (
     DEFAULT_TUPLE_GUARD,
@@ -47,10 +38,17 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .fields import parse_field
-from .poly import DEFAULT_TERM_GUARD, PowerSumForm, SparsePoly, parse_poly, power_sum_pow, vandermonde
+from .poly import (
+    DEFAULT_TERM_GUARD,
+    PowerSumForm,
+    SparsePoly,
+    _compositions,
+    parse_poly,
+    power_sum_pow,
+    vandermonde,
+)
 
-THEOREM_BOUNDS = ("thm12", "thm13", "thm11u", "thm11r", "anr", "dsh")
-CONJECTURE_BOUNDS = ("conj11",)
+THEOREM_BOUNDS = tuple(name for name, bound in BOUNDS.items() if not bound.conjectural)
 
 CSV_HEADER = [
     "field",
@@ -328,42 +326,6 @@ def _parse_field(cfg: dict):
 # ---------- family-scan rows (verify-bounds and tightness) ----------
 
 
-def _is_unit(field, leading) -> bool:
-    return all(field.embed(a) == field.one for a in leading)
-
-
-def _bound_for_row(name: str, field, fam, k: int, leading):
-    """(hypotheses_ok, bound_value or None, conjectural)."""
-    char = field.characteristic
-    n = fam.n
-    sizes = fam.sizes
-    unit = _is_unit(field, leading)
-    if name == "thm12":
-        hyp = k <= n and all(s >= i for i, s in enumerate(sizes, start=1)) and unit
-        return hyp, (residue_class_bound(sizes, k, char).value if hyp else None), False
-    if name == "thm13":
-        m = sizes[0]
-        hyp = unit and all(s == m for s in sizes) and m >= n
-        return hyp, (equal_size_bound(m, n, k, char).value if hyp else None), False
-    if name == "thm11u":
-        return True, unrestricted_floor_bound(sizes, k, char).value, False
-    if name == "thm11r":
-        hyp = k >= n and all(s >= i for i, s in enumerate(sizes, start=1))
-        return hyp, (restricted_floor_bound(sizes, k, char).value if hyp else None), False
-    if name == "anr":
-        hyp = k == 1 and unit and all(a < b for a, b in zip(sizes, sizes[1:])) and sizes[0] >= 1
-        return hyp, (increasing_sizes_bound(sizes, char, strict=True).value if hyp else None), False
-    if name == "dsh":
-        hyp = k == 1 and unit and all(s == fam.sets[0] for s in fam.sets) and sizes[0] >= n
-        return hyp, (distinct_sum_bound(sizes[0], n, char).value if hyp else None), False
-    if name == "conj11":
-        negated = n == 2 and (field.embed(leading[0]) + field.embed(leading[1])).is_zero
-        hyp = n >= k and all(s == fam.sets[0] for s in fam.sets) and sizes[0] >= n
-        value = single_set_conjecture_bound(sizes[0], n, k, char, negated).value if hyp else None
-        return hyp, value, True
-    raise ConfigError(f"unknown bound name {name!r}")
-
-
 def _scan_families(args, cfg, allowed_bounds) -> tuple:
     """Shared engine: returns (rows, theorem_violation, conjecture_violation)."""
     field = _parse_field(cfg)
@@ -386,13 +348,14 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
     char_str = repr(field.characteristic)
     seed_str = str(args.seed)
 
+    needs_r = any(BOUNDS[b].restricted for b in bounds)
+    needs_u = any(not BOUNDS[b].restricted for b in bounds)
+
     rows = []
     theorem_bad = False
     conjecture_bad = False
     for k in ks:
         f = PowerSumForm(k, leading, tail)
-        needs_u = "thm11u" in bounds
-        needs_r = any(b != "thm11u" for b in bounds)
         for fam in families:
             start = time.monotonic()
             actual_r = actual_u = None
@@ -405,15 +368,16 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
                 pass  # guard violations are recorded per-row, never fatal
             elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
             for name in bounds:
-                hyp, value, conjectural = _bound_for_row(name, field, fam, k, leading)
-                actual = actual_u if name == "thm11u" else actual_r
+                bound = BOUNDS[name]
+                value = bound.evaluate(fam, k, leading)
+                actual = actual_r if bound.restricted else actual_u
                 tight = None
                 violated = False
-                if hyp and value is not None and actual is not None:
+                if value is not None and actual is not None:
                     tight = actual == value
                     if actual < value:
                         violated = True
-                        if conjectural:
+                        if bound.conjectural:
                             conjecture_bad = True
                         else:
                             theorem_bad = True
@@ -427,7 +391,7 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
                         bound_name=name,
                         bound_value=value,
                         actual_cardinality=actual,
-                        hypotheses_ok=hyp,
+                        hypotheses_ok=value is not None,
                         tight=tight,
                         seed=seed_str,
                         elapsed_ms=elapsed,
@@ -440,6 +404,12 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
 # ---------- commands ----------
 
 
+def _skip_note(rows) -> str:
+    # a row has no cardinality only when its family hit the tuple guard
+    skipped = sum(1 for r in rows if r.actual_cardinality is None)
+    return f"{skipped} skipped by the tuple guard, " if skipped else ""
+
+
 def cmd_verify_bounds(args) -> int:
     cfg = _load_config(
         args.config,
@@ -449,15 +419,12 @@ def cmd_verify_bounds(args) -> int:
     rows, theorem_bad, _ = _scan_families(args, cfg, THEOREM_BOUNDS)
     _emit_rows(args, rows)
     checked = sum(1 for r in rows if r.hypotheses_ok and r.actual_cardinality is not None)
-    # a row has no cardinality only when its family hit the tuple guard
-    skipped = sum(1 for r in rows if r.actual_cardinality is None)
-    skip_note = f"{skipped} skipped by the tuple guard, " if skipped else ""
     if theorem_bad:
         verdict = "VIOLATIONS FOUND"
     else:
         verdict = "all bounds hold" if checked else "nothing checked"
     print(
-        f"verify-bounds: {len(rows)} rows, {checked} checked, {skip_note}{verdict}",
+        f"verify-bounds: {len(rows)} rows, {checked} checked, {_skip_note(rows)}{verdict}",
         file=sys.stderr,
     )
     return 2 if theorem_bad else 0
@@ -476,13 +443,11 @@ def cmd_tightness(args) -> int:
         rows = _profile_rows(cfg["profiles"], str(args.seed))
         theorem_bad = any(r.violated for r in rows)
     else:
-        rows, theorem_bad, conjecture_bad = _scan_families(
-            args, cfg, THEOREM_BOUNDS + CONJECTURE_BOUNDS
-        )
+        rows, theorem_bad, conjecture_bad = _scan_families(args, cfg, BOUNDS)
     _emit_rows(args, rows)
     tight_count = sum(1 for r in rows if r.tight)
     print(
-        f"tightness: {len(rows)} rows, {tight_count} tight, "
+        f"tightness: {len(rows)} rows, {tight_count} tight, {_skip_note(rows)}"
         f"{sum(1 for r in rows if r.violated)} violations",
         file=sys.stderr,
     )
@@ -499,30 +464,33 @@ def _profile_rows(spec, seed_str: str) -> list:
         raise ConfigError(f'unknown "profiles" keys: {sorted(unknown)}')
     k_max = _require_int(spec, "k_max", 1)
     q_max = _require_int(spec, "q_max", 0)
-    rows = []
-    for k in range(1, k_max + 1):
-        for q in range(q_max + 1):
-            for r in range(k):
-                for n in range(1, k * q + r + 1):
-                    value = roots_model_cardinality(n, k, q, r).value
-                    actual = multiplicity_value_set(MultiplicityProfile(k=k, q=q, r=r, n=n)).cardinality
-                    rows.append(
-                        ReportRow(
-                            field="integers",
-                            char="inf",
-                            n=n,
-                            k=k,
-                            sizes=(k * q + r,),
-                            bound_name="ex41",
-                            bound_value=value,
-                            actual_cardinality=actual,
-                            hypotheses_ok=True,
-                            tight=actual == value,
-                            seed=seed_str,
-                            violated=actual != value,
-                        )
-                    )
-    return rows
+    return [
+        _ex41_row(n, k, q, r, seed_str)
+        for k in range(1, k_max + 1)
+        for q in range(q_max + 1)
+        for r in range(k)
+        for n in range(1, k * q + r + 1)
+    ]
+
+
+def _ex41_row(n: int, k: int, q: int, r: int, seed_str: str) -> ReportRow:
+    """The sharpness model's formula against its enumerated value set."""
+    value = roots_model_cardinality(n, k, q, r).value
+    actual = multiplicity_value_set(MultiplicityProfile(k=k, q=q, r=r, n=n)).cardinality
+    return ReportRow(
+        field="integers",
+        char="inf",
+        n=n,
+        k=k,
+        sizes=(k * q + r,),
+        bound_name="ex41",
+        bound_value=value,
+        actual_cardinality=actual,
+        hypotheses_ok=True,
+        tight=actual == value,
+        seed=seed_str,
+        violated=actual != value,
+    )
 
 
 def cmd_verify_coeff(args) -> int:
@@ -544,7 +512,7 @@ def cmd_verify_coeff(args) -> int:
                     )
                 except ExpansionTooLarge:
                     product = None
-                for q in _weak_compositions(total, n):
+                for q in _compositions(total, n):
                     closed = coefficient_formula(q, k)
                     if product is None:
                         skipped += 1
@@ -571,15 +539,6 @@ def cmd_verify_coeff(args) -> int:
     return 2 if mismatches else 0
 
 
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def cmd_example41(args) -> int:
     if args.config:
         cfg = _load_config(args.config, required={"n", "k", "q", "r"}, optional=set())
@@ -589,27 +548,12 @@ def cmd_example41(args) -> int:
             raise ConfigError("example41 needs --config or all of --n --k --q --r")
         n, k, q, r = args.n, args.k, args.q, args.r
     try:
-        value = roots_model_cardinality(n, k, q, r).value
-        actual = multiplicity_value_set(MultiplicityProfile(k=k, q=q, r=r, n=n)).cardinality
+        row = _ex41_row(n, k, q, r, str(args.seed))
     except (Infeasible, RestrictedSumsError) as exc:
         raise ConfigError(str(exc)) from exc
-    row = ReportRow(
-        field="integers",
-        char="inf",
-        n=n,
-        k=k,
-        sizes=(k * q + r,),
-        bound_name="ex41",
-        bound_value=value,
-        actual_cardinality=actual,
-        hypotheses_ok=True,
-        tight=actual == value,
-        seed=str(args.seed),
-        violated=actual != value,
-    )
     _emit_rows(args, [row])
-    print(f"example41: formula {value}, enumerated {actual}", file=sys.stderr)
-    return 0 if actual == value else 2
+    print(f"example41: formula {row.bound_value}, enumerated {row.actual_cardinality}", file=sys.stderr)
+    return 2 if row.violated else 0
 
 
 def cmd_proof_replay(args) -> int:

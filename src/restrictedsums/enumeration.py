@@ -112,9 +112,6 @@ class ValueSetResult:
     restricted: bool
     witnesses: dict | None = None
 
-    def sorted_values(self):
-        return self.values
-
 
 def _check_form(family: SetFamily, f: PowerSumForm):
     if f.n != family.n:

@@ -226,9 +226,6 @@ class SparsePoly:
         """Map coefficients into the field and prune anything that dies."""
         return SparsePoly(self.nvars, {e: field.element(c) for e, c in self._terms.items()})
 
-    def map_coefficients(self, fn) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: fn(c) for e, c in self._terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):
             return NotImplemented

@@ -103,25 +103,28 @@ def value_table(p: int, k: int, leading, tail: SparsePoly | None = None) -> np.n
         raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
     if any(a % p == 0 for a in leading):
         raise HypothesisViolated("leading coefficients must be nonzero mod p")
-    coords = np.indices((p,) * n, dtype=np.int64)
-    total = np.zeros((p,) * n, dtype=np.int64)
-    for a, g in zip(leading, coords):
-        total += (a % p) * pow_mod_grid(g, k, p)
-    total %= p
     if tail is not None and not tail.is_zero:
         if tail.nvars != n:
             raise HypothesisViolated(f"tail has {tail.nvars} variables, expected {n}")
         if tail.degree >= k:
             raise HypothesisViolated(f"tail degree {tail.degree} must be < k = {k}")
+    total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * n), k, leading, tail)
+    return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
+
+
+def _residue_values(p: int, axes, k: int, leading, tail: SparsePoly | None) -> np.ndarray:
+    """int64 grid of f = sum a_i x_i^k + tail mod p over the open mesh ``axes``
+    of np.ix_: each power is taken once per coordinate and broadcast."""
+    total = sum((int(a) % p * pow_mod_grid(x, k, p) for a, x in zip(leading, axes)), np.int64(0)) % p
+    if tail is not None and not tail.is_zero:
         for exps, c in tail.terms():
-            term = np.full((p,) * n, int(c) % p, dtype=np.int64)
-            for g, e in zip(coords, exps):
+            term = int(c) % p
+            for x, e in zip(axes, exps):
                 if e:
-                    term *= pow_mod_grid(g, e, p)
-                    term %= p
+                    term = term * pow_mod_grid(x, e, p) % p
             total += term
         total %= p
-    return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
+    return total
 
 
 def pow_mod_grid(grid: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -275,35 +278,22 @@ def family_cardinality_fast(
 ) -> int:
     """Value-set cardinality of one family over GF(p), residues as ints.
 
-    Independent of the lattice route: builds the full tuple grid with
-    meshgrid, applies the pairwise-distinct filter as a boolean mask, and
-    counts distinct values.
+    Independent of the lattice route: evaluates f on the full tuple grid,
+    applies the pairwise-distinct filter as a boolean mask, and counts
+    distinct values.
     """
     n = len(sets)
     if leading is None:
         leading = (1,) * n
-    # n index grids plus the value, term and filter grids, 8 bytes a tuple
+    # value, term, filter and np.unique's sorted copy, with room: n + 3 grids of 8 bytes a tuple
     _check_bytes(prod(len(s) for s in sets) * 8 * (n + 3), f"a family of {n} sets")
-    arrays = [np.asarray(sorted(s), dtype=np.int64) % p for s in sets]
-    grids = np.meshgrid(*arrays, indexing="ij") if n > 1 else [arrays[0]]
-    total = np.zeros(tuple(len(a) for a in arrays), dtype=np.int64)
-    for a, g in zip(leading, grids):
-        total += (int(a) % p) * pow_mod_grid(g, k, p)
-    total %= p
-    if tail is not None and not tail.is_zero:
-        for exps, c in tail.terms():
-            term = np.full(total.shape, int(c) % p, dtype=np.int64)
-            for g, e in zip(grids, exps):
-                if e:
-                    term *= pow_mod_grid(g, e, p)
-                    term %= p
-            total += term
-        total %= p
+    axes = np.ix_(*(np.asarray(sorted(s), dtype=np.int64) % p for s in sets))
+    total = _residue_values(p, axes, k, leading, tail)
     if restricted and n > 1:
         ok = np.ones(total.shape, dtype=bool)
         for j in range(n):
             for i in range(j):
-                ok &= grids[i] != grids[j]
+                ok &= axes[i] != axes[j]
         vals = total[ok]
     else:
         vals = total.ravel()

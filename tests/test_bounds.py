@@ -1,5 +1,8 @@
 """Closed-form bounds: frozen examples, identities, and sharpness checks."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +26,7 @@ from restrictedsums import (
     single_set_conjecture_bound,
     unrestricted_floor_bound,
 )
+from restrictedsums.bounds import BOUNDS
 
 
 # ---------- primitives ----------
@@ -372,3 +376,13 @@ def test_residue_of_n_variant_is_refuted_by_the_model():
         if n_residue_variant(m, n, k) > roots_model_cardinality(n, k, q, r).value
     ]
     assert (4, 2, 3) in overshoots
+
+
+# ---------- the registry ----------
+
+
+def test_readme_bounds_table_lists_the_registry_in_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## The bounds", 1)[1].split("\n## ", 1)[0]
+    tokens = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
+    assert tokens == list(BOUNDS)

@@ -103,6 +103,17 @@ def test_verify_bounds_summary_counts_guard_skips(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "verify-bounds: 24 rows, 12 checked, all bounds hold"
 
 
+def test_tightness_summary_counts_guard_skips(tmp_path, capsys):
+    cfg = write_config(tmp_path, verify_bounds_config())
+    assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "2"]) == 0
+    assert capsys.readouterr().err.strip() == (
+        "tightness: 24 rows, 0 tight, 24 skipped by the tuple guard, 0 violations"
+    )
+    assert cli.main(["tightness", "--config", cfg]) == 0
+    # with nothing skipped the line keeps its exact form
+    assert capsys.readouterr().err.strip() == "tightness: 24 rows, 3 tight, 0 violations"
+
+
 def test_verify_bounds_byte_determinism(tmp_path):
     cfg = write_config(tmp_path, verify_bounds_config())
     outputs = []
@@ -178,7 +189,7 @@ def test_verify_bounds_theorem_violation_exits_2(tmp_path, monkeypatch, capsys):
     def inflated(sizes, k, char):
         return BoundResult("thm12", real(sizes, k, char).value + 10)
 
-    monkeypatch.setattr(cli, "residue_class_bound", inflated)
+    monkeypatch.setattr(bounds_module, "residue_class_bound", inflated)
     cfg = write_config(
         tmp_path,
         {
@@ -193,6 +204,53 @@ def test_verify_bounds_theorem_violation_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "VIOLATIONS FOUND" in capsys.readouterr().err
     assert out.exists()  # artifacts are still written
+
+
+# ---------- per-token hypotheses ----------
+
+ALL_BOUNDS = ["thm12", "thm13", "thm11u", "thm11r", "anr", "dsh", "conj11"]
+SEVEN = list(range(7))
+
+# (leading, k, sets, bound_value per token in ALL_BOUNDS order); None means
+# hypotheses_ok is false and bound_value is empty.  Every family is over GF(7).
+HYPOTHESIS_CASES = [
+    # unit leading written as 8 (8 = 1 mod 7), increasing sizes
+    ([8, 1], 1, [[0, 1], [0, 1, 2]], [3, None, 4, None, 3, None, None]),
+    # non-unit leading: thm12, anr lose their hypotheses
+    ([2, 1], 1, [[0, 1], [0, 1, 2]], [None, None, 4, None, None, None, None]),
+    # one shared set at k = 1: thm13, dsh, conj11 hold; anr needs increasing sizes
+    ([8, 1], 1, [[0, 1, 2], [0, 1, 2]], [3, 3, 5, None, None, 3, 3]),
+    # non-unit leading: thm12, thm13, dsh lose their hypotheses, conj11 does not
+    ([2, 1], 1, [[0, 1, 2], [0, 1, 2]], [None, None, 5, None, None, None, 3]),
+    # k = 2: anr, dsh need k = 1; thm11r needs k >= n
+    ([1, 1], 2, [[0, 1, 2], [0, 1, 2]], [2, 2, 3, 2, None, None, 2]),
+    # k > n: thm12 and conj11 fail, thm11r holds
+    ([1, 1], 3, [[0, 1, 2], [0, 1, 2, 3]], [None, None, 2, 1, None, None, None]),
+    # the size staircase |A_i| >= i fails at i = 2
+    ([1, 1], 2, [[0], [1]], [None, None, 1, None, None, None, None]),
+    # an empty set fails every floor's hypotheses, thm11u's included
+    ([1, 1], 1, [[], [0, 1]], [None] * 7),
+    # equal sizes but different sets: thm13 holds, dsh and conj11 do not
+    ([1, 1], 1, [[0, 1, 2], [0, 1, 3]], [3, 3, 5, None, None, None, None]),
+    # a1 = -a2 at n = 2 lowers the conj11 clamp from p to p - 1
+    ([1, 6], 1, [SEVEN, SEVEN], [None, None, 7, None, None, None, 6]),
+    ([1, 1], 1, [SEVEN, SEVEN], [7, 7, 7, None, None, 7, 7]),
+]
+
+
+@pytest.mark.parametrize("leading, k, sets, expected", HYPOTHESIS_CASES)
+def test_hypotheses_and_values_per_token(tmp_path, capsys, leading, k, sets, expected):
+    cfg = write_config(
+        tmp_path,
+        {"field": "gf(7)", "k": k, "leading": leading, "bounds": ALL_BOUNDS, "families": [sets]},
+    )
+    jsonl = tmp_path / "r.jsonl"
+    code = cli.main(["tightness", "--config", cfg, "--jsonl", str(jsonl), "--out", str(tmp_path / "r.csv")])
+    assert code == 0
+    capsys.readouterr()
+    records = {r["bound_name"]: r for r in map(json.loads, jsonl.read_text().splitlines())}
+    got = {name: (records[name]["hypotheses_ok"], records[name]["bound_value"]) for name in ALL_BOUNDS}
+    assert got == {name: (value is not None, value) for name, value in zip(ALL_BOUNDS, expected)}
 
 
 # ---------- config and usage errors ----------
@@ -352,7 +410,7 @@ def test_tightness_conjecture_violation_exits_3(tmp_path, monkeypatch, capsys):
     def inflated(m, n, k, char, negated_pair=False):
         return BoundResult("conj11", real(m, n, k, char, negated_pair).value + 1, conjectural=True)
 
-    monkeypatch.setattr(cli, "single_set_conjecture_bound", inflated)
+    monkeypatch.setattr(bounds_module, "single_set_conjecture_bound", inflated)
     cfg = write_config(
         tmp_path,
         {
@@ -374,12 +432,12 @@ def test_tightness_theorem_beats_conjecture(tmp_path, monkeypatch, capsys):
     real_thm = bounds_module.residue_class_bound
     real_conj = bounds_module.single_set_conjecture_bound
     monkeypatch.setattr(
-        cli,
+        bounds_module,
         "residue_class_bound",
         lambda sizes, k, char: BoundResult("thm12", real_thm(sizes, k, char).value + 10),
     )
     monkeypatch.setattr(
-        cli,
+        bounds_module,
         "single_set_conjecture_bound",
         lambda m, n, k, char, negated_pair=False: BoundResult(
             "conj11", real_conj(m, n, k, char, negated_pair).value + 10, conjectural=True
