@@ -47,6 +47,7 @@ from .poly import (
     power_sum_pow,
     vandermonde,
 )
+from .sweeps import _family_counts, _residue_route_fits
 
 THEOREM_BOUNDS = tuple(name for name, bound in BOUNDS.items() if not bound.conjectural)
 
@@ -350,6 +351,9 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
 
     needs_r = any(BOUNDS[b].restricted for b in bounds)
     needs_u = any(not BOUNDS[b].restricted for b in bounds)
+    # prime fields count on numpy residues; the rationals, and primes whose
+    # residue products overflow int64, keep the exact enumerator
+    residues = field.is_prime_field and _residue_route_fits(field.p)
 
     rows = []
     theorem_bad = False
@@ -360,10 +364,13 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
             start = time.monotonic()
             actual_r = actual_u = None
             try:
-                if needs_r:
-                    actual_r = restricted_value_set(fam, f, guard_tuples=args.guard_tuples).cardinality
-                if needs_u:
-                    actual_u = unrestricted_value_set(fam, f, guard_tuples=args.guard_tuples).cardinality
+                if residues:
+                    actual_r, actual_u = _residue_counts(fam, f, needs_r, needs_u, args.guard_tuples)
+                else:
+                    if needs_r:
+                        actual_r = restricted_value_set(fam, f, guard_tuples=args.guard_tuples).cardinality
+                    if needs_u:
+                        actual_u = unrestricted_value_set(fam, f, guard_tuples=args.guard_tuples).cardinality
             except SearchSpaceTooLarge:
                 pass  # guard violations are recorded per-row, never fatal
             elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
@@ -399,6 +406,18 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
                     )
                 )
     return rows, theorem_bad, conjecture_bad
+
+
+def _residue_counts(fam, f, needs_r: bool, needs_u: bool, guard_tuples: int) -> tuple:
+    """(restricted, unrestricted) cardinalities over GF(p) from one residue
+    evaluation, None where not needed; the tuple guard as in the enumerator."""
+    space = prod(fam.sizes)
+    if space > guard_tuples:
+        raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
+    variants = [flag for flag, needed in ((True, needs_r), (False, needs_u)) if needed]
+    sets = [[x.value for x in s] for s in fam.sets]
+    counts = dict(zip(variants, _family_counts(fam.field.p, sets, f.k, f.leading, f.tail, variants)))
+    return counts.get(True), counts.get(False)
 
 
 # ---------- commands ----------

@@ -12,7 +12,13 @@ against the exact backtracking enumerator in the test suite:
     returns is never built.  Peak memory is about (3p+3)*(2^p)^(n-1) bytes:
     50 MB and a fraction of a second for GF(7), n = 4;
   * a per-family vectorized evaluation (`family_cardinality_fast`) for
-    seeded samples at primes too large for the lattice.
+    seeded samples at primes too large for the lattice.  The same evaluation
+    serves the CLI's prime-field `verify-bounds` and `tightness` scans, which
+    take a family's restricted and unrestricted counts from one residue grid
+    and cut a grid past the byte guard into slabs along the first set, so
+    every family the tuple guard admits is counted.  Residue products must
+    fit int64, so it needs (p-1)^2 < 2^63; larger primes stay on the exact
+    enumerator.
 
 Every array these routes allocate is sized from the shapes first and refused
 with `SearchSpaceTooLarge` when it would pass `LATTICE_BYTE_GUARD` bytes.
@@ -97,25 +103,42 @@ def random_sizes(rng: random.Random, n: int, low_fn, high: int) -> tuple:
 def value_table(p: int, k: int, leading, tail: SparsePoly | None = None) -> np.ndarray:
     """uint8 grid of shape (p,)*n holding the bit 1 << f(x) for every tuple x,
     where f = sum a_i x_i^k + tail over GF(p)."""
-    leading = tuple(int(a) for a in leading)
     n = len(leading)
     if not 2 <= p <= MAX_LATTICE_PRIME:
         raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
-    if any(a % p == 0 for a in leading):
+    _check_residue_form(p, n, k, leading, tail)
+    total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * n), k, leading, tail)
+    return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
+
+
+def _residue_route_fits(p: int) -> bool:
+    """Whether GF(p) residues multiply in int64: every product of two
+    residues, at most (p-1)^2, must stay below 2^63."""
+    return (p - 1) ** 2 < 1 << 63
+
+
+def _check_residue_form(p: int, n: int, k: int, leading, tail: SparsePoly | None) -> None:
+    """Refuse what the residue evaluator would otherwise truncate or overflow."""
+    if n < 1:
+        raise HypothesisViolated("need at least one variable")
+    if not _residue_route_fits(p):
+        raise HypothesisViolated(f"residues mod {p} overflow int64 products; use the exact enumerator")
+    if len(leading) != n:
+        raise HypothesisViolated(f"{len(leading)} leading coefficients for {n} variables")
+    if any(int(a) % p == 0 for a in leading):
         raise HypothesisViolated("leading coefficients must be nonzero mod p")
     if tail is not None and not tail.is_zero:
         if tail.nvars != n:
             raise HypothesisViolated(f"tail has {tail.nvars} variables, expected {n}")
         if tail.degree >= k:
             raise HypothesisViolated(f"tail degree {tail.degree} must be < k = {k}")
-    total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * n), k, leading, tail)
-    return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
 
 
 def _residue_values(p: int, axes, k: int, leading, tail: SparsePoly | None) -> np.ndarray:
     """int64 grid of f = sum a_i x_i^k + tail mod p over the open mesh ``axes``
-    of np.ix_: each power is taken once per coordinate and broadcast."""
-    total = sum((int(a) % p * pow_mod_grid(x, k, p) for a, x in zip(leading, axes)), np.int64(0)) % p
+    of np.ix_: each power is taken once per coordinate and broadcast.  Each
+    product, at most (p-1)^2, is reduced before it is summed."""
+    total = sum((int(a) % p * pow_mod_grid(x, k, p) % p for a, x in zip(leading, axes)), np.int64(0)) % p
     if tail is not None and not tail.is_zero:
         for exps, c in tail.terms():
             term = int(c) % p
@@ -285,18 +308,66 @@ def family_cardinality_fast(
     n = len(sets)
     if leading is None:
         leading = (1,) * n
-    # value, term, filter and np.unique's sorted copy, with room: n + 3 grids of 8 bytes a tuple
-    _check_bytes(prod(len(s) for s in sets) * 8 * (n + 3), f"a family of {n} sets")
-    axes = np.ix_(*(np.asarray(sorted(s), dtype=np.int64) % p for s in sets))
-    total = _residue_values(p, axes, k, leading, tail)
-    if restricted and n > 1:
-        ok = np.ones(total.shape, dtype=bool)
-        for j in range(n):
-            for i in range(j):
-                ok &= axes[i] != axes[j]
-        vals = total[ok]
+    _check_bytes(prod(len(s) for s in sets) * _grid_bytes(n), f"a family of {n} sets")
+    return _family_counts(p, sets, k, leading, tail, (restricted,))[0]
+
+
+def _grid_bytes(n: int) -> int:
+    # values, their reduction, the filter, the filtered and the sorted copy,
+    # with room: n + 3 grids of 8 bytes a tuple
+    return 8 * (n + 3)
+
+
+def _family_counts(p: int, sets, k: int, leading, tail: SparsePoly | None, variants) -> tuple:
+    """Value-set cardinality of one family for each flag of ``variants``
+    (True: pairwise-distinct tuples only), all from one evaluation of f.
+
+    The tuple grid is cut into boxes of at most `LATTICE_BYTE_GUARD` bytes,
+    slabs along the first set, so a family of any size is counted; the
+    distinct values of each box are merged into those of the boxes before.
+    """
+    n = len(sets)
+    _check_residue_form(p, n, k, leading, tail)
+    coords = [np.asarray([int(x) % p for x in s], dtype=np.int64) for s in sets]
+    budget = max(LATTICE_BYTE_GUARD // _grid_bytes(n), 1)
+    seen = [None] * len(variants)
+    for box in _boxes(coords, budget):
+        axes = np.ix_(*box)
+        total = _residue_values(p, axes, k, leading, tail)
+        for j, restricted in enumerate(variants):
+            if restricted and n > 1:
+                ok = np.ones(total.shape, dtype=bool)
+                for b in range(n):
+                    for a in range(b):
+                        ok &= axes[a] != axes[b]
+                vals = total[ok]
+            else:
+                vals = total.ravel()
+            seen[j] = _distinct(vals if seen[j] is None else np.concatenate((seen[j], vals)))
+    return tuple(int(values.size) for values in seen)
+
+
+def _boxes(coords, budget: int):
+    """Cover the product of the coordinate arrays with boxes of at most
+    ``budget`` tuples: slabs of the first array, and when one of its elements
+    alone is over budget, that element times the boxes of the rest."""
+    first, rest = coords[0], coords[1:]
+    width = budget // max(prod(len(c) for c in rest), 1)
+    if width >= len(first):
+        yield coords
+    elif width:
+        for i in range(0, len(first), width):
+            yield [first[i : i + width], *rest]
     else:
-        vals = total.ravel()
-    if vals.size == 0:
-        return 0
-    return int(np.unique(vals).size)
+        for i in range(len(first)):
+            for box in _boxes(rest, budget):
+                yield [first[i : i + 1], *box]
+
+
+def _distinct(vals: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, sorted: a sort and an adjacent
+    difference (np.unique would import numpy.ma, a megabyte of memory)."""
+    vals = np.sort(vals)
+    keep = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=keep[1:])
+    return vals[keep]

@@ -1,11 +1,22 @@
 """Command-line interface: configs, report formats, determinism, exit codes."""
 
 import json
+import random
 
 import pytest
 
-from restrictedsums import BoundResult, bounds as bounds_module
-from restrictedsums import cli
+from restrictedsums import (
+    BoundResult,
+    PowerSumForm,
+    SetFamily,
+    SparsePoly,
+    bounds as bounds_module,
+    parse_field,
+    parse_poly,
+    restricted_value_set,
+    unrestricted_value_set,
+)
+from restrictedsums import cli, sweeps
 
 HEADER_LINE = "field,p(F),n,k,sizes,bound_name,bound_value,actual_cardinality,hypotheses_ok,tight,seed,elapsed_ms"
 
@@ -455,6 +466,149 @@ def test_tightness_theorem_beats_conjecture(tmp_path, monkeypatch, capsys):
     code = cli.main(["tightness", "--config", cfg, "--out", str(tmp_path / "r.csv")])
     assert code == 2  # theorem violation shadows the conjecture exit code
     capsys.readouterr()
+
+
+# ---------- prime fields: the residue route against the exact enumerator ----------
+
+
+def scan_records(tmp_path, verb, cfg):
+    """Run one family scan; return its exit code and JSONL records."""
+    path = write_config(tmp_path, cfg, name="scan.json")
+    jsonl = tmp_path / "scan.jsonl"
+    code = cli.main([verb, "--config", path, "--out", str(tmp_path / "scan.csv"), "--jsonl", str(jsonl)])
+    return code, [json.loads(line) for line in jsonl.read_text().splitlines()]
+
+
+def assert_rows_match_enumerator(cfg, records):
+    """Every row's actual_cardinality is the exact enumerator's, for a config
+    with a single explicit family."""
+    (sets,) = cfg["families"]
+    n = len(sets)
+    family = SetFamily.from_elements(parse_field(cfg["field"]), sets)
+    tail = parse_poly(cfg["tail"], nvars=n) if "tail" in cfg else SparsePoly.zero(n)
+    exact = {}
+    for record in records:
+        key = (record["k"], bounds_module.BOUNDS[record["bound_name"]].restricted)
+        if key not in exact:
+            form = PowerSumForm(key[0], cfg.get("leading", [1] * n), tail)
+            run = restricted_value_set if key[1] else unrestricted_value_set
+            exact[key] = run(family, form).cardinality
+        assert record["actual_cardinality"] == exact[key], (cfg, record)
+    return len(exact)
+
+
+def random_nonzero(rng, p):
+    """A coefficient that survives mod p, often negative or >= p."""
+    while True:
+        a = rng.choice([-1, 1]) * rng.randint(1, 3 * p)
+        if a % p:
+            return a
+
+
+def differential_configs():
+    """Seeded single-family scans over GF(2..13), n = 1..4, k = 1..5: a set of
+    size p, repeated sets, leading coefficients negative or >= p, and tails
+    with mixed monomials and negative coefficients."""
+    rng = random.Random(20)
+    for p in (2, 3, 5, 7, 11, 13):
+        for n in range(1, 5):
+            whole = list(range(p))
+            repeated = sorted(rng.sample(whole, min(p, 3)))
+            small = [sorted(rng.sample(whole, rng.randint(1, min(p, 3)))) for _ in range(n)]
+            full_at = rng.randrange(n)
+            families = [
+                [whole if i == full_at else s for i, s in enumerate(small)],
+                [repeated] * n,
+            ]
+            square = f"x1*x{n}" if n > 1 else "x1^2"
+            mixed = f"{square} - 2*x{rng.randint(1, n)} - 3"
+            for sets in families:
+                leading = [random_nonzero(rng, p) for _ in range(n)]
+                yield {"field": f"gf({p})", "k": [1, 5], "leading": leading, "tail": "-2", "families": [sets]}
+                yield {"field": f"gf({p})", "k": [3, 5], "leading": leading, "tail": mixed, "families": [sets]}
+
+
+def test_prime_scans_match_exact_enumerator(tmp_path, capsys):
+    compared = 0
+    for cfg in differential_configs():
+        cfg["bounds"] = ALL_BOUNDS
+        code, records = scan_records(tmp_path, "tightness", cfg)
+        assert code == 0, cfg
+        assert len(records) == len(ALL_BOUNDS) * (cfg["k"][1] - cfg["k"][0] + 1)
+        compared += assert_rows_match_enumerator(cfg, records)
+    capsys.readouterr()
+    assert compared == 6 * 4 * 2 * (5 + 3) * 2  # (p, n, family, k, variant)
+
+
+def test_prime_scans_make_no_polynomial_evaluations(tmp_path, monkeypatch, capsys):
+    calls = []
+    for owner in (SparsePoly, PowerSumForm):
+        real = owner.eval
+        monkeypatch.setattr(owner, "eval", lambda self, point, real=real: calls.append(1) or real(self, point))
+    cfg = {
+        "field": "gf(13)",
+        "k": [2, 3],
+        "bounds": ["thm12", "thm13", "thm11u", "thm11r"],
+        "families": [[[0, 1, 2, 5], [1, 3, 4, 6, 7], [0, 2, 4, 8, 9, 12]]],
+        "tail": "1 - 2*x1 + x3",
+    }
+    assert scan_records(tmp_path, "verify-bounds", cfg)[0] == 0
+    assert calls == []
+    # the same scan over the rationals goes through the exact enumerator
+    assert scan_records(tmp_path, "verify-bounds", dict(cfg, field="rational"))[0] == 0
+    assert calls
+    capsys.readouterr()
+
+
+def test_primes_past_int64_products_use_the_exact_enumerator(tmp_path, monkeypatch, capsys):
+    residue_calls = []
+    real = cli._family_counts
+    monkeypatch.setattr(cli, "_family_counts", lambda *a: residue_calls.append(1) or real(*a))
+    for p, routed in ((2**31 - 1, True), (3_037_000_507, False)):
+        assert sweeps._residue_route_fits(p) == routed
+        residue_calls.clear()
+        cfg = {
+            "field": f"gf({p})",
+            "k": [1, 2],
+            "bounds": ALL_BOUNDS,
+            "leading": [p - 1, p - 2, -3],
+            "families": [[[0, 1, p - 1, p - 2], [0, 1, p - 1, p - 5], [2, p - 2, p - 3]]],
+        }
+        code, records = scan_records(tmp_path, "tightness", cfg)
+        assert code == 0
+        assert bool(residue_calls) == routed
+        assert assert_rows_match_enumerator(cfg, records) == 4
+    capsys.readouterr()
+
+
+def test_sliced_residue_grids_give_identical_reports(tmp_path, monkeypatch, capsys):
+    # families whose grids pass a 4 KB guard: the counts come from slabs of
+    # the first set, and from single elements times slabs of the second; in
+    # GF(1009) few of their values coincide, so a lost box changes a count
+    cfg = {
+        "field": "gf(1009)",
+        "k": [3, 4],
+        "tail": "2*x1*x2 - x3 + 1",
+        "families": [
+            [[0, 3, 7, 9, 12], [1, 2, 4, 5, 8, 11], [0, 1, 2, 3, 6, 7, 10]],
+            [[2, 5, 600], list(range(10)), list(range(500, 510))],
+        ],
+    }
+    reports = []
+    for guard in (None, 4096):
+        if guard:
+            monkeypatch.setattr(sweeps, "LATTICE_BYTE_GUARD", guard)
+        evaluations = []
+        real = sweeps._residue_values
+        monkeypatch.setattr(sweeps, "_residue_values", lambda *a: evaluations.append(1) or real(*a))
+        for verb, bounds in (("verify-bounds", list(cli.THEOREM_BOUNDS)), ("tightness", ALL_BOUNDS)):
+            code, records = scan_records(tmp_path, verb, dict(cfg, bounds=bounds))
+            reports.append((verb, code, capsys.readouterr().err, (tmp_path / "scan.csv").read_bytes(), records))
+        monkeypatch.setattr(sweeps, "_residue_values", real)
+        # one evaluation per (family, k) and verb, unless the grid is sliced
+        assert (len(evaluations) == 8) == (guard is None)
+    assert reports[:2] == reports[2:]
+    assert all(r[4] and all(x["actual_cardinality"] is not None for x in r[4]) for r in reports)
 
 
 # ---------- verify-coeff ----------

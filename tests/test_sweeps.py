@@ -32,7 +32,7 @@ from restrictedsums import (
     unrestricted_value_set,
     value_table,
 )
-from restrictedsums.sweeps import LATTICE_BYTE_GUARD
+from restrictedsums.sweeps import LATTICE_BYTE_GUARD, _residue_route_fits
 
 
 def mask_of(subset) -> int:
@@ -323,3 +323,42 @@ def test_family_cardinality_fast_degenerate():
     assert family_cardinality_fast(11, [(3,), (3,)], 2) == 0
     assert family_cardinality_fast(11, [(3,), (3,)], 2, restricted=False) == 1
     assert family_cardinality_fast(11, [(0, 1, 2)], 1) == 3
+
+
+# the largest prime p with (p-1)^2 < 2^63, and the next prime after it
+LAST_INT64_PRIME, FIRST_PRIME_PAST_INT64 = 3_037_000_493, 3_037_000_507
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, LAST_INT64_PRIME])
+def test_family_cardinality_fast_has_no_int64_overflow(p):
+    # four products a*x near p^2 sum past 2^63 unless each is reduced first;
+    # with k = 1 the wrapped sums merge values the exact enumerator keeps apart
+    leading = (p - 1, p - 2, p - 3, p - 4)
+    sets = [[0, 1, p - 1, p - 2, p - 5]] * 4
+    fam = SetFamily.from_elements(prime_field(p), sets)
+    for k in (1, 2):
+        form = PowerSumForm(k, leading, SparsePoly.zero(4))
+        for restricted, run in ((True, restricted_value_set), (False, unrestricted_value_set)):
+            fast = family_cardinality_fast(p, sets, k, leading, None, restricted)
+            assert fast == run(fam, form).cardinality, (k, restricted)
+
+
+def test_residue_route_stops_where_int64_products_overflow():
+    assert _residue_route_fits(LAST_INT64_PRIME)
+    assert not _residue_route_fits(FIRST_PRIME_PAST_INT64)
+    with pytest.raises(HypothesisViolated):
+        family_cardinality_fast(FIRST_PRIME_PAST_INT64, [[0, 1], [2, 3]], 2)
+
+
+@pytest.mark.parametrize(
+    "leading, tail",
+    [
+        ((1, 1), parse_poly("x1*x2*x3", nvars=3)),  # a tail in three variables
+        ((1, 1), parse_poly("x1^2 + x2", nvars=2)),  # tail degree >= k
+        ((1, 14), None),  # a leading coefficient vanishing mod 7
+        ((1, 1, 1), None),  # three coefficients for two sets
+    ],
+)
+def test_family_cardinality_fast_refuses_bad_forms(leading, tail):
+    with pytest.raises(HypothesisViolated):
+        family_cardinality_fast(7, [[0, 1, 2], [3, 4]], 2, leading, tail)
