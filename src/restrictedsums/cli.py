@@ -16,7 +16,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .bounds import BOUNDS, roots_model_cardinality
 from .coeff import coefficient_formula, proof_replay, target_monomial
@@ -47,7 +47,7 @@ from .poly import (
     power_sum_pow,
     vandermonde,
 )
-from .sweeps import _family_counts, _residue_route_fits
+from .sweeps import _family_counts, _integer_route_fits, _residue_route_fits
 
 THEOREM_BOUNDS = tuple(name for name, bound in BOUNDS.items() if not bound.conjectural)
 
@@ -351,9 +351,6 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
 
     needs_r = any(BOUNDS[b].restricted for b in bounds)
     needs_u = any(not BOUNDS[b].restricted for b in bounds)
-    # prime fields count on numpy residues; the rationals, and primes whose
-    # residue products overflow int64, keep the exact enumerator
-    residues = field.is_prime_field and _residue_route_fits(field.p)
 
     rows = []
     theorem_bad = False
@@ -364,8 +361,9 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
             start = time.monotonic()
             actual_r = actual_u = None
             try:
-                if residues:
-                    actual_r, actual_u = _residue_counts(fam, f, needs_r, needs_u, args.guard_tuples)
+                counts = _grid_counts(fam, f, needs_r, needs_u, args.guard_tuples)
+                if counts is not None:
+                    actual_r, actual_u = counts
                 else:
                     if needs_r:
                         actual_r = restricted_value_set(fam, f, guard_tuples=args.guard_tuples).cardinality
@@ -408,15 +406,35 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
     return rows, theorem_bad, conjecture_bad
 
 
-def _residue_counts(fam, f, needs_r: bool, needs_u: bool, guard_tuples: int) -> tuple:
-    """(restricted, unrestricted) cardinalities over GF(p) from one residue
-    evaluation, None where not needed; the tuple guard as in the enumerator."""
+def _grid_counts(fam, f, needs_r: bool, needs_u: bool, guard_tuples: int):
+    """(restricted, unrestricted) cardinalities from one int64 grid of
+    `sweeps._family_counts`, None where not needed; or None for the whole
+    pair when the family must go to the exact enumerator.  The tuple guard
+    is as in the enumerator.
+
+    Over GF(p) the grid holds residues, while (p-1)^2 fits int64.  Over Q,
+    with L the lcm of the elements' denominators and u = L*x, it holds the
+    integer L^k * f(x) = sum a_i u_i^k + sum c_e L^(k-|e|) u^e; a nonzero
+    scale keeps values apart and u_i = u_j iff x_i = x_j, so both counts are
+    unchanged.  That needs integer coefficients and values that provably
+    fit int64.
+    """
     space = prod(fam.sizes)
     if space > guard_tuples:
         raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
+    field, tail = fam.field, f.tail
+    if field.is_prime_field:
+        if not _residue_route_fits(field.p):
+            return None
+        sets = [[x.value for x in s] for s in fam.sets]
+    else:
+        scale = lcm(*(x.value.denominator for s in fam.sets for x in s))
+        sets = [[int(x.value * scale) for x in s] for s in fam.sets]
+        tail = SparsePoly(tail.nvars, {e: c * scale ** (f.k - sum(e)) for e, c in tail.terms()})
+        if not _integer_route_fits(f.k, f.leading, tail, sets):
+            return None
     variants = [flag for flag, needed in ((True, needs_r), (False, needs_u)) if needed]
-    sets = [[x.value for x in s] for s in fam.sets]
-    counts = dict(zip(variants, _family_counts(fam.field.p, sets, f.k, f.leading, f.tail, variants)))
+    counts = dict(zip(variants, _family_counts(field.p, sets, f.k, f.leading, tail, variants)))
     return counts.get(True), counts.get(False)
 
 
@@ -429,6 +447,11 @@ def _skip_note(rows) -> str:
     return f"{skipped} skipped by the tuple guard, " if skipped else ""
 
 
+def _checked(rows) -> int:
+    """Rows whose bound applied and whose cardinality was counted."""
+    return sum(1 for r in rows if r.hypotheses_ok and r.actual_cardinality is not None)
+
+
 def cmd_verify_bounds(args) -> int:
     cfg = _load_config(
         args.config,
@@ -437,7 +460,7 @@ def cmd_verify_bounds(args) -> int:
     )
     rows, theorem_bad, _ = _scan_families(args, cfg, THEOREM_BOUNDS)
     _emit_rows(args, rows)
-    checked = sum(1 for r in rows if r.hypotheses_ok and r.actual_cardinality is not None)
+    checked = _checked(rows)
     if theorem_bad:
         verdict = "VIOLATIONS FOUND"
     else:
@@ -465,9 +488,11 @@ def cmd_tightness(args) -> int:
         rows, theorem_bad, conjecture_bad = _scan_families(args, cfg, BOUNDS)
     _emit_rows(args, rows)
     tight_count = sum(1 for r in rows if r.tight)
+    violations = sum(1 for r in rows if r.violated)
+    # a scan that compared no row with its bound could see no violation
+    verdict = f"{violations} violations" if _checked(rows) else "nothing checked"
     print(
-        f"tightness: {len(rows)} rows, {tight_count} tight, {_skip_note(rows)}"
-        f"{sum(1 for r in rows if r.violated)} violations",
+        f"tightness: {len(rows)} rows, {tight_count} tight, {_skip_note(rows)}{verdict}",
         file=sys.stderr,
     )
     if theorem_bad:

@@ -1,4 +1,5 @@
-"""Vectorized sweeps over set families in small prime fields.
+"""Vectorized sweeps over set families in prime fields, and per-family
+counts over the rationals.
 
 Two independent fast routes to value-set cardinalities, both cross-checked
 against the exact backtracking enumerator in the test suite:
@@ -13,18 +14,22 @@ against the exact backtracking enumerator in the test suite:
     50 MB and a fraction of a second for GF(7), n = 4;
   * a per-family vectorized evaluation (`family_cardinality_fast`) for
     seeded samples at primes too large for the lattice.  The same evaluation
-    serves the CLI's prime-field `verify-bounds` and `tightness` scans, which
-    take a family's restricted and unrestricted counts from one residue grid
-    and cut a grid past the byte guard into slabs along the first set, so
-    every family the tuple guard admits is counted.  Residue products must
-    fit int64, so it needs (p-1)^2 < 2^63; larger primes stay on the exact
-    enumerator.
+    serves the CLI's `verify-bounds` and `tightness` scans, which take a
+    family's restricted and unrestricted counts from one int64 grid and cut
+    a grid past the byte guard into slabs along the first set, so every
+    family the tuple guard admits is counted.  Over GF(p) the grid holds
+    residues, whose products must fit int64, so it needs (p-1)^2 < 2^63.
+    Over Q (``p=None``) the CLI scales the family to integers u = L*x and
+    the form to L^k*f, and the grid holds those integer values unreduced; it
+    needs integer coefficients and a bound from the shapes
+    (`_integer_route_fits`) that no value or partial sum passes 2^63.
+    Whatever fails these stays on the exact enumerator.
 
 Every array these routes allocate is sized from the shapes first and refused
 with `SearchSpaceTooLarge` when it would pass `LATTICE_BYTE_GUARD` bytes.
 
-Elements of GF(p) are the residues 0..p-1 throughout, so a subset is a
-p-bit mask and a set of attained values is again a p-bit mask.
+Elements of GF(p) are the residues 0..p-1 throughout, so on the lattice a
+subset is a p-bit mask and a set of attained values is again a p-bit mask.
 """
 
 from __future__ import annotations
@@ -117,16 +122,35 @@ def _residue_route_fits(p: int) -> bool:
     return (p - 1) ** 2 < 1 << 63
 
 
-def _check_residue_form(p: int, n: int, k: int, leading, tail: SparsePoly | None) -> None:
-    """Refuse what the residue evaluator would otherwise truncate or overflow."""
+def _integer_route_fits(k: int, leading, tail: SparsePoly | None, sets) -> bool:
+    """Whether f = sum a_i u_i^k + tail, with integer coefficients, stays
+    below 2^63 in absolute value, partial sums and products included, at
+    every point of the integer sets: with M = max(|u|, 1) over the sets,
+    M^k * sum |a_i| + sum |c_e| * M^|e| < 2^63."""
+    terms = [] if tail is None else list(tail.terms())
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in [*leading, *(c for _, c in terms)]):
+        return False
+    top = max([1] + [abs(u) for s in sets for u in s])
+    bound = top**k * sum(abs(a) for a in leading) + sum(abs(c) * top ** sum(e) for e, c in terms)
+    return bound < 1 << 63
+
+
+def _mod(v, p: int | None):
+    """v mod p, or v itself over the integers (p None)."""
+    return v if p is None else v % p
+
+
+def _check_residue_form(p: int | None, n: int, k: int, leading, tail: SparsePoly | None) -> None:
+    """Refuse what the residue evaluator would otherwise truncate or overflow
+    (p None: plain integers, whose size `_integer_route_fits` settles)."""
     if n < 1:
         raise HypothesisViolated("need at least one variable")
-    if not _residue_route_fits(p):
+    if p is not None and not _residue_route_fits(p):
         raise HypothesisViolated(f"residues mod {p} overflow int64 products; use the exact enumerator")
     if len(leading) != n:
         raise HypothesisViolated(f"{len(leading)} leading coefficients for {n} variables")
-    if any(int(a) % p == 0 for a in leading):
-        raise HypothesisViolated("leading coefficients must be nonzero mod p")
+    if any(_mod(int(a), p) == 0 for a in leading):
+        raise HypothesisViolated("leading coefficients must be nonzero" + ("" if p is None else f" mod {p}"))
     if tail is not None and not tail.is_zero:
         if tail.nvars != n:
             raise HypothesisViolated(f"tail has {tail.nvars} variables, expected {n}")
@@ -134,19 +158,25 @@ def _check_residue_form(p: int, n: int, k: int, leading, tail: SparsePoly | None
             raise HypothesisViolated(f"tail degree {tail.degree} must be < k = {k}")
 
 
-def _residue_values(p: int, axes, k: int, leading, tail: SparsePoly | None) -> np.ndarray:
+def _residue_values(p: int | None, axes, k: int, leading, tail: SparsePoly | None) -> np.ndarray:
     """int64 grid of f = sum a_i x_i^k + tail mod p over the open mesh ``axes``
     of np.ix_: each power is taken once per coordinate and broadcast.  Each
-    product, at most (p-1)^2, is reduced before it is summed."""
-    total = sum((int(a) % p * pow_mod_grid(x, k, p) % p for a, x in zip(leading, axes)), np.int64(0)) % p
+    product, at most (p-1)^2, is reduced before it is summed.  With p None
+    the grid holds f itself, unreduced, which `_integer_route_fits` must
+    have shown to fit int64."""
+
+    def power(x, e):
+        return x**e if p is None else pow_mod_grid(x, e, p)
+
+    total = _mod(sum((_mod(_mod(int(a), p) * power(x, k), p) for a, x in zip(leading, axes)), np.int64(0)), p)
     if tail is not None and not tail.is_zero:
         for exps, c in tail.terms():
-            term = int(c) % p
+            term = _mod(int(c), p)
             for x, e in zip(axes, exps):
                 if e:
-                    term = term * pow_mod_grid(x, e, p) % p
+                    term = _mod(term * power(x, e), p)
             total += term
-        total %= p
+        total = _mod(total, p)
     return total
 
 
@@ -318,9 +348,10 @@ def _grid_bytes(n: int) -> int:
     return 8 * (n + 3)
 
 
-def _family_counts(p: int, sets, k: int, leading, tail: SparsePoly | None, variants) -> tuple:
+def _family_counts(p: int | None, sets, k: int, leading, tail: SparsePoly | None, variants) -> tuple:
     """Value-set cardinality of one family for each flag of ``variants``
-    (True: pairwise-distinct tuples only), all from one evaluation of f.
+    (True: pairwise-distinct tuples only), all from one evaluation of f,
+    over GF(p), or over the integers when p is None.
 
     The tuple grid is cut into boxes of at most `LATTICE_BYTE_GUARD` bytes,
     slabs along the first set, so a family of any size is counted; the
@@ -328,7 +359,14 @@ def _family_counts(p: int, sets, k: int, leading, tail: SparsePoly | None, varia
     """
     n = len(sets)
     _check_residue_form(p, n, k, leading, tail)
-    coords = [np.asarray([int(x) % p for x in s], dtype=np.int64) for s in sets]
+    reduced = [[_mod(int(x), p) for x in s] for s in sets]
+    for i, s in enumerate(reduced, start=1):
+        if len(set(s)) != len(s):
+            where = "" if p is None else f" mod {p}"
+            raise HypothesisViolated(f"set {i} repeats an element{where}: {list(sets[i - 1])}")
+    if p is None and not _integer_route_fits(k, leading, tail, reduced):
+        raise HypothesisViolated("integer values may overflow int64; use the exact enumerator")
+    coords = [np.asarray(s, dtype=np.int64) for s in reduced]
     budget = max(LATTICE_BYTE_GUARD // _grid_bytes(n), 1)
     seen = [None] * len(variants)
     for box in _boxes(coords, budget):

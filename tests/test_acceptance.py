@@ -14,7 +14,6 @@ import pytest
 
 from restrictedsums import (
     ExtendedNat,
-    Permutation,
     SetFamily,
     cli,
     coefficient_formula,
@@ -41,6 +40,7 @@ from restrictedsums import (
     unrestricted_floor_bound,
     vandermonde,
 )
+from permutations import Permutation
 
 LATTICE_PRIMES = (3, 5, 7)
 SAMPLED_PRIMES = (11, 13)

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_tightness_summary_counts_guard_skips(tmp_path, capsys):
     cfg = write_config(tmp_path, verify_bounds_config())
     assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "2"]) == 0
     assert capsys.readouterr().err.strip() == (
-        "tightness: 24 rows, 0 tight, 24 skipped by the tuple guard, 0 violations"
+        "tightness: 24 rows, 0 tight, 24 skipped by the tuple guard, nothing checked"
     )
     assert cli.main(["tightness", "--config", cfg]) == 0
     # with nothing skipped the line keeps its exact form
@@ -554,16 +555,26 @@ def test_prime_scans_make_no_polynomial_evaluations(tmp_path, monkeypatch, capsy
     }
     assert scan_records(tmp_path, "verify-bounds", cfg)[0] == 0
     assert calls == []
-    # the same scan over the rationals goes through the exact enumerator
+    # the same scan over the rationals counts on the integer grid too
     assert scan_records(tmp_path, "verify-bounds", dict(cfg, field="rational"))[0] == 0
+    assert calls == []
+    # past the int64 bound it goes through the exact enumerator
+    far = [[f"1/{q}" for q in (999_983, 999_979, 999_961)], [0, 1], [2, "1/3"]]
+    assert scan_records(tmp_path, "verify-bounds", dict(cfg, field="rational", families=[far]))[0] == 0
     assert calls
     capsys.readouterr()
 
 
-def test_primes_past_int64_products_use_the_exact_enumerator(tmp_path, monkeypatch, capsys):
-    residue_calls = []
+def count_grid_calls(monkeypatch):
+    """A list that grows by one for each family counted on the int64 grid."""
+    calls = []
     real = cli._family_counts
-    monkeypatch.setattr(cli, "_family_counts", lambda *a: residue_calls.append(1) or real(*a))
+    monkeypatch.setattr(cli, "_family_counts", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_primes_past_int64_products_use_the_exact_enumerator(tmp_path, monkeypatch, capsys):
+    residue_calls = count_grid_calls(monkeypatch)
     for p, routed in ((2**31 - 1, True), (3_037_000_507, False)):
         assert sweeps._residue_route_fits(p) == routed
         residue_calls.clear()
@@ -578,6 +589,79 @@ def test_primes_past_int64_products_use_the_exact_enumerator(tmp_path, monkeypat
         assert code == 0
         assert bool(residue_calls) == routed
         assert assert_rows_match_enumerator(cfg, records) == 4
+    capsys.readouterr()
+
+
+def rational_differential_configs():
+    """Seeded single-family scans over Q, n = 1..4, k = 1..5: elements with
+    denominators 1..7, negative and zero, repeated sets, leading coefficients
+    such as [-3, 1, 5], and tails with mixed monomials and negative
+    coefficients."""
+    rng = random.Random(21)
+
+    def element():
+        return str(Fraction(rng.randint(-9, 9), rng.randint(1, 7)))
+
+    for n in range(1, 5):
+        independent = [sorted({element() for _ in range(rng.randint(1, 4))}) for _ in range(n)]
+        with_zero = [sorted({"0", element(), element()}) for _ in range(n)]
+        repeated = [sorted({"0", "-1/2", "2/7", "3", element()})] * n
+        square = f"x1*x{n}" if n > 1 else "x1^2"
+        mixed = f"-{square} - 2*x{rng.randint(1, n)} + 3"
+        for sets, leading in (
+            (independent, [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(n)]),
+            (with_zero, [1] * n),
+            (repeated, [-3, 1, 5, 2][:n]),
+        ):
+            yield {"field": "rational", "k": [1, 5], "leading": leading, "tail": "-2", "families": [sets]}
+            yield {"field": "rational", "k": [3, 5], "leading": leading, "tail": mixed, "families": [sets]}
+
+
+def test_rational_scans_match_exact_enumerator(tmp_path, monkeypatch, capsys):
+    grid_calls = count_grid_calls(monkeypatch)
+    compared = 0
+    for cfg in rational_differential_configs():
+        cfg["bounds"] = ALL_BOUNDS
+        code, records = scan_records(tmp_path, "tightness", cfg)
+        assert code == 0, cfg
+        assert len(records) == len(ALL_BOUNDS) * (cfg["k"][1] - cfg["k"][0] + 1)
+        compared += assert_rows_match_enumerator(cfg, records)
+    capsys.readouterr()
+    assert compared == 4 * 3 * (5 + 3) * 2  # (n, family, k, variant)
+    assert len(grid_calls) == compared // 2  # every (family, k) on the grid
+
+
+def test_rationals_past_the_int64_bound_use_the_exact_enumerator(tmp_path, monkeypatch, capsys):
+    grid_calls = count_grid_calls(monkeypatch)
+    # u = 3x reaches M, and L^2 * f = u1^2 + u2^2 + 3c*u1 + 9 is bounded by
+    # 2*M^2 + 3c*M + 9: for M = 2^31 - 1 that is 2^63 - 2^31 + 8 at c = 1
+    # and 2^63 + 2^32 + 5 at c = 2; for M = 2^31 the leading part is 2^63
+    for top, c, routed in ((2**31 - 1, 1, True), (2**31 - 1, 2, False), (2**31, 1, False)):
+        grid_calls.clear()
+        cfg = {
+            "field": "rational",
+            "k": 2,
+            "bounds": ALL_BOUNDS,
+            "tail": f"{c}*x1 + 1",
+            "families": [[[0, f"{top}/3"], [0, f"{top}/3", "-1/3"]]],
+        }
+        code, records = scan_records(tmp_path, "tightness", cfg)
+        assert code == 0
+        assert bool(grid_calls) == routed, (top, c)
+        assert assert_rows_match_enumerator(cfg, records) == 2
+    # denominators near 10^6 at k = 4: L^4 alone is past 2^63
+    grid_calls.clear()
+    cfg = {
+        "field": "rational",
+        "k": 4,
+        "bounds": ALL_BOUNDS,
+        "leading": [1, -2, 3, 1],
+        "families": [[["1/999983", "2/999979"], ["1/999961", 3], ["-1/999959", 0], ["1/2", "1/3"]]],
+    }
+    code, records = scan_records(tmp_path, "tightness", cfg)
+    assert code == 0
+    assert grid_calls == []
+    assert assert_rows_match_enumerator(cfg, records) == 2
     capsys.readouterr()
 
 

@@ -15,14 +15,12 @@ from restrictedsums import (
     ExtendedNat,
     HypothesisViolated,
     NotInvariant,
-    Permutation,
     PowerSumForm,
     ResidueClasses,
     SetFamily,
     SparsePoly,
     coefficient_by_expansion,
     coefficient_formula,
-    falling_factorial,
     floor_minima,
     prime_field,
     proof_replay,
@@ -31,6 +29,7 @@ from restrictedsums import (
     target_monomial,
     vandermonde,
 )
+from permutations import Permutation, falling_factorial
 
 
 def inversion_parity_sign(images):

@@ -4,6 +4,7 @@ import gc
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,12 @@ from restrictedsums import (
     unrestricted_value_set,
     value_table,
 )
-from restrictedsums.sweeps import LATTICE_BYTE_GUARD, _residue_route_fits
+from restrictedsums.sweeps import (
+    LATTICE_BYTE_GUARD,
+    _family_counts,
+    _integer_route_fits,
+    _residue_route_fits,
+)
 
 
 def mask_of(subset) -> int:
@@ -362,3 +368,24 @@ def test_residue_route_stops_where_int64_products_overflow():
 def test_family_cardinality_fast_refuses_bad_forms(leading, tail):
     with pytest.raises(HypothesisViolated):
         family_cardinality_fast(7, [[0, 1, 2], [3, 4]], 2, leading, tail)
+
+
+@pytest.mark.parametrize("sets", [[[0, 7], [1, 2]], [[0, 7], [0, 1]]])
+def test_family_cardinality_fast_refuses_elements_equal_mod_p(sets):
+    # 0 and 7 are one element of GF(7), as SetFamily says
+    with pytest.raises(HypothesisViolated):
+        family_cardinality_fast(7, sets, 1)
+
+
+def test_integer_grid_refuses_values_past_int64():
+    # |u| <= 2^31 - 1 with two unit leading coefficients and k = 2 fits
+    # int64; one step further the shapes no longer prove it
+    top = 2**31 - 1
+    assert _integer_route_fits(2, (1, 1), None, [[0, top], [-top]])
+    assert not _integer_route_fits(2, (1, 1), None, [[0, top + 1], [-top]])
+    assert _family_counts(None, [[0, top], [0, top]], 2, (1, 1), None, (True, False)) == (1, 3)
+    with pytest.raises(HypothesisViolated):
+        _family_counts(None, [[0, top + 1], [0, top]], 2, (1, 1), None, (True, False))
+    # non-integer coefficients never take the integer grid
+    assert not _integer_route_fits(1, (Fraction(1, 2),), None, [[0, 1]])
+    assert not _integer_route_fits(2, (1,), SparsePoly(1, {(1,): Fraction(1, 3)}), [[0, 1]])
