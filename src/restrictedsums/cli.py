@@ -547,15 +547,20 @@ def cmd_verify_coeff(args) -> int:
     skipped = 0
     checked = 0
     for n in range(1, n_max + 1):
+        try:
+            vdm = vandermonde(n, max_terms=args.guard_terms)
+        except ExpansionTooLarge:
+            vdm = None  # every product in n variables is then skipped
         for k in range(1, min(n, k_cap) + 1 if k_cap else n + 1):
             for total in range(sum_max + 1):
-                try:
-                    product = power_sum_pow(n, k, total, max_terms=args.guard_terms).mul(
-                        vandermonde(n, max_terms=args.guard_terms),
-                        max_terms=args.guard_terms,
-                    )
-                except ExpansionTooLarge:
-                    product = None
+                product = None
+                if vdm is not None:
+                    try:
+                        product = power_sum_pow(n, k, total, max_terms=args.guard_terms).mul(
+                            vdm, max_terms=args.guard_terms
+                        )
+                    except ExpansionTooLarge:
+                        pass
                 for q in _compositions(total, n):
                     closed = coefficient_formula(q, k)
                     if product is None:

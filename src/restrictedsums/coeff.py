@@ -19,7 +19,6 @@ closed form is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 from .bounds import floor_minima
@@ -92,17 +91,20 @@ def coefficient_formula(q, k: int) -> int:
     """The closed form; may be zero or negative, always an exact integer."""
     q = _validate_q(q, k)
     n = len(q)
-    classes = ResidueClasses(n, k)
-    result = Fraction(factorial(sum(q)))
-    for positions in classes.all_classes():
+    numerator = factorial(sum(q))
+    denominator = 1
+    for positions in ResidueClasses(n, k).all_classes():
         shifted = _shifted_entries(q, positions)
-        for j in range(len(shifted)):
-            for i in range(j):
-                result *= shifted[j] - shifted[i]
-            result /= factorial(shifted[j])
-    if result.denominator != 1:
-        raise InternalInvariantBroken(f"closed form is not an integer: {result}")
-    return int(result)
+        for j, cj in enumerate(shifted):
+            for ci in shifted[:j]:
+                numerator *= cj - ci
+            denominator *= factorial(cj)
+    result, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise InternalInvariantBroken(
+            f"closed form is not an integer: {numerator}/{denominator}"
+        )
+    return result
 
 
 def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> int:

@@ -40,6 +40,51 @@ def _check_exponents(nvars, exps):
             raise ValueError(f"exponents must be nonnegative integers, got {exps}")
 
 
+def _common_prime_field(*polys) -> FieldDescriptor | None:
+    """The GF(p) holding every coefficient of every poly, or None."""
+    field = None
+    for poly in polys:
+        for c in poly._terms.values():
+            if not isinstance(c, FieldElement) or c.field.p is None:
+                return None
+            if field is None:
+                field = c.field
+            elif c.field is not field and c.field != field:
+                return None
+    return field
+
+
+def _packed(p: "SparsePoly", width: int, field) -> list:
+    """p's terms as (key, scalar) pairs: the total degree, then each exponent
+    in its own ``width``-bit field; residues in place of GF(p) elements."""
+    out = []
+    for exps, c in p._terms.items():
+        key = sum(exps)
+        for e in exps:
+            key = (key << width) | e
+        out.append((key, c if field is None else c.value))
+    return out
+
+
+def _unpacked(acc: dict, width: int, nvars: int, field) -> dict:
+    """acc's nonzero terms keyed by exponent vectors, in descending key
+    order; acc is emptied on the way, so it is freed as the result grows."""
+    mask = (1 << width) - 1
+    shifts = range((nvars - 1) * width, -1, -width)
+    p = None if field is None else field.p
+    terms = {}
+    order = sorted(acc)
+    while order:
+        key = order.pop()
+        c = acc.pop(key)
+        if p is not None:
+            c %= p
+        if not _is_zero_scalar(c):
+            exps = tuple([(key >> s) & mask for s in shifts])
+            terms[exps] = c if p is None else FieldElement(field, c)
+    return terms
+
+
 class SparsePoly:
     """Immutable sparse polynomial in variables x1..xn.
 
@@ -69,6 +114,17 @@ class SparsePoly:
 
     def __setattr__(self, name, _value):
         raise AttributeError(f"SparsePoly is immutable (tried to set {name})")
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "SparsePoly":
+        """Wrap ``terms`` as it is: nonzero coefficients keyed by exponent
+        vectors of validated polynomials, in descending graded-lex order.
+        Outside input goes through ``SparsePoly(...)``, which checks, prunes
+        and sorts."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "_terms", terms)
+        return poly
 
     # ---------- constructors ----------
 
@@ -110,7 +166,7 @@ class SparsePoly:
         """Total degree; -inf for the zero polynomial."""
         if not self._terms:
             return NEG_INF
-        return max(sum(e) for e in self._terms)
+        return sum(next(iter(self._terms)))
 
     def coefficient_of(self, exps):
         exps = tuple(exps)
@@ -118,6 +174,15 @@ class SparsePoly:
         return self._terms.get(exps, 0)
 
     # ---------- ring operations ----------
+
+    def _map_coefficients(self, fn) -> "SparsePoly":
+        """fn applied to every coefficient; the order stays, zeros go."""
+        terms = {}
+        for e, c in self._terms.items():
+            c = fn(c)
+            if not _is_zero_scalar(c):
+                terms[e] = c
+        return SparsePoly._trusted(self.nvars, terms)
 
     def _check_arity(self, other: "SparsePoly"):
         if self.nvars != other.nvars:
@@ -137,7 +202,7 @@ class SparsePoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return SparsePoly(self.nvars, {e: -c for e, c in self._terms.items()})
+        return self._map_coefficients(lambda c: -c)
 
     def __sub__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -150,32 +215,51 @@ class SparsePoly:
         return (-self) + other
 
     def mul(self, other: "SparsePoly", max_terms: int = DEFAULT_TERM_GUARD) -> "SparsePoly":
+        """Product of two polynomials, formed on packed exponent keys.
+
+        Each exponent vector packs into one int: its total degree in the top
+        bits, then one ``width``-bit field per variable, x1 highest.  A field
+        holds the product's total degree, which bounds every exponent in it,
+        so adding two keys multiplies two monomials without a carry, and
+        descending key order is descending graded-lex order.  When every
+        coefficient of both factors lies in one GF(p), the loop multiplies
+        plain residues and reduces once per output term; any other scalars
+        go through the same loop as they are.  Raises ExpansionTooLarge when
+        the product has more than ``max_terms`` distinct monomials, counting
+        those whose coefficients cancel.
+        """
         self._check_arity(other)
+        if self.is_zero or other.is_zero:
+            return SparsePoly.zero(self.nvars)
+        width = (self.degree + other.degree).bit_length() or 1
+        field = _common_prime_field(self, other)
+        left = _packed(self, width, field)
+        right = _packed(other, width, field)
         acc = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if e in acc:
-                    acc[e] = acc[e] + c1 * c2
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += c1 * c2
                 else:
-                    acc[e] = c1 * c2
-                    if len(acc) > max_terms:
-                        raise ExpansionTooLarge(
-                            f"product exceeds {max_terms} terms "
-                            f"({self.term_count()} x {other.term_count()} inputs)"
-                        )
-        return SparsePoly(self.nvars, acc)
+                    acc[k] = c1 * c2
+            if len(acc) > max_terms:
+                raise ExpansionTooLarge(
+                    f"product exceeds {max_terms} terms "
+                    f"({self.term_count()} x {other.term_count()} inputs)"
+                )
+        return SparsePoly._trusted(self.nvars, _unpacked(acc, width, self.nvars, field))
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
-            return SparsePoly(self.nvars, {e: c * other for e, c in self._terms.items()})
+            return self._map_coefficients(lambda c: c * other)
         if not isinstance(other, SparsePoly):
             return NotImplemented
         return self.mul(other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, FieldElement)):
-            return SparsePoly(self.nvars, {e: other * c for e, c in self._terms.items()})
+            return self._map_coefficients(lambda c: other * c)
         return NotImplemented
 
     def pow(self, exponent: int, max_terms: int = DEFAULT_TERM_GUARD) -> "SparsePoly":
@@ -224,7 +308,7 @@ class SparsePoly:
 
     def reduce(self, field: FieldDescriptor) -> "SparsePoly":
         """Map coefficients into the field and prune anything that dies."""
-        return SparsePoly(self.nvars, {e: field.element(c) for e, c in self._terms.items()})
+        return self._map_coefficients(field.element)
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):

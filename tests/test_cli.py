@@ -721,14 +721,38 @@ def test_verify_coeff_respects_k_cap_and_determinism(tmp_path):
 
 
 def test_verify_coeff_guard_skips(tmp_path, capsys):
+    # The guard counts distinct monomials met while multiplying, cancelled
+    # ones included.  At 20, vandermonde(4) (24 terms) trips it, so every
+    # n = 4 cell is skipped; at 100 it fits, and only the n = 4 products
+    # with N >= 2 trip it.
+    all_n4 = {(4, k, total) for k in range(1, 5) for total in range(5)}
+    cases = [
+        (
+            "20",
+            all_n4 | {(3, 1, 3), (3, 1, 4), (3, 2, 2), (3, 2, 3), (3, 2, 4), (3, 3, 2), (3, 3, 3), (3, 3, 4)},
+            "verify-coeff: 53 identities checked, 0 mismatches, 367 skipped",
+        ),
+        (
+            "100",
+            {(4, k, total) for k in range(1, 5) for total in (2, 3, 4)},
+            "verify-coeff: 160 identities checked, 0 mismatches, 260 skipped",
+        ),
+    ]
     cfg = write_config(tmp_path, {"n_max": 4, "sum_max": 4})
     out = tmp_path / "coeff.csv"
-    code = cli.main(["verify-coeff", "--config", cfg, "--out", str(out), "--guard-terms", "20"])
-    assert code == 0  # skipped identities are reported, not failed
-    statuses = {line.split(",")[6] for line in out.read_text().splitlines()[1:]}
-    assert "skipped" in statuses
-    assert "mismatch" not in statuses
-    capsys.readouterr()
+    for guard, skipped_cells, summary in cases:
+        code = cli.main(["verify-coeff", "--config", cfg, "--out", str(out), "--guard-terms", guard])
+        assert code == 0  # skipped identities are reported, not failed
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 420
+        cells = {}
+        for n, k, _q, total, _closed, _oracle, status in rows:
+            cells.setdefault((int(n), int(k), int(total)), set()).add(status)
+        assert {cell for cell, statuses in cells.items() if "skipped" in statuses} == skipped_cells
+        # a cell is skipped or checked as a whole
+        assert all(len(statuses) == 1 for statuses in cells.values())
+        assert all(statuses == {"ok"} for cell, statuses in cells.items() if cell not in skipped_cells)
+        assert capsys.readouterr().err.strip() == summary
 
 
 def test_verify_coeff_mismatch_exits_2(tmp_path, monkeypatch, capsys):

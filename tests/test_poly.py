@@ -1,6 +1,8 @@
 """Sparse multivariate polynomials, power-sum forms, and the parser."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -165,6 +167,98 @@ def test_power_sum_pow_coefficients_are_multinomials():
     p = power_sum_pow(3, 2, 4)
     # [x1^2 x2^2 x3^4] needs parts (1, 1, 2): 4!/(1!1!2!) = 12
     assert p.coefficient_of((2, 2, 4)) == 12
+
+
+# ---------- mul against the schoolbook tuple-key product ----------
+
+
+def schoolbook_mul(a, b):
+    """Reference product on exponent tuples; also returns the number of
+    distinct monomials met, cancelled ones included, which the guard counts."""
+    acc = {}
+    for e1, c1 in a.terms():
+        for e2, c2 in b.terms():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc[e] + c1 * c2 if e in acc else c1 * c2
+    return SparsePoly(a.nvars, acc), len(acc)
+
+
+GF2, GF3, GF13, QQ = prime_field(2), prime_field(3), prime_field(13), rational_field()
+SCALARS = {
+    "int": lambda c, d: c,
+    "gf2": lambda c, d: GF2.element(c),
+    "gf3": lambda c, d: GF3.element(c),
+    "gf13": lambda c, d: GF13.element(c),
+    "rational": lambda c, d: QQ.element(Fraction(c, d)),
+    "fraction": lambda c, d: Fraction(c, d),
+}
+
+
+def random_poly(rng, nvars, kind, max_exp, size):
+    terms = {}
+    for _ in range(size):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        terms[exps] = SCALARS[kind](rng.randint(-3, 3), rng.randint(1, 3))
+    return SparsePoly(nvars, terms)
+
+
+def assert_same_product(a, b, max_terms):
+    ref, distinct = schoolbook_mul(a, b)
+    if distinct > max_terms:
+        with pytest.raises(ExpansionTooLarge, match=f"product exceeds {max_terms} terms"):
+            a.mul(b, max_terms=max_terms)
+        return
+    got = a.mul(b, max_terms=max_terms)
+    assert [(e, type(c), c) for e, c in got.terms()] == [(e, type(c), c) for e, c in ref.terms()]
+    assert format_poly(got) == format_poly(ref)
+    assert got.degree == max((sum(e) for e, _ in ref.terms()), default=float("-inf"))
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@pytest.mark.parametrize("max_exp", [3, 40, 200, 10**6])
+def test_mul_matches_schoolbook(kind, max_exp):
+    # max_exp 40 and up makes the per-variable field wider than 6 bits, and
+    # 10**6 makes the packed keys longer than a machine word.
+    rng = random.Random(f"{kind}|{max_exp}")
+    for _ in range(40):
+        nvars = rng.randint(0, 4)
+        a = random_poly(rng, nvars, kind, max_exp, rng.randint(0, 6))
+        b = random_poly(rng, nvars, kind, max_exp, rng.randint(0, 6))
+        assert_same_product(a, b, max_terms=rng.randint(0, 40))
+
+
+@given(
+    st.sampled_from(sorted(SCALARS)),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=30),
+)
+def test_mul_matches_schoolbook_property(kind, nvars, seed, max_terms):
+    rng = random.Random(seed)
+    a = random_poly(rng, nvars, kind, 2, rng.randint(0, 5))
+    b = random_poly(rng, nvars, kind, 2, rng.randint(0, 5))
+    assert_same_product(a, b, max_terms)
+
+
+def test_mul_edge_cases():
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    y = SparsePoly.variable(1, 1)
+    cases = [
+        (SparsePoly.constant(0, 3), SparsePoly.constant(0, 3)),  # no variables
+        (SparsePoly.constant(0, 3), SparsePoly.zero(0)),
+        (y + 1, y - 1),  # one variable, the middle term cancels
+        (x1 - x2, x1 + x2),  # the mixed term cancels
+        ((x1 + x2).reduce(GF2), (x1 + x2).reduce(GF2)),  # 2*x1*x2 dies mod 2
+        ((x1 + 2 * x2).reduce(GF3), (x1 + x2).reduce(GF3)),  # 3*x1*x2 dies mod 3
+        (x1 + x2, (x1 - x2).reduce(GF13)),  # int times GF(13) elements
+        (SparsePoly.zero(2), x1 + x2),
+        (SparsePoly.monomial(2, (100, 1)), SparsePoly.monomial(2, (200, 7), -5)),
+    ]
+    for a, b in cases:
+        for max_terms in range(4):
+            assert_same_product(a, b, max_terms)
+    assert SparsePoly.constant(0, 3).mul(SparsePoly.constant(0, 3)) == SparsePoly.constant(0, 9)
+    assert ((x1 + x2).reduce(GF2).mul((x1 + x2).reduce(GF2))).term_count() == 2
 
 
 def test_expansion_guard():
