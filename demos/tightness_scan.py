@@ -22,10 +22,11 @@ from restrictedsums import (
     family_cardinality_fast,
     lattice_min_cardinality,
     multiplicity_value_set,
+    prime_field,
     random_tail,
-    residue_class_bound,
     roots_model_cardinality,
 )
+from restrictedsums.bounds import BOUNDS
 
 p, k = 7, 2
 char = ExtendedNat(p)
@@ -39,13 +40,12 @@ min_card = lattice_min_cardinality(p, k, (1, 1), tail)
 print(f"minimum cardinality per size profile:\n{min_card[1:, 1:]}")
 
 
-def bound_fn(sizes):
-    if any(s < i for i, s in enumerate(sizes, start=1)):
-        return None
-    return residue_class_bound(sizes, k, char).value
-
-
-checked, violations, tight = check_lattice_bounds(min_card, p, bound_fn)
+# The registry answers None where a hypothesis fails, here the size
+# staircase |A_i| >= i of the residue-class bound.
+field = prime_field(p)
+checked, violations, tight = check_lattice_bounds(
+    min_card, p, lambda sizes: BOUNDS["thm12"].for_sizes(sizes, k, (1, 1), field)
+)
 print(f"\nresidue-class bound: {checked} profiles, {len(violations)} violations")
 print(f"tight profiles (bound met exactly by some family): {[t[0] for t in tight]}")
 assert not violations

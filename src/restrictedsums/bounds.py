@@ -259,15 +259,22 @@ class Bound:
     def evaluate(self, family, k: int, leading) -> int | None:
         """The floor for this family and form f = sum a_i x_i^k + ..., or
         None when a hypothesis fails."""
-        field = family.field
+        shared = self.shared_set and all(s == family.sets[0] for s in family.sets)
+        return self.for_sizes(family.sizes, k, leading, family.field, shared)
+
+    def for_sizes(self, sizes, k: int, leading, field, shared: bool = False) -> int | None:
+        """The floor for sets of these sizes in ``field`` and the form
+        f = sum a_i x_i^k + ..., or None when a hypothesis fails.  Sizes
+        cannot show that the sets coincide, so a shared-set token answers
+        None unless ``shared`` says they do."""
         lead = [field.embed(a) for a in leading]
         if self.unit and any(a != field.one for a in lead) or self.linear and k != 1:
             return None
-        if self.shared_set and any(s != family.sets[0] for s in family.sets):
+        if self.shared_set and not shared:
             return None
         negated_pair = len(lead) == 2 and (lead[0] + lead[1]).is_zero
         try:
-            return self.floor(family.sizes, k, field.characteristic, negated_pair).value
+            return self.floor(sizes, k, field.characteristic, negated_pair).value
         except HypothesisViolated:
             return None
 

@@ -18,7 +18,7 @@ closed form is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb, factorial
 
 from .bounds import floor_minima
@@ -372,16 +372,7 @@ def proof_replay(
         raise InternalInvariantBroken(
             f"h = {h} vanishes in {family.field}; this contradicts N - 1 < p(F)"
         )
-    certificate = CoefficientCertificate(
-        n=n,
-        k=k,
-        q=q_prime,
-        N=N - 1,
-        closed_form=plan.certificate.closed_form,
-        h=h,
-        h_residue=plan.h_residue,
-        field=str(family.field),
-    )
+    certificate = replace(plan.certificate, field=str(family.field))
 
     value_count = None
     witness_record = None
@@ -403,15 +394,7 @@ def proof_replay(
         excluded = enum.values[: N - 1]
         extra_value = enum.values[N - 1]
         point = enum.witnesses[extra_value]
-        # the factored contradiction polynomial, evaluated directly
-        field = family.field
-        check = field.one
-        for c in excluded:
-            check = check * (f.eval(point) - c)
-        for j in range(n):
-            for i in range(j):
-                check = check * (point[j] - point[i])
-        if check.is_zero:
+        if _contradiction_value(family.field, f, excluded, point).is_zero:
             raise InternalInvariantBroken("chosen witness evaluates to zero")
         witness_record = {
             "point": [str(x.value) for x in point],
@@ -459,20 +442,26 @@ def _expanded_certificate(shrunk, f, excluded, h_element, guard_tuples, guard_te
             f"contradiction polynomial has degree {Q.degree}, expected {expected_degree}"
         )
     instance = NullstellensatzInstance(Q, degrees, shrunk)
-
-    def factored(point):
-        value = field.one
-        fx = f.eval(point)
-        for c in excluded:
-            value = value * (fx - c)
-        for j in range(n):
-            for i in range(j):
-                value = value * (point[j] - point[i])
-        return value
-
-    cert = certify(instance, guard_tuples=guard_tuples, point_fn=factored)
+    cert = certify(
+        instance,
+        guard_tuples=guard_tuples,
+        point_fn=lambda point: _contradiction_value(field, f, excluded, point),
+    )
     if cert.coefficient != h_element:
         raise InternalInvariantBroken(
             f"expanded coefficient {cert.coefficient} != embedded h {h_element}"
         )
     return cert
+
+
+def _contradiction_value(field, f, excluded, point):
+    """The factored contradiction polynomial prod_c (f - c) * prod_{i<j} (xj - xi)
+    at one point of the field."""
+    value = field.one
+    fx = f.eval(point)
+    for c in excluded:
+        value = value * (fx - c)
+    for j in range(len(point)):
+        for i in range(j):
+            value = value * (point[j] - point[i])
+    return value

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
 from .errors import (
     ArityMismatch,
@@ -20,11 +20,10 @@ from .errors import (
     HypothesisViolated,
     Infeasible,
     NotPrime,
-    NotSymmetric,
     SearchSpaceTooLarge,
 )
 from .fields import FieldDescriptor, FieldElement, parse_field
-from .poly import PowerSumForm, is_symmetric
+from .poly import PowerSumForm
 
 DEFAULT_TUPLE_GUARD = 10_000_000
 
@@ -186,50 +185,6 @@ def unrestricted_value_set(
 ) -> ValueSetResult:
     """Values of f over all tuples of the family."""
     return _enumerate(family, f, False, guard_tuples, collect_witnesses)
-
-
-def symmetric_fast_path(
-    elements,
-    n: int,
-    f: PowerSumForm,
-    tail_symmetric: bool = False,
-    guard_tuples: int = DEFAULT_TUPLE_GUARD,
-) -> ValueSetResult:
-    """Restricted value set of a symmetric f over one set, via n-subsets.
-
-    When every a_i is equal and the tail is symmetric, the value of f on an
-    injective tuple depends only on the underlying n-subset, so enumerating
-    subsets instead of tuples saves a factor of n!.  The tail must be zero or
-    declared symmetric via ``tail_symmetric`` (the declaration is verified).
-    """
-    first = f.leading[0]
-    if any(a != first for a in f.leading[1:]):
-        raise NotSymmetric(f"leading coefficients differ: {f.leading}")
-    if not f.tail.is_zero:
-        if not tail_symmetric:
-            raise NotSymmetric("tail is nonzero and was not declared symmetric")
-        if not is_symmetric(f.tail):
-            raise NotSymmetric("tail was declared symmetric but is not")
-    if f.n != n:
-        raise ArityMismatch(f"form has {f.n} variables, expected {n}")
-    elems = tuple(sorted(elements, key=lambda e: e.sort_key()))
-    if len({e.value for e in elems}) != len(elems):
-        raise ValueError("base set has duplicate elements")
-    if not elems:
-        raise HypothesisViolated("base set is empty")
-    field = elems[0].field
-    subsets = comb(len(elems), n) if n <= len(elems) else 0
-    if subsets > guard_tuples:
-        raise SearchSpaceTooLarge(f"{subsets} subsets, guard is {guard_tuples}")
-    from itertools import combinations
-
-    seen = set()
-    examined = 0
-    for combo in combinations(elems, n):
-        seen.add(f.eval(combo))
-        examined += 1
-    values = tuple(sorted(seen, key=lambda e: e.sort_key()))
-    return ValueSetResult(len(values), values, examined, True)
 
 
 @dataclass(frozen=True)

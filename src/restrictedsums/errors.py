@@ -42,10 +42,6 @@ class NotInvariant(RestrictedSumsError):
     """The subset is not closed under the permutation."""
 
 
-class NotSymmetric(RestrictedSumsError):
-    """The fast path requires a symmetric polynomial and got something else."""
-
-
 class SearchSpaceTooLarge(RestrictedSumsError):
     """An enumeration would exceed the configured tuple guard."""
 

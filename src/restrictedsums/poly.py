@@ -307,7 +307,11 @@ class SparsePoly:
         return total
 
     def reduce(self, field: FieldDescriptor) -> "SparsePoly":
-        """Map coefficients into the field and prune anything that dies."""
+        """Map coefficients into the field and prune anything that dies; a
+        polynomial already over that GF(p) is returned as it is, since no
+        coefficient of it can change or vanish."""
+        if _common_prime_field(self) == field:
+            return self
         return self._map_coefficients(field.element)
 
     def __eq__(self, other):
@@ -317,20 +321,6 @@ class SparsePoly:
 
     def __repr__(self):
         return format_poly(self)
-
-
-def is_symmetric(p: SparsePoly) -> bool:
-    """True iff p is invariant under every permutation of its variables.
-
-    Checked on adjacent transpositions, which generate the full group.
-    """
-    for i in range(p.nvars - 1):
-        for exps, coeff in p.terms():
-            swapped = list(exps)
-            swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-            if p.coefficient_of(tuple(swapped)) != coeff:
-                return False
-    return True
 
 
 # ---------- classical constructions ----------

@@ -4,14 +4,14 @@ counts over the rationals.
 Two independent fast routes to value-set cardinalities, both cross-checked
 against the exact backtracking enumerator in the test suite:
 
-  * a bitset fold over the full subset lattice (`lattice_min_cardinality`):
-    one pass computes, for every one of the (2^p)^n families, the set of
-    attainable values and reduces it to the minimum cardinality per size
-    profile.  The fold of the first axis is streamed: the subsets of A_1 are
-    walked depth first and each slab of (2^p)^(n-1) masks goes straight into
-    the per-profile minimum, so the (2^p)^n mask grid that `fold_masks`
-    returns is never built.  Peak memory is about (3p+3)*(2^p)^(n-1) bytes:
-    50 MB and a fraction of a second for GF(7), n = 4;
+  * the subset lattice (`lattice_min_cardinality`): for every size profile
+    (s_1, ..., s_n), the minimum value-set cardinality over every family of
+    subsets of GF(p) with |A_i| = s_i.  Attained values are p-bit masks; the
+    axes n..2 fold into subset axes, and the subsets of A_1 are walked depth
+    first, each slab of (2^p)^(n-1) masks going straight into the
+    per-profile minimum, so no (2^p)^n grid of masks is ever built.  Peak
+    memory is about (3p+3)*(2^p)^(n-1) bytes: 50 MB and a fraction of a
+    second for GF(7), n = 4;
   * a per-family vectorized evaluation (`family_cardinality_fast`) for
     seeded samples at primes too large for the lattice.  The same evaluation
     serves the CLI's `verify-bounds` and `tightness` scans, which take a
@@ -102,10 +102,10 @@ def random_sizes(rng: random.Random, n: int, low_fn, high: int) -> tuple:
     return tuple(sizes)
 
 
-# ---------- route 1: full subset-lattice fold ----------
+# ---------- route 1: the subset lattice ----------
 
 
-def value_table(p: int, k: int, leading, tail: SparsePoly | None = None) -> np.ndarray:
+def _value_table(p: int, k: int, leading, tail: SparsePoly | None = None) -> np.ndarray:
     """uint8 grid of shape (p,)*n holding the bit 1 << f(x) for every tuple x,
     where f = sum a_i x_i^k + tail over GF(p)."""
     n = len(leading)
@@ -166,7 +166,7 @@ def _residue_values(p: int | None, axes, k: int, leading, tail: SparsePoly | Non
     have shown to fit int64."""
 
     def power(x, e):
-        return x**e if p is None else pow_mod_grid(x, e, p)
+        return x**e if p is None else _pow_mod_grid(x, e, p)
 
     total = _mod(sum((_mod(_mod(int(a), p) * power(x, k), p) for a, x in zip(leading, axes)), np.int64(0)), p)
     if tail is not None and not tail.is_zero:
@@ -180,7 +180,7 @@ def _residue_values(p: int | None, axes, k: int, leading, tail: SparsePoly | Non
     return total
 
 
-def pow_mod_grid(grid: np.ndarray, e: int, p: int) -> np.ndarray:
+def _pow_mod_grid(grid: np.ndarray, e: int, p: int) -> np.ndarray:
     """Elementwise grid**e mod p without overflow (square and multiply)."""
     out = np.ones_like(grid)
     base = grid % p
@@ -193,7 +193,7 @@ def pow_mod_grid(grid: np.ndarray, e: int, p: int) -> np.ndarray:
 
 
 def _fold_axis(S: np.ndarray, axis: int, p: int, restricted: bool) -> np.ndarray:
-    """Replace coordinate axis ``axis`` of S (size p) by a subset axis
+    """Replace coordinate axis ``axis`` >= 1 of S (size p) by a subset axis
     (size 2^p) whose entry m is the OR of S over the elements of m.  The axes
     before ``axis`` are still coordinates, so the injectivity constraint is
     exactly "skip x when some leading axis index equals x"."""
@@ -201,32 +201,19 @@ def _fold_axis(S: np.ndarray, axis: int, p: int, restricted: bool) -> np.ndarray
     prefix = (p,) * axis
     trailing = S.ndim - axis - 1
     out = np.zeros(prefix + (M,) + S.shape[axis + 1 :], dtype=np.uint8)
-    if restricted and axis > 0:
-        grids = np.indices(prefix)
+    grids = np.indices(prefix)
     sel = []
     for x in range(p):
         s_x = S[(slice(None),) * axis + (x,)]
-        if restricted and axis > 0:
+        if restricted:
             bad = np.any(grids == x, axis=0).reshape(prefix + (1,) * trailing)
             s_x = np.where(bad, np.uint8(0), s_x)
-        # ascontiguousarray promotes 0-d slices to 1-d; keep scalars scalar
-        sel.append(np.ascontiguousarray(s_x) if np.ndim(s_x) else s_x)
+        sel.append(np.ascontiguousarray(s_x))
     head = (slice(None),) * axis
     for m in range(1, M):
         x = (m & -m).bit_length() - 1
         out[head + (m,)] = out[head + (m & (m - 1),)] | sel[x]
     return out
-
-
-def fold_masks(table: np.ndarray, p: int, restricted: bool = True) -> np.ndarray:
-    """Fold the (p,)*n value grid into the (2^p,)*n grid of attained-value
-    masks, one entry per family of subsets.  Axes fold last to first."""
-    n = table.ndim
-    _check_bytes((1 << p) ** n, f"the GF({p}), n = {n} mask grid")
-    S = table
-    for axis in range(n - 1, -1, -1):
-        S = _fold_axis(S, axis, p, restricted)
-    return S
 
 
 def _popcount_order(p: int):
@@ -247,14 +234,6 @@ def _reduce_profiles(card: np.ndarray, p: int, axes) -> np.ndarray:
     return card
 
 
-def min_cardinality_by_sizes(mask_grid: np.ndarray, p: int) -> np.ndarray:
-    """Reduce the (2^p,)*n mask grid to a (p+1,)*n array: entry [s1..sn] is
-    the minimum value-set cardinality over all families with |A_i| = s_i."""
-    n = mask_grid.ndim
-    # the last axis first: its reduction shrinks the array the most cheaply
-    return _reduce_profiles(np.bitwise_count(mask_grid), p, range(n - 1, -1, -1))
-
-
 def lattice_min_cardinality(
     p: int,
     k: int,
@@ -262,18 +241,20 @@ def lattice_min_cardinality(
     tail: SparsePoly | None = None,
     restricted: bool = True,
 ) -> np.ndarray:
-    """End-to-end lattice route: minimum cardinality per size profile, equal
-    to ``min_cardinality_by_sizes(fold_masks(value_table(...)), p)``.
+    """The (p+1,)*n uint8 array whose entry [s_1, ..., s_n] is the minimum
+    value-set cardinality of f = sum a_i x_i^k + tail over every family of
+    subsets A_i of GF(p) with |A_i| = s_i (injective tuples only when
+    ``restricted``); a profile with an empty set attains no value.
 
-    Axes n-1..1 fold as in `fold_masks`, leaving S[x] = the slab of masks
-    for A_1 = {x}.  The subsets of A_1 are then walked depth first, each one
+    Axes n-1..1 fold into subset axes, leaving S[x] = the slab of masks for
+    A_1 = {x}.  The subsets of A_1 are then walked depth first, each one
     its parent plus a larger element, so a subset's slab is its parent's slab
     OR S[x]; only the chain of ancestor slabs is alive.  Each slab's
     popcounts fold into acc[|A_1|] at once.
     """
     n = len(leading)
     _check_bytes((3 * p + 3) * (1 << p) ** (n - 1), f"the GF({p}), n = {n} lattice")
-    S = value_table(p, k, leading, tail)
+    S = _value_table(p, k, leading, tail)
     for axis in range(n - 1, 0, -1):
         S = _fold_axis(S, axis, p, restricted)
     acc = np.full((p + 1,) + S.shape[1:], np.iinfo(np.uint8).max, dtype=np.uint8)

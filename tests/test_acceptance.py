@@ -40,6 +40,7 @@ from restrictedsums import (
     unrestricted_floor_bound,
     vandermonde,
 )
+from restrictedsums.bounds import BOUNDS
 from permutations import Permutation
 
 LATTICE_PRIMES = (3, 5, 7)
@@ -85,10 +86,6 @@ def unit_lattice(cache, p, n, k, tail_idx):
     return cache[key]
 
 
-def staircase_ok(sizes):
-    return all(s >= i for i, s in enumerate(sizes, start=1))
-
-
 # ---------------------------------------------------------------- criterion 1
 
 
@@ -127,14 +124,14 @@ def test_criterion_2_residue_class_bound_sweep(capsys, lattice_cache):
         checked = 0
         violations = []
         for p in LATTICE_PRIMES:
-            char = ExtendedNat(p)
+            field = prime_field(p)
             cap = min(p, 5)
             for n in range(1, 5):
                 for k in range(1, n + 1):
                     def bound_fn(sizes):
-                        if any(s > cap for s in sizes) or not staircase_ok(sizes):
+                        if any(s > cap for s in sizes):
                             return None
-                        return residue_class_bound(sizes, k, char).value
+                        return BOUNDS["thm12"].for_sizes(sizes, k, (1,) * n, field)
 
                     for tail_idx in range(TAILS_PER_CASE):
                         mc = unit_lattice(lattice_cache, p, n, k, tail_idx)
@@ -171,7 +168,7 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
         checked = 0
         violations = []
         for p in LATTICE_PRIMES:
-            char = ExtendedNat(p)
+            field = prime_field(p)
             cap = min(p, 5)
             for n in range(1, 5):
                 # unrestricted variant: arbitrary nonzero leading, any sizes
@@ -185,7 +182,7 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
                         def bound_u(sizes):
                             if any(s > cap for s in sizes):
                                 return None
-                            return unrestricted_floor_bound(sizes, k, char).value
+                            return BOUNDS["thm11u"].for_sizes(sizes, k, leading, field)
 
                         c, viol, _ = check_lattice_bounds(mc, p, bound_u)
                         checked += c
@@ -199,9 +196,9 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
                         mc = lattice_min_cardinality(p, k, leading, tail, restricted=True)
 
                         def bound_r(sizes):
-                            if any(s > cap for s in sizes) or not staircase_ok(sizes):
+                            if any(s > cap for s in sizes):
                                 return None
-                            return restricted_floor_bound(sizes, k, char).value
+                            return BOUNDS["thm11r"].for_sizes(sizes, k, leading, field)
 
                         c, viol, _ = check_lattice_bounds(mc, p, bound_r)
                         checked += c
@@ -238,6 +235,7 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
                             if actual < bound:
                                 violations.append(("r", p, n, k, sets, actual, bound))
         assert not violations, violations[:3]
+        assert checked == 49_083
         rep.detail = f"{checked} rows, 0 violations"
 
 
@@ -285,6 +283,7 @@ def test_criterion_4_equal_size_bound_and_identity(capsys, lattice_cache):
                             if actual < bound:
                                 violations.append((p, n, k, sets, actual, bound))
         assert not violations, violations[:3]
+        assert checked == 12_210
         rep.detail = f"{identities} identities, {checked} sweep rows, 0 violations"
 
 

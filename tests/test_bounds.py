@@ -12,6 +12,7 @@ from restrictedsums import (
     ExtendedNat,
     HypothesisViolated,
     Infeasible,
+    SetFamily,
     distinct_sum_bound,
     equal_size_bound,
     equal_size_floor_sum,
@@ -20,6 +21,7 @@ from restrictedsums import (
     increasing_sizes_bound,
     iverson,
     least_residue,
+    prime_field,
     residue_class_bound,
     restricted_floor_bound,
     roots_model_cardinality,
@@ -386,3 +388,24 @@ def test_readme_bounds_table_lists_the_registry_in_order():
     section = readme.split("## The bounds", 1)[1].split("\n## ", 1)[0]
     tokens = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
     assert tokens == list(BOUNDS)
+
+
+def test_for_sizes_answers_for_a_profile_what_evaluate_answers_for_a_family():
+    F = prime_field(7)
+    distinct = SetFamily.from_elements(F, [[0, 1], [2, 3, 4]])
+    shared = SetFamily.from_elements(F, [[0, 1, 2]] * 2)
+    answered = set()
+    for token, bound in BOUNDS.items():
+        for family in (distinct, shared):
+            for k in (1, 2, 3):
+                for leading in ((1, 1), (1, 6), (2, 3)):
+                    expected = bound.evaluate(family, k, leading)
+                    got = bound.for_sizes(family.sizes, k, leading, F, shared=family is shared)
+                    assert got == expected, (token, family.sizes, k, leading)
+                    # sizes alone cannot show a shared set
+                    sizes_only = bound.for_sizes(family.sizes, k, leading, F)
+                    assert sizes_only == (None if bound.shared_set else expected)
+                    if expected is not None:
+                        answered.add(token)
+    assert answered == set(BOUNDS)
+    assert BOUNDS["thm12"].for_sizes((2, 1), 1, (1, 1), F) is None  # |A_2| < 2

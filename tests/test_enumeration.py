@@ -11,7 +11,6 @@ from restrictedsums import (
     HypothesisViolated,
     Infeasible,
     MultiplicityProfile,
-    NotSymmetric,
     PowerSumForm,
     SearchSpaceTooLarge,
     SetFamily,
@@ -24,7 +23,6 @@ from restrictedsums import (
     rational_field,
     restricted_value_set,
     roots_model_cardinality,
-    symmetric_fast_path,
     unrestricted_value_set,
 )
 
@@ -172,44 +170,6 @@ def test_search_space_guard():
     fam = SetFamily.from_elements(F, [[0, 1, 2, 3]] * 3)
     with pytest.raises(SearchSpaceTooLarge, match="64"):
         restricted_value_set(fam, PowerSumForm.unit(3, 2), guard_tuples=50)
-
-
-# ---------- the symmetric fast path ----------
-
-
-def test_symmetric_fast_path_matches_generic():
-    F = prime_field(11)
-    elems = [F.element(v) for v in [0, 1, 3, 4, 8]]
-    fam = SetFamily(F, (tuple(elems),) * 3)
-    f = PowerSumForm.unit(3, 2)
-    fast = symmetric_fast_path(elems, 3, f)
-    slow = restricted_value_set(fam, f)
-    assert fast.values == slow.values
-    assert fast.tuples_examined * 6 == slow.tuples_examined  # 3! fewer
-
-
-def test_symmetric_fast_path_with_symmetric_tail():
-    F = prime_field(7)
-    elems = [F.element(v) for v in [0, 1, 2, 5]]
-    tail = parse_poly("x1 + x2", nvars=2)
-    f = PowerSumForm(2, (1, 1), tail)
-    fast = symmetric_fast_path(elems, 2, f, tail_symmetric=True)
-    fam = SetFamily(F, (tuple(elems),) * 2)
-    assert fast.values == restricted_value_set(fam, f).values
-
-
-def test_symmetric_fast_path_guards():
-    F = prime_field(7)
-    elems = [F.element(v) for v in [0, 1, 2]]
-    with pytest.raises(NotSymmetric):
-        symmetric_fast_path(elems, 2, PowerSumForm(2, (1, 2), SparsePoly.zero(2)))
-    asymmetric_tail = parse_poly("x1", nvars=2)
-    with pytest.raises(NotSymmetric):
-        symmetric_fast_path(elems, 2, PowerSumForm(2, (1, 1), asymmetric_tail))
-    with pytest.raises(NotSymmetric):
-        symmetric_fast_path(
-            elems, 2, PowerSumForm(2, (1, 1), asymmetric_tail), tail_symmetric=True
-        )
 
 
 # ---------- multiplicity model ----------

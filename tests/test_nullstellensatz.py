@@ -71,6 +71,19 @@ def test_degree_check_happens_after_reduction():
     assert cert.nonzero
 
 
+def test_certify_does_not_depend_on_a_reduction_it_can_skip():
+    # a polynomial already over GF(7) reaches certify uncopied, and certifies
+    # exactly as the integer polynomial it was reduced from
+    F = prime_field(7)
+    fam = grid_family(7, (2, 3))
+    poly = vandermonde(2).mul(SparsePoly(2, {(0, 1): 8, (0, 0): -3}))
+    reduced = poly.reduce(F)
+    assert reduced.reduce(F) is reduced
+    cert = certify(NullstellensatzInstance(reduced, (0, 2), fam))
+    assert cert == certify(NullstellensatzInstance(poly, (0, 2), fam))
+    assert cert.coefficient == F.element(1) and cert.nonzero
+
+
 def test_zero_coefficient_short_circuits():
     # x1^2 + x2^2 has no x1*x2 term, so the certificate reports zero and
     # never searches

@@ -15,7 +15,6 @@ from restrictedsums import (
     PowerSumForm,
     SparsePoly,
     format_poly,
-    is_symmetric,
     parse_poly,
     power_sum_pow,
     prime_field,
@@ -298,6 +297,17 @@ def test_reduce_prunes_dead_coefficients():
     assert dict(reduced.terms()) == {(1,): F.element(3)}
 
 
+def test_reduce_over_its_own_field_returns_the_polynomial_itself():
+    F = prime_field(5)
+    p = SparsePoly(2, {(2, 0): 10, (1, 1): 3})
+    reduced = p.reduce(F)  # int coefficients are still reduced...
+    assert reduced is not p
+    assert dict(reduced.terms()) == {(1, 1): F.element(3)}
+    assert reduced.reduce(F) is reduced
+    half = SparsePoly(1, {(1,): Fraction(1, 2)})  # so are rational ones
+    assert dict(half.reduce(QQ).terms()) == {(1,): QQ.element(Fraction(1, 2))}
+
+
 # ---------- PowerSumForm ----------
 
 
@@ -392,14 +402,3 @@ def test_format_parse_round_trip_examples():
 def test_format_parse_round_trip_property(terms):
     p = SparsePoly(3, terms)
     assert parse_poly(format_poly(p), nvars=3) == p
-
-
-# ---------- symmetry ----------
-
-
-def test_is_symmetric():
-    assert is_symmetric(parse_poly("x1^2 + x2^2", nvars=2))
-    assert is_symmetric(parse_poly("x1*x2 + x1 + x2", nvars=2))
-    assert not is_symmetric(parse_poly("x1^2 + x2", nvars=2))
-    assert not is_symmetric(vandermonde(3))
-    assert is_symmetric(PowerSumForm.unit(4, 3).expand())

@@ -18,11 +18,8 @@ from restrictedsums import (
     check_lattice_bounds,
     derive_seed,
     family_cardinality_fast,
-    fold_masks,
     lattice_min_cardinality,
-    min_cardinality_by_sizes,
     parse_poly,
-    pow_mod_grid,
     prime_field,
     random_leading,
     random_sizes,
@@ -31,13 +28,15 @@ from restrictedsums import (
     residue_class_bound,
     restricted_value_set,
     unrestricted_value_set,
-    value_table,
 )
 from restrictedsums.sweeps import (
     LATTICE_BYTE_GUARD,
     _family_counts,
+    _fold_axis,
     _integer_route_fits,
+    _pow_mod_grid,
     _residue_route_fits,
+    _value_table,
 )
 
 
@@ -113,7 +112,7 @@ def test_value_table_matches_field_evaluation():
     F = prime_field(p)
     tail = random_tail(random.Random(3), 2, k)
     form = PowerSumForm(k, (2, 3), tail)
-    table = value_table(p, k, (2, 3), tail)
+    table = _value_table(p, k, (2, 3), tail)
     assert table.shape == (p, p) and table.dtype == np.uint8
     for x1 in range(p):
         for x2 in range(p):
@@ -123,14 +122,14 @@ def test_value_table_matches_field_evaluation():
 
 def test_value_table_guards():
     with pytest.raises(HypothesisViolated):
-        value_table(11, 2, (1, 1))  # beyond the uint8 lattice limit
+        _value_table(11, 2, (1, 1))  # beyond the uint8 lattice limit
     with pytest.raises(HypothesisViolated):
-        value_table(5, 2, (5, 1))  # leading coefficient dies mod 5
+        _value_table(5, 2, (5, 1))  # leading coefficient dies mod 5
     with pytest.raises(HypothesisViolated):
-        value_table(5, 2, (1, 1), random_tail(random.Random(0), 3, 2))  # arity
+        _value_table(5, 2, (1, 1), random_tail(random.Random(0), 3, 2))  # arity
     bad_tail = parse_poly("x1^3", nvars=2)
     with pytest.raises(HypothesisViolated):
-        value_table(5, 2, (1, 1), bad_tail)  # tail degree >= k
+        _value_table(5, 2, (1, 1), bad_tail)  # tail degree >= k
 
 
 def test_pow_mod_grid():
@@ -138,26 +137,44 @@ def test_pow_mod_grid():
     grid = rng.integers(0, 13, size=(6, 6))
     for e in [0, 1, 2, 5, 12]:
         expected = np.vectorize(lambda v: pow(int(v), e, 13))(grid)
-        assert np.array_equal(pow_mod_grid(grid, e, 13), expected)
+        assert np.array_equal(_pow_mod_grid(grid, e, 13), expected)
 
 
-# ---------- the subset-lattice fold ----------
+# ---------- the fold of coordinate axes into subset axes ----------
+#
+# The lattice folds axes n..2 of the value table into subset axes, which
+# leaves S[x, m_2, ..., m_n] = the values attained with x_1 = x; the OR of
+# those slabs over the elements of A_1 is the family's attained-value mask.
+
+
+def fold_trailing_axes(table, p, restricted):
+    S = table
+    for axis in range(table.ndim - 1, 0, -1):
+        S = _fold_axis(S, axis, p, restricted)
+    return S
+
+
+def family_mask(S, p, masks):
+    out = 0
+    for x in subsets_of_mask(p, masks[0]):
+        out |= int(S[(x, *masks[1:])])
+    return out
 
 
 @pytest.mark.parametrize("restricted", [True, False])
 def test_fold_masks_exhaustive_p3(restricted):
     p, k = 3, 1
-    table = value_table(p, k, (1, 1))
-    grid = fold_masks(table, p, restricted=restricted)
-    assert grid.shape == (8, 8)
+    S = fold_trailing_axes(_value_table(p, k, (1, 1)), p, restricted)
+    assert S.shape == (3, 8)
     for m1 in range(8):
         for m2 in range(8):
             sets = [subsets_of_mask(p, m1), subsets_of_mask(p, m2)]
+            got = family_mask(S, p, (m1, m2))
             if not sets[0] or not sets[1]:
-                assert grid[m1, m2] == 0
+                assert got == 0
                 continue
             expected = exact_value_mask(p, sets, k, restricted=restricted)
-            assert grid[m1, m2] == expected, (m1, m2)
+            assert got == expected, (m1, m2)
 
 
 @pytest.mark.parametrize("restricted", [True, False])
@@ -166,76 +183,129 @@ def test_fold_masks_random_p5_n3(restricted):
     rng = random.Random(derive_seed("fold", p, k, restricted))
     leading = random_leading(rng, 3, p)
     tail = random_tail(rng, 3, k)
-    table = value_table(p, k, leading, tail)
-    grid = fold_masks(table, p, restricted=restricted)
-    assert grid.shape == (32, 32, 32)
+    S = fold_trailing_axes(_value_table(p, k, leading, tail), p, restricted)
+    assert S.shape == (5, 32, 32)
     for _ in range(25):
         masks = [mask_of(random_subset(rng, p, rng.randint(1, p))) for _ in range(3)]
         sets = [subsets_of_mask(p, m) for m in masks]
         expected = exact_value_mask(p, sets, k, leading, tail, restricted)
-        assert grid[tuple(masks)] == expected, masks
+        assert family_mask(S, p, masks) == expected, masks
 
 
 def test_fold_masks_single_variable():
     p = 5
-    table = value_table(p, 2, (1,))
-    grid = fold_masks(table, p)
-    assert grid.shape == (32,)
+    S = fold_trailing_axes(_value_table(p, 2, (1,)), p, True)
+    assert S.shape == (5,)
     # squares mod 5: {0,1,4}; subset {1,2,3} -> values {1,4,4} -> mask 0b10010
-    assert grid[mask_of((1, 2, 3))] == mask_of((1, 4))
+    assert family_mask(S, p, (mask_of((1, 2, 3)),)) == mask_of((1, 4))
+    # the fewest distinct squares on s residues: classes {0}, {1,4}, {2,3}
+    for restricted in (True, False):
+        got = lattice_min_cardinality(p, 2, (1,), restricted=restricted)
+        assert got.tolist() == [0, 1, 1, 2, 2, 3]
 
 
-# ---------- size-profile minima ----------
+# ---------- the subset lattice ----------
+#
+# The reference shares no code with `sweeps`: a value table of
+# PowerSumForm.eval, and for each size profile the minimum, over every family
+# of that profile, of the number of distinct table entries on the family's
+# (injective) tuples.
 
 
-def test_min_cardinality_by_sizes_brute_force_p3():
-    p, k = 3, 1
-    table = value_table(p, k, (1, 1))
-    grid = fold_masks(table, p)
-    mc = min_cardinality_by_sizes(grid, p)
-    assert mc.shape == (4, 4)
-    cards = np.bitwise_count(grid)
-    pops = [bin(m).count("1") for m in range(8)]
-    for s1 in range(p + 1):
-        for s2 in range(p + 1):
-            expected = min(
-                int(cards[m1, m2])
-                for m1 in range(8)
-                for m2 in range(8)
-                if pops[m1] == s1 and pops[m2] == s2
-            )
-            assert mc[s1, s2] == expected, (s1, s2)
+def reference_table(p, k, leading, tail):
+    F = prime_field(p)
+    form = PowerSumForm(k, leading, tail)
+    points = itertools.product(range(p), repeat=len(leading))
+    return {x: form.eval([F.element(v) for v in x]).value for x in points}
 
 
-def test_lattice_route_agrees_with_per_family_route():
-    p, k = 7, 2
-    rng = random.Random(derive_seed("routes", p, k))
-    leading = random_leading(rng, 2, p)
-    tail = random_tail(rng, 2, k)
-    table = value_table(p, k, leading, tail)
-    grid = fold_masks(table, p)
-    for _ in range(40):
-        sets = [random_subset(rng, p, rng.randint(1, p)) for _ in range(2)]
-        via_lattice = int(np.bitwise_count(grid[mask_of(sets[0]), mask_of(sets[1])]))
-        via_fast = family_cardinality_fast(p, sets, k, leading, tail)
-        assert via_lattice == via_fast
+def brute_force_cardinality(table, sets, restricted):
+    n = len(sets)
+    return len({table[x] for x in itertools.product(*sets) if not restricted or len(set(x)) == n})
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_streamed_lattice_route_equals_full_grid_route(p):
-    # n = 1 streams 0-d slabs; p = 7, n = 4 would need a 268 MB grid here
-    for n in range(1, 5 if p <= 5 else 4):
+def reference_profile_minima(p, table, n, restricted, cap):
+    """{sizes: minimum cardinality} for every profile with all sizes <= cap."""
+    subsets = [c for s in range(cap + 1) for c in itertools.combinations(range(p), s)]
+    minima = {}
+    for sets in itertools.product(subsets, repeat=n):
+        sizes = tuple(len(s) for s in sets)
+        count = brute_force_cardinality(table, sets, restricted)
+        minima[sizes] = min(minima.get(sizes, count), count)
+    return minima
+
+
+# (p, largest n with every profile, largest n with profiles of sizes <= 2)
+LATTICE_REFERENCE_CASES = {2: (4, 4), 3: (4, 4), 5: (3, 4), 7: (2, 3)}
+
+
+@pytest.mark.parametrize("p", sorted(LATTICE_REFERENCE_CASES))
+def test_lattice_route_equals_reference_profile_minima(p):
+    full_n, capped_n = LATTICE_REFERENCE_CASES[p]
+    for n in range(1, capped_n + 1):
+        cap = p if n <= full_n else 2
         for restricted in (True, False):
             rng = random.Random(derive_seed("stream", p, n, restricted))
             k = rng.randint(1, 4)
             leading = random_leading(rng, n, p)
             tail = random_tail(rng, n, k)
             got = lattice_min_cardinality(p, k, leading, tail, restricted)
-            grid = fold_masks(value_table(p, k, leading, tail), p, restricted)
-            expected = min_cardinality_by_sizes(grid, p)
-            assert got.dtype == expected.dtype == np.uint8
+            assert got.dtype == np.uint8
             assert got.shape == (p + 1,) * n
-            assert np.array_equal(got, expected), (p, n, k, leading, restricted)
+            table = reference_table(p, k, leading, tail)
+            for sizes, expected in reference_profile_minima(p, table, n, restricted, cap).items():
+                assert got[sizes] == expected, (p, n, k, leading, tail, restricted, sizes)
+
+
+def test_reference_counts_equal_the_exact_enumerator():
+    for p, n in ((3, 3), (5, 2), (7, 2)):
+        rng = random.Random(derive_seed("reference", p, n))
+        k = rng.randint(1, 4)
+        leading = random_leading(rng, n, p)
+        tail = random_tail(rng, n, k)
+        table = reference_table(p, k, leading, tail)
+        form = PowerSumForm(k, leading, tail)
+        for _ in range(20):
+            sets = [random_subset(rng, p, rng.randint(1, p)) for _ in range(n)]
+            fam = SetFamily.from_elements(prime_field(p), sets)
+            for restricted, run in ((True, restricted_value_set), (False, unrestricted_value_set)):
+                expected = run(fam, form).cardinality
+                assert brute_force_cardinality(table, sets, restricted) == expected, (sets, restricted)
+
+
+def test_min_cardinality_by_sizes_brute_force_p3():
+    p, k = 3, 1
+    subsets = [subsets_of_mask(p, m) for m in range(1 << p)]
+    for restricted in (True, False):
+        got = lattice_min_cardinality(p, k, (1, 1), restricted=restricted)
+        assert got.shape == (4, 4)
+        for s1 in range(p + 1):
+            for s2 in range(p + 1):
+                expected = min(
+                    exact_value_mask(p, [a1, a2], k, restricted=restricted).bit_count() if s1 and s2 else 0
+                    for a1 in subsets
+                    for a2 in subsets
+                    if len(a1) == s1 and len(a2) == s2
+                )
+                assert got[s1, s2] == expected, (s1, s2, restricted)
+
+
+def test_lattice_route_agrees_with_per_family_route():
+    # every nonempty GF(7), n = 2 family, both variants from one evaluation
+    p, k = 7, 2
+    rng = random.Random(derive_seed("routes", p, k))
+    leading = random_leading(rng, 2, p)
+    tail = random_tail(rng, 2, k)
+    subsets = [c for s in range(1, p + 1) for c in itertools.combinations(range(p), s)]
+    minima = {}
+    for sets in itertools.product(subsets, repeat=2):
+        sizes = tuple(len(s) for s in sets)
+        counts = _family_counts(p, sets, k, leading, tail, (True, False))
+        minima[sizes] = [min(c, m) for c, m in zip(counts, minima.get(sizes, counts))]
+    for j, restricted in enumerate((True, False)):
+        got = lattice_min_cardinality(p, k, leading, tail, restricted)
+        for sizes, mins in minima.items():
+            assert got[sizes] == mins[j], (sizes, restricted)
 
 
 def test_streamed_lattice_route_memory():
@@ -259,11 +329,8 @@ def test_streamed_lattice_route_memory():
 
 def test_byte_guards_refuse_before_allocating():
     assert (1 << 7) ** 4 <= LATTICE_BYTE_GUARD < (1 << 7) ** 5
-    table = value_table(7, 2, (1,) * 5)
     with pytest.raises(SearchSpaceTooLarge):
-        fold_masks(table, 7)  # 34 GB of masks
-    with pytest.raises(SearchSpaceTooLarge):
-        lattice_min_cardinality(7, 2, (1,) * 5)
+        lattice_min_cardinality(7, 2, (1,) * 5)  # 6.4 GB of slabs
     with pytest.raises(SearchSpaceTooLarge):
         family_cardinality_fast(13, [range(13)] * 7, 2)  # 13^7 tuples
 
