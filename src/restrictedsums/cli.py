@@ -43,6 +43,7 @@ from .poly import (
     PowerSumForm,
     SparsePoly,
     _compositions,
+    _product_coefficients,
     parse_poly,
     power_sum_pow,
     vandermonde,
@@ -553,21 +554,23 @@ def cmd_verify_coeff(args) -> int:
             vdm = None  # every product in n variables is then skipped
         for k in range(1, min(n, k_cap) + 1 if k_cap else n + 1):
             for total in range(sum_max + 1):
-                product = None
+                qs = list(_compositions(total, n))
+                oracles = [None] * len(qs)
                 if vdm is not None:
                     try:
-                        product = power_sum_pow(n, k, total, max_terms=args.guard_terms).mul(
-                            vdm, max_terms=args.guard_terms
+                        oracles = _product_coefficients(
+                            [power_sum_pow(n, k, total, max_terms=args.guard_terms), vdm],
+                            [target_monomial(q, k) for q in qs],
+                            max_terms=args.guard_terms,
                         )
                     except ExpansionTooLarge:
                         pass
-                for q in _compositions(total, n):
+                for q, oracle in zip(qs, oracles):
                     closed = coefficient_formula(q, k)
-                    if product is None:
+                    if oracle is None:
                         skipped += 1
                         cells.append([n, k, ";".join(map(str, q)), total, str(closed), "", "skipped"])
                         continue
-                    oracle = product.coefficient_of(target_monomial(q, k))
                     checked += 1
                     status = "ok" if closed == oracle else "mismatch"
                     if status == "mismatch":
@@ -674,7 +677,7 @@ def _add_common(sub, config_required=True):
         "--guard-terms",
         type=int,
         default=DEFAULT_TERM_GUARD,
-        help="expansion guard: max polynomial terms",
+        help="expansion guard: max distinct monomials formed while multiplying, cancelled ones included",
     )
     sub.add_argument(
         "--timings",

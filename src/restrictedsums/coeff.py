@@ -34,6 +34,8 @@ from .poly import (
     DEFAULT_TERM_GUARD,
     PowerSumForm,
     SparsePoly,
+    _product,
+    _product_coefficients,
     power_sum_pow,
     vandermonde,
 )
@@ -111,10 +113,8 @@ def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> 
     """Independent oracle: expand the product and read the coefficient off."""
     q = _validate_q(q, k)
     n = len(q)
-    product = power_sum_pow(n, k, sum(q), max_terms=max_terms).mul(
-        vandermonde(n, max_terms=max_terms), max_terms=max_terms
-    )
-    return product.coefficient_of(target_monomial(q, k))
+    factors = [power_sum_pow(n, k, sum(q), max_terms=max_terms), vandermonde(n, max_terms=max_terms)]
+    return _product_coefficients(factors, [target_monomial(q, k)], max_terms)[0]
 
 
 @dataclass(frozen=True)
@@ -432,9 +432,9 @@ def _expanded_certificate(shrunk, f, excluded, h_element, guard_tuples, guard_te
     field = shrunk.field
     n = shrunk.n
     f_poly = f.expand().reduce(field)
-    Q = vandermonde(n, max_terms=guard_terms).reduce(field)
-    for c in excluded:
-        Q = Q.mul(f_poly - SparsePoly.constant(n, c), max_terms=guard_terms)
+    factors = [vandermonde(n, max_terms=guard_terms).reduce(field)]
+    factors += [f_poly - SparsePoly.constant(n, c) for c in excluded]
+    Q = _product(factors, guard_terms)
     degrees = tuple(size - 1 for size in shrunk.sizes)
     expected_degree = f.k * len(excluded) + comb(n, 2)
     if Q.degree != expected_degree or expected_degree != sum(degrees):

@@ -54,16 +54,26 @@ def _common_prime_field(*polys) -> FieldDescriptor | None:
     return field
 
 
+def _pack(exps, width: int) -> int:
+    """The total degree, then each exponent in its own ``width``-bit field,
+    x1 highest, so descending key order is descending graded-lex order."""
+    key = sum(exps)
+    for e in exps:
+        key = (key << width) | e
+    return key
+
+
 def _packed(p: "SparsePoly", width: int, field) -> list:
-    """p's terms as (key, scalar) pairs: the total degree, then each exponent
-    in its own ``width``-bit field; residues in place of GF(p) elements."""
-    out = []
-    for exps, c in p._terms.items():
-        key = sum(exps)
-        for e in exps:
-            key = (key << width) | e
-        out.append((key, c if field is None else c.value))
-    return out
+    """p's terms as (key, scalar) pairs; residues in place of GF(p) elements."""
+    return [(_pack(exps, width), c if field is None else c.value) for exps, c in p._terms.items()]
+
+
+def _settled(c, field):
+    """A summed scalar as the product holds it: None if zero, GF(p) residues wrapped."""
+    if field is None:
+        return None if _is_zero_scalar(c) else c
+    c %= field.p
+    return FieldElement(field, c) if c else None
 
 
 def _unpacked(acc: dict, width: int, nvars: int, field) -> dict:
@@ -71,18 +81,52 @@ def _unpacked(acc: dict, width: int, nvars: int, field) -> dict:
     order; acc is emptied on the way, so it is freed as the result grows."""
     mask = (1 << width) - 1
     shifts = range((nvars - 1) * width, -1, -width)
-    p = None if field is None else field.p
     terms = {}
     order = sorted(acc)
     while order:
         key = order.pop()
-        c = acc.pop(key)
-        if p is not None:
-            c %= p
-        if not _is_zero_scalar(c):
-            exps = tuple([(key >> s) & mask for s in shifts])
-            terms[exps] = c if p is None else FieldElement(field, c)
+        c = _settled(acc.pop(key), field)
+        if c is not None:
+            terms[tuple([(key >> s) & mask for s in shifts])] = c
     return terms
+
+
+def _packed_product(factors, max_terms: int):
+    """The product of ``factors``, left to right, on packed keys.
+
+    Every factor is packed once, at a width that holds the sum of their
+    degrees; that sum bounds every exponent, so adding two keys multiplies
+    two monomials without a carry.  When every coefficient lies in one GF(p)
+    the loop multiplies plain residues.  Between factors the partial product
+    is reduced mod p and rid of zeros, so each step holds, and guards, the
+    terms a left fold of ``SparsePoly.mul`` would.  Returns the last
+    accumulator unreduced, with its width and field, for a reader to settle.
+    """
+    first = factors[0]
+    for other in factors[1:]:
+        first._check_arity(other)
+    width = sum(max(f.degree, 0) for f in factors).bit_length() or 1
+    field = _common_prime_field(*factors)
+    acc = dict(_packed(first, width, field))
+    for other in factors[1:]:
+        if field is None:
+            left = [(k, c) for k, c in acc.items() if not _is_zero_scalar(c)]
+        else:
+            left = [(k, r) for k, c in acc.items() if (r := c % field.p)]
+        right = _packed(other, width, field)
+        acc = {}
+        for k1, c1 in left:
+            for k2, c2 in right:
+                k = k1 + k2
+                if k in acc:
+                    acc[k] += c1 * c2
+                else:
+                    acc[k] = c1 * c2
+            if len(acc) > max_terms:
+                raise ExpansionTooLarge(
+                    f"product exceeds {max_terms} terms ({len(left)} x {len(right)} inputs)"
+                )
+    return acc, width, field
 
 
 class SparsePoly:
@@ -215,40 +259,12 @@ class SparsePoly:
         return (-self) + other
 
     def mul(self, other: "SparsePoly", max_terms: int = DEFAULT_TERM_GUARD) -> "SparsePoly":
-        """Product of two polynomials, formed on packed exponent keys.
-
-        Each exponent vector packs into one int: its total degree in the top
-        bits, then one ``width``-bit field per variable, x1 highest.  A field
-        holds the product's total degree, which bounds every exponent in it,
-        so adding two keys multiplies two monomials without a carry, and
-        descending key order is descending graded-lex order.  When every
-        coefficient of both factors lies in one GF(p), the loop multiplies
-        plain residues and reduces once per output term; any other scalars
-        go through the same loop as they are.  Raises ExpansionTooLarge when
-        the product has more than ``max_terms`` distinct monomials, counting
-        those whose coefficients cancel.
-        """
-        self._check_arity(other)
-        if self.is_zero or other.is_zero:
-            return SparsePoly.zero(self.nvars)
-        width = (self.degree + other.degree).bit_length() or 1
-        field = _common_prime_field(self, other)
-        left = _packed(self, width, field)
-        right = _packed(other, width, field)
-        acc = {}
-        for k1, c1 in left:
-            for k2, c2 in right:
-                k = k1 + k2
-                if k in acc:
-                    acc[k] += c1 * c2
-                else:
-                    acc[k] = c1 * c2
-            if len(acc) > max_terms:
-                raise ExpansionTooLarge(
-                    f"product exceeds {max_terms} terms "
-                    f"({self.term_count()} x {other.term_count()} inputs)"
-                )
-        return SparsePoly._trusted(self.nvars, _unpacked(acc, width, self.nvars, field))
+        """Product of two polynomials, formed on packed exponent keys (see
+        ``_packed_product``).  Raises ExpansionTooLarge when multiplying forms
+        more than ``max_terms`` distinct monomials, counting those whose
+        coefficients cancel, so the guard can trip on a product that ends
+        up with fewer terms."""
+        return _product([self, other], max_terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -323,6 +339,27 @@ class SparsePoly:
         return format_poly(self)
 
 
+def _product(factors, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
+    """The product of ``factors``, left to right, unpacked once at the end."""
+    acc, width, field = _packed_product(factors, max_terms)
+    nvars = factors[0].nvars
+    return SparsePoly._trusted(nvars, _unpacked(acc, width, nvars, field))
+
+
+def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> list:
+    """``_product(factors).coefficient_of(t)`` for each t in ``targets``, read
+    off the packed accumulator without unpacking it.  A target of degree
+    2**width or more is above the product's degree and may not fit the
+    fields, so its key could alias another monomial's; it reads 0."""
+    acc, width, field = _packed_product(factors, max_terms)
+    out = []
+    for exps in map(tuple, targets):
+        _check_exponents(factors[0].nvars, exps)
+        c = 0 if sum(exps) >> width else acc.get(_pack(exps, width), 0)
+        out.append(_settled(c, field) or 0)
+    return out
+
+
 # ---------- classical constructions ----------
 
 
@@ -330,12 +367,11 @@ def vandermonde(n: int, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
     """prod_{1 <= i < j <= n} (xj - xi); the empty product 1 for n == 1."""
     if n < 1:
         raise ValueError(f"vandermonde needs n >= 1, got {n}")
-    result = SparsePoly.constant(n, 1)
+    factors = [SparsePoly.constant(n, 1)]
     for j in range(2, n + 1):
         for i in range(1, j):
-            factor = SparsePoly.variable(n, j) - SparsePoly.variable(n, i)
-            result = result.mul(factor, max_terms=max_terms)
-    return result
+            factors.append(SparsePoly.variable(n, j) - SparsePoly.variable(n, i))
+    return _product(factors, max_terms)
 
 
 def _compositions(total: int, parts: int):

@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from restrictedsums import (
+    DEFAULT_TERM_GUARD,
     ArityMismatch,
     ExpansionTooLarge,
+    FieldElement,
     HypothesisViolated,
     PowerSumForm,
     SparsePoly,
@@ -21,6 +23,7 @@ from restrictedsums import (
     rational_field,
     vandermonde,
 )
+from restrictedsums.poly import _product, _product_coefficients
 
 
 def inversion_sign(perm):
@@ -266,6 +269,129 @@ def test_expansion_guard():
     big = power_sum_pow(4, 1, 6)
     with pytest.raises(ExpansionTooLarge):
         big.mul(big, max_terms=10)
+
+
+# ---------- whole chains against a fold of the schoolbook product ----------
+
+
+def schoolbook_chain(factors, max_terms):
+    """Left fold of ``schoolbook_mul``, and the message of the first step
+    that forms more than ``max_terms`` monomials (None if none does).  A
+    step with a zero operand forms nothing, as ``mul`` skips it."""
+    acc = factors[0]
+    for other in factors[1:]:
+        if acc.is_zero or other.is_zero:
+            acc = SparsePoly.zero(acc.nvars)
+            continue
+        product, distinct = schoolbook_mul(acc, other)
+        if distinct > max_terms:
+            return None, (
+                f"product exceeds {max_terms} terms "
+                f"({acc.term_count()} x {other.term_count()} inputs)"
+            )
+        acc = product
+    return acc, None
+
+
+def assert_same_chain(factors, max_terms):
+    ref, message = schoolbook_chain(factors, max_terms)
+    if message is not None:
+        with pytest.raises(ExpansionTooLarge) as chain_error:
+            _product(factors, max_terms)
+        with pytest.raises(ExpansionTooLarge) as fold_error:
+            folded = factors[0]
+            for other in factors[1:]:
+                folded = folded.mul(other, max_terms=max_terms)
+        assert str(chain_error.value) == str(fold_error.value) == message
+        return
+    got = _product(factors, max_terms)
+    assert [(e, type(c), c) for e, c in got.terms()] == [(e, type(c), c) for e, c in ref.terms()]
+    assert format_poly(got) == format_poly(ref)
+
+
+@pytest.mark.parametrize("kind", sorted(SCALARS))
+@pytest.mark.parametrize("max_exp", [2, 40, 10**6])
+def test_product_matches_schoolbook_fold(kind, max_exp):
+    # Chains of 1 to 6 factors; at max_exp 10**6 the packed keys of a
+    # chain are several machine words long.
+    rng = random.Random(f"chain|{kind}|{max_exp}")
+    for _ in range(30):
+        nvars = rng.randint(0, 3)
+        factors = [
+            random_poly(rng, nvars, kind, max_exp, rng.randint(0, 4))
+            for _ in range(rng.randint(1, 6))
+        ]
+        assert_same_chain(factors, max_terms=DEFAULT_TERM_GUARD)
+        assert_same_chain(factors, max_terms=rng.randint(0, 60))
+
+
+def test_product_chain_edge_cases():
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    s = (x1 + x2).reduce(GF2)
+    t = (x1 + 3 * x2 + 1).reduce(GF2)
+    # (x1 + x2)^2 = x1^2 + x2^2 over GF(2): the middle term cancels mid-chain
+    assert _product([s, s]).term_count() == 2
+    cancelling = [s, s, t]
+    zero_factor = [x1 + x2, SparsePoly.zero(2), x1 - x2]
+    for factors in (cancelling, zero_factor, [x1 + x2], [x1 - x2, x1 + x2]):
+        for max_terms in range(8):
+            assert_same_chain(factors, max_terms)
+    assert _product(zero_factor).is_zero
+    # the guard trips at the step that forms too many monomials: the first
+    # step forms 3 from 2 x 2 terms and keeps 2; the second forms 6 from
+    # 2 x 3 terms
+    with pytest.raises(ExpansionTooLarge, match=r"^product exceeds 5 terms \(2 x 3 inputs\)$"):
+        _product(cancelling, max_terms=5)
+    assert _product(cancelling, max_terms=6) == s.mul(s).mul(t)
+    # vandermonde(n) is one chain, headed by the constant 1 as the fold was
+    with pytest.raises(ExpansionTooLarge, match=r"^product exceeds 1 terms \(1 x 2 inputs\)$"):
+        vandermonde(2, max_terms=1)
+    assert vandermonde(1, max_terms=0) == SparsePoly.constant(1, 1)
+
+
+# ---------- reading target coefficients off the packed product ----------
+
+
+@pytest.mark.parametrize("kind", ["int", "gf13", "rational"])
+def test_product_coefficients_match_coefficient_of(kind):
+    rng = random.Random(f"targets|{kind}")
+    for _ in range(20):
+        factors = [random_poly(rng, 3, kind, 3, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        product = _product(factors)
+        degree = 0 if product.is_zero else product.degree
+        width = sum(max(f.degree, 0) for f in factors).bit_length() or 1
+        targets = [e for e, _ in product.terms()]  # present monomials
+        targets += [tuple(rng.randint(0, degree) for _ in range(3)) for _ in range(10)]  # mostly absent
+        targets += [
+            (degree + 1, 0, 0),  # above the product's degree
+            (0, 0, 0),  # below it, often absent
+            (0, 0, 1 << width),  # would spill into the next field when packed
+            (1 << width, 0, 0),  # would spill into the degree field
+            (0, (1 << width) - 1, 1 << width),
+        ]
+        # packed, these carry into x1's field and match a present monomial
+        # there; only the degree field tells the two apart
+        targets += [(e[0] - 1, e[1] + (1 << width), e[2]) for e, _ in product.terms() if e[0] % 2]
+        got = _product_coefficients(factors, targets)
+        want = [product.coefficient_of(t) for t in targets]
+        assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+
+
+def test_product_coefficients_types():
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    a, b = (x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)
+    # x1^2 - x2^2 over GF(13): a present term is a GF(13) element, an absent
+    # or cancelled one the int 0
+    got = _product_coefficients([a, b], [(2, 0), (0, 2), (1, 1), (0, 0), (9, 9)])
+    assert got == [GF13.element(1), GF13.element(12), 0, 0, 0]
+    assert [type(c) for c in got] == [FieldElement, FieldElement, int, int, int]
+    assert _product_coefficients([x1 + x2, x1 - x2], [(2, 0), (1, 1)]) == [1, 0]
+    half = (x1 + x2).reduce(QQ) * QQ.element(Fraction(1, 2))
+    assert _product_coefficients([half, half], [(1, 1), (3, 0)]) == [QQ.element(Fraction(1, 2)), 0]
+    with pytest.raises(ArityMismatch):
+        _product_coefficients([a, b], [(1, 1, 0)])
+    with pytest.raises(ValueError):
+        _product_coefficients([a, b], [(-1, 3)])
 
 
 # ---------- evaluation ----------
