@@ -46,7 +46,6 @@ def iverson(condition: bool) -> int:
 class BoundResult:
     name: str
     value: int
-    hypotheses_ok: bool = True
     conjectural: bool = False
     detail: dict | None = dataclass_field(default=None, compare=False)
 
@@ -183,22 +182,18 @@ def single_set_conjecture_bound(
     return BoundResult("conj11", value, conjectural=True)
 
 
-def increasing_sizes_bound(sizes, char: ExtendedNat, strict: bool = True) -> BoundResult:
-    """Linear restricted sums (k = 1).  [token anr]
+def increasing_sizes_bound(sizes, char: ExtendedNat) -> BoundResult:
+    """Linear restricted sums (k = 1), 0 < sizes[1] < ... < sizes[n]:
+    min(p, 1 + sum(sizes[i] - i)).  [token anr]
 
-    strict form:  0 < sizes[1] < ... < sizes[n]  =>  min(p, 1 + sum(sizes[i] - i))
-    min form:     sizes[i] >= i                  =>  min(p, 1 + sum_i min_{j >= i}(sizes[j] - j))
+    Without the strict increase, residue_class_bound(sizes, 1, char) gives
+    the same sum of minima.
     """
     sizes = _check_sizes(sizes)
-    n = len(sizes)
-    if strict:
-        if sizes[0] < 1 or any(sizes[i] <= sizes[i - 1] for i in range(1, n)):
-            raise HypothesisViolated(f"sizes must be strictly increasing and positive: {sizes}")
-        total = sum(s - i for i, s in enumerate(sizes, start=1))
-    else:
-        q = floor_minima(sizes, 1)
-        total = sum(q)
-    return BoundResult("anr", char.clamp(total + 1), detail={"strict": strict})
+    if sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise HypothesisViolated(f"sizes must be strictly increasing and positive: {sizes}")
+    total = sum(s - i for i, s in enumerate(sizes, start=1))
+    return BoundResult("anr", char.clamp(total + 1))
 
 
 def distinct_sum_bound(m: int, n: int, char: ExtendedNat) -> BoundResult:

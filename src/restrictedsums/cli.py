@@ -16,7 +16,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from math import comb, lcm, prod
+from math import comb, prod
 
 from .bounds import BOUNDS, roots_model_cardinality
 from .coeff import coefficient_formula, proof_replay, target_monomial
@@ -26,8 +26,6 @@ from .enumeration import (
     SetFamily,
     family_from_json,
     multiplicity_value_set,
-    restricted_value_set,
-    unrestricted_value_set,
 )
 from .errors import (
     ConfigError,
@@ -48,7 +46,7 @@ from .poly import (
     power_sum_pow,
     vandermonde,
 )
-from .sweeps import _family_counts, _integer_route_fits, _residue_route_fits
+from .sweeps import _value_counts
 
 THEOREM_BOUNDS = tuple(name for name, bound in BOUNDS.items() if not bound.conjectural)
 
@@ -350,8 +348,7 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
     char_str = repr(field.characteristic)
     seed_str = str(args.seed)
 
-    needs_r = any(BOUNDS[b].restricted for b in bounds)
-    needs_u = any(not BOUNDS[b].restricted for b in bounds)
+    variants = [flag for flag in (True, False) if any(BOUNDS[b].restricted == flag for b in bounds)]
 
     rows = []
     theorem_bad = False
@@ -360,23 +357,15 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
         f = PowerSumForm(k, leading, tail)
         for fam in families:
             start = time.monotonic()
-            actual_r = actual_u = None
             try:
-                counts = _grid_counts(fam, f, needs_r, needs_u, args.guard_tuples)
-                if counts is not None:
-                    actual_r, actual_u = counts
-                else:
-                    if needs_r:
-                        actual_r = restricted_value_set(fam, f, guard_tuples=args.guard_tuples).cardinality
-                    if needs_u:
-                        actual_u = unrestricted_value_set(fam, f, guard_tuples=args.guard_tuples).cardinality
+                counts = dict(zip(variants, _value_counts(fam, f, variants, args.guard_tuples)))
             except SearchSpaceTooLarge:
-                pass  # guard violations are recorded per-row, never fatal
+                counts = {}  # guard violations are recorded per-row, never fatal
             elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
             for name in bounds:
                 bound = BOUNDS[name]
                 value = bound.evaluate(fam, k, leading)
-                actual = actual_r if bound.restricted else actual_u
+                actual = counts.get(bound.restricted)
                 tight = None
                 violated = False
                 if value is not None and actual is not None:
@@ -405,38 +394,6 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
                     )
                 )
     return rows, theorem_bad, conjecture_bad
-
-
-def _grid_counts(fam, f, needs_r: bool, needs_u: bool, guard_tuples: int):
-    """(restricted, unrestricted) cardinalities from one int64 grid of
-    `sweeps._family_counts`, None where not needed; or None for the whole
-    pair when the family must go to the exact enumerator.  The tuple guard
-    is as in the enumerator.
-
-    Over GF(p) the grid holds residues, while (p-1)^2 fits int64.  Over Q,
-    with L the lcm of the elements' denominators and u = L*x, it holds the
-    integer L^k * f(x) = sum a_i u_i^k + sum c_e L^(k-|e|) u^e; a nonzero
-    scale keeps values apart and u_i = u_j iff x_i = x_j, so both counts are
-    unchanged.  That needs integer coefficients and values that provably
-    fit int64.
-    """
-    space = prod(fam.sizes)
-    if space > guard_tuples:
-        raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
-    field, tail = fam.field, f.tail
-    if field.is_prime_field:
-        if not _residue_route_fits(field.p):
-            return None
-        sets = [[x.value for x in s] for s in fam.sets]
-    else:
-        scale = lcm(*(x.value.denominator for s in fam.sets for x in s))
-        sets = [[int(x.value * scale) for x in s] for s in fam.sets]
-        tail = SparsePoly(tail.nvars, {e: c * scale ** (f.k - sum(e)) for e, c in tail.terms()})
-        if not _integer_route_fits(f.k, f.leading, tail, sets):
-            return None
-    variants = [flag for flag, needed in ((True, needs_r), (False, needs_u)) if needed]
-    counts = dict(zip(variants, _family_counts(field.p, sets, f.k, f.leading, tail, variants)))
-    return counts.get(True), counts.get(False)
 
 
 # ---------- commands ----------
@@ -633,12 +590,15 @@ def cmd_proof_replay(args) -> int:
         guard_tuples=args.guard_tuples,
         guard_terms=args.guard_terms,
     )
-    payload = json.dumps(replay.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    record = replay.to_json_dict()
+    payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(payload)
     else:
         sys.stdout.write(payload)
+    if args.jsonl:
+        _write_jsonl(args.jsonl, [record])
     print(
         f"proof-replay: N={replay.N}, h={replay.h}, h in {family.field} is "
         f"{replay.h_element!r} (nonzero)",

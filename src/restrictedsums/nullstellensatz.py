@@ -4,9 +4,9 @@ The underlying principle: if deg P = k1 + ... + kn, the coefficient of
 x1^k1 * ... * xn^kn in P is nonzero, and |Ai| > ki for finite sets Ai, then
 P has a nonvanishing point on A1 x ... x An.  The principle itself is taken
 as an axiom; :func:`certify` checks its hypotheses exactly, extracts the
-coefficient over the field, and (optionally) finds the promised point by
-exhaustive search.  A completed search that finds nothing is reported as a
-broken invariant, never swallowed.
+coefficient over the field, and, when it is nonzero, finds the promised
+point by exhaustive search.  A completed search that finds nothing is
+reported as a broken invariant, never swallowed.
 """
 
 from __future__ import annotations
@@ -61,11 +61,11 @@ class NullstellensatzCertificate:
 
 def certify(
     instance: NullstellensatzInstance,
-    witness_search: bool = True,
     guard_tuples: int = DEFAULT_TUPLE_GUARD,
     point_fn=None,
 ) -> NullstellensatzCertificate:
-    """Check hypotheses, extract the target coefficient, optionally search.
+    """Check hypotheses, extract the target coefficient, and search for a
+    nonvanishing point when it is nonzero.
 
     ``point_fn`` may supply a cheaper equivalent evaluator (for example a
     factored form of the polynomial); by default the expanded polynomial is
@@ -86,8 +86,6 @@ def certify(
         coefficient = field.embed(coefficient)
     if coefficient.is_zero:
         return NullstellensatzCertificate(coefficient, False, None, None, False)
-    if not witness_search:
-        return NullstellensatzCertificate(coefficient, True, None, None, False)
     space = prod(instance.family.sizes)
     if space > guard_tuples:
         raise SearchSpaceTooLarge(f"witness space has {space} tuples, guard is {guard_tuples}")

@@ -1,7 +1,7 @@
 """Vectorized sweeps over set families in prime fields, and per-family
 counts over the rationals.
 
-Two independent fast routes to value-set cardinalities, both cross-checked
+Two fast routes to value-set cardinalities, both cross-checked
 against the exact backtracking enumerator in the test suite:
 
   * the subset lattice (`lattice_min_cardinality`): for every size profile
@@ -14,16 +14,21 @@ against the exact backtracking enumerator in the test suite:
     second for GF(7), n = 4;
   * a per-family vectorized evaluation (`family_cardinality_fast`) for
     seeded samples at primes too large for the lattice.  The same evaluation
-    serves the CLI's `verify-bounds` and `tightness` scans, which take a
-    family's restricted and unrestricted counts from one int64 grid and cut
-    a grid past the byte guard into slabs along the first set, so every
-    family the tuple guard admits is counted.  Over GF(p) the grid holds
-    residues, whose products must fit int64, so it needs (p-1)^2 < 2^63.
-    Over Q (``p=None``) the CLI scales the family to integers u = L*x and
-    the form to L^k*f, and the grid holds those integer values unreduced; it
-    needs integer coefficients and a bound from the shapes
-    (`_integer_route_fits`) that no value or partial sum passes 2^63.
-    Whatever fails these stays on the exact enumerator.
+    serves the CLI's `verify-bounds` and `tightness` scans through
+    `_value_counts`, the one function that picks a family's route: it takes
+    a family's restricted and unrestricted counts from one int64 grid, cut
+    into slabs along the first set past the byte guard, so every family the
+    tuple guard admits is counted.  Over GF(p) the grid holds residues,
+    whose products must fit int64, so it needs (p-1)^2 < 2^63.  Over Q it
+    scales the family to integers u = L*x and the form to L^k*f, and the
+    grid holds those integer values unreduced; it needs integer
+    coefficients and a bound from the shapes (`_integer_route_fits`) that no
+    value or partial sum passes 2^63.  Whatever fails these goes to the
+    exact enumerator, which stays the oracle.
+
+Both routes drop tuples with a repeated coordinate by one mask, `_injective`:
+the per-family grid is filtered with it, and the lattice zeroes its value
+table with it, so its folds, plain ORs, need no injectivity logic.
 
 Every array these routes allocate is sized from the shapes first and refused
 with `SearchSpaceTooLarge` when it would pass `LATTICE_BYTE_GUARD` bytes.
@@ -37,11 +42,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from math import comb, prod
+from math import comb, lcm, prod
 
 import numpy as np
 
+from .enumeration import restricted_value_set, unrestricted_value_set
 from .errors import HypothesisViolated, SearchSpaceTooLarge
+from .fields import prime_field
 from .poly import SparsePoly
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
@@ -111,6 +118,7 @@ def _value_table(p: int, k: int, leading, tail: SparsePoly | None = None) -> np.
     n = len(leading)
     if not 2 <= p <= MAX_LATTICE_PRIME:
         raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
+    prime_field(p)  # NotPrime for a composite p
     _check_residue_form(p, n, k, leading, tail)
     total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * n), k, leading, tail)
     return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
@@ -145,6 +153,8 @@ def _check_residue_form(p: int | None, n: int, k: int, leading, tail: SparsePoly
     (p None: plain integers, whose size `_integer_route_fits` settles)."""
     if n < 1:
         raise HypothesisViolated("need at least one variable")
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise HypothesisViolated(f"k must be an integer >= 1, got {k!r}")
     if p is not None and not _residue_route_fits(p):
         raise HypothesisViolated(f"residues mod {p} overflow int64 products; use the exact enumerator")
     if len(leading) != n:
@@ -192,24 +202,13 @@ def _pow_mod_grid(grid: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _fold_axis(S: np.ndarray, axis: int, p: int, restricted: bool) -> np.ndarray:
+def _fold_axis(S: np.ndarray, axis: int, p: int) -> np.ndarray:
     """Replace coordinate axis ``axis`` >= 1 of S (size p) by a subset axis
-    (size 2^p) whose entry m is the OR of S over the elements of m.  The axes
-    before ``axis`` are still coordinates, so the injectivity constraint is
-    exactly "skip x when some leading axis index equals x"."""
+    (size 2^p) whose entry m is the OR of S over the elements of m."""
     M = 1 << p
-    prefix = (p,) * axis
-    trailing = S.ndim - axis - 1
-    out = np.zeros(prefix + (M,) + S.shape[axis + 1 :], dtype=np.uint8)
-    grids = np.indices(prefix)
-    sel = []
-    for x in range(p):
-        s_x = S[(slice(None),) * axis + (x,)]
-        if restricted:
-            bad = np.any(grids == x, axis=0).reshape(prefix + (1,) * trailing)
-            s_x = np.where(bad, np.uint8(0), s_x)
-        sel.append(np.ascontiguousarray(s_x))
+    out = np.zeros(S.shape[:axis] + (M,) + S.shape[axis + 1 :], dtype=np.uint8)
     head = (slice(None),) * axis
+    sel = [np.ascontiguousarray(S[head + (x,)]) for x in range(p)]
     for m in range(1, M):
         x = (m & -m).bit_length() - 1
         out[head + (m,)] = out[head + (m & (m - 1),)] | sel[x]
@@ -246,6 +245,9 @@ def lattice_min_cardinality(
     subsets A_i of GF(p) with |A_i| = s_i (injective tuples only when
     ``restricted``); a profile with an empty set attains no value.
 
+    When ``restricted``, the value table is first zeroed at the tuples with
+    a repeated coordinate, so the ORs below see only injective tuples.
+
     Axes n-1..1 fold into subset axes, leaving S[x] = the slab of masks for
     A_1 = {x}.  The subsets of A_1 are then walked depth first, each one
     its parent plus a larger element, so a subset's slab is its parent's slab
@@ -255,8 +257,10 @@ def lattice_min_cardinality(
     n = len(leading)
     _check_bytes((3 * p + 3) * (1 << p) ** (n - 1), f"the GF({p}), n = {n} lattice")
     S = _value_table(p, k, leading, tail)
+    if restricted:
+        S[~_injective(np.ix_(*[np.arange(p)] * n))] = 0
     for axis in range(n - 1, 0, -1):
-        S = _fold_axis(S, axis, p, restricted)
+        S = _fold_axis(S, axis, p)
     acc = np.full((p + 1,) + S.shape[1:], np.iinfo(np.uint8).max, dtype=np.uint8)
     acc[0] = 0  # A_1 empty: no value is attained
     # an explicit stack, since a recursive closure would be a reference cycle
@@ -312,15 +316,43 @@ def family_cardinality_fast(
 ) -> int:
     """Value-set cardinality of one family over GF(p), residues as ints.
 
-    Independent of the lattice route: evaluates f on the full tuple grid,
-    applies the pairwise-distinct filter as a boolean mask, and counts
+    Evaluates f on the full tuple grid, drops the tuples with a repeated
+    coordinate by the mask the lattice uses too (`_injective`), and counts
     distinct values.
     """
     n = len(sets)
     if leading is None:
         leading = (1,) * n
+    prime_field(p)  # NotPrime for a composite p
     _check_bytes(prod(len(s) for s in sets) * _grid_bytes(n), f"a family of {n} sets")
     return _family_counts(p, sets, k, leading, tail, (restricted,))[0]
+
+
+def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
+    """Value-set cardinalities of the form ``f`` on a `SetFamily`, one per
+    flag of ``variants`` (True: pairwise-distinct tuples only), with the
+    enumerator's tuple guard.  The one place that picks a family's route:
+    the int64 grid of `_family_counts` where it provably fits, else the exact
+    enumerator.  Over Q the grid holds L^k * f(x) at u = L*x, L the lcm of the
+    denominators; a nonzero scale keeps values apart and u_i = u_j iff
+    x_i = x_j, so the counts are unchanged.
+    """
+    space = prod(family.sizes)
+    if space > guard_tuples:
+        raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
+    field, tail = family.field, f.tail
+    if field.is_prime_field:
+        sets = [[x.value for x in s] for s in family.sets]
+        fits = _residue_route_fits(field.p)
+    else:
+        scale = lcm(*(x.value.denominator for s in family.sets for x in s))
+        sets = [[int(x.value * scale) for x in s] for s in family.sets]
+        tail = SparsePoly(tail.nvars, {e: c * scale ** (f.k - sum(e)) for e, c in tail.terms()})
+        fits = _integer_route_fits(f.k, f.leading, tail, sets)
+    if fits:
+        return _family_counts(field.p, sets, f.k, f.leading, tail, variants)
+    exact = {True: restricted_value_set, False: unrestricted_value_set}
+    return tuple(exact[restricted](family, f, guard_tuples).cardinality for restricted in variants)
 
 
 def _grid_bytes(n: int) -> int:
@@ -354,16 +386,19 @@ def _family_counts(p: int | None, sets, k: int, leading, tail: SparsePoly | None
         axes = np.ix_(*box)
         total = _residue_values(p, axes, k, leading, tail)
         for j, restricted in enumerate(variants):
-            if restricted and n > 1:
-                ok = np.ones(total.shape, dtype=bool)
-                for b in range(n):
-                    for a in range(b):
-                        ok &= axes[a] != axes[b]
-                vals = total[ok]
-            else:
-                vals = total.ravel()
+            vals = total[_injective(axes)] if restricted else total.ravel()
             seen[j] = _distinct(vals if seen[j] is None else np.concatenate((seen[j], vals)))
     return tuple(int(values.size) for values in seen)
+
+
+def _injective(axes) -> np.ndarray:
+    """Boolean grid over the open mesh ``axes`` of np.ix_, True where the
+    coordinates are pairwise distinct."""
+    ok = np.ones(np.broadcast_shapes(*(x.shape for x in axes)), dtype=bool)
+    for b in range(len(axes)):
+        for a in range(b):
+            ok &= axes[a] != axes[b]
+    return ok
 
 
 def _boxes(coords, budget: int):

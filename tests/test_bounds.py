@@ -118,7 +118,7 @@ def test_residue_class_bound_examples():
     assert residue_class_bound((2, 2), 1, ExtendedNat(7)).value == 1
     r = residue_class_bound((5, 5, 5), 2, ExtendedNat(11))
     assert r.name == "thm12"
-    assert r.hypotheses_ok and not r.conjectural
+    assert not r.conjectural
     assert r.detail["q"] == (1, 1, 1)
 
 
@@ -285,17 +285,15 @@ def test_increasing_sizes_bound_strict():
 
 
 def test_increasing_sizes_bound_min_form():
-    assert increasing_sizes_bound((5, 5, 5), INFINITY, strict=False).value == 7
-    assert increasing_sizes_bound((5, 5, 5), INFINITY, strict=False).detail == {
-        "strict": False
-    }
-    # on strictly increasing sizes the two forms agree: the minima are
-    # attained at the position itself whenever later slack never dips below,
-    # which holds e.g. for consecutive runs
-    assert (
-        increasing_sizes_bound((2, 3, 4), INFINITY, strict=False).value
-        == increasing_sizes_bound((2, 3, 4), INFINITY).value
-    )
+    # the min form 1 + sum_i min_{j >= i}(sizes[j] - j) is thm12 at k = 1
+    assert residue_class_bound((5, 5, 5), 1, INFINITY).value == 7
+    assert residue_class_bound((2, 5, 4), 1, INFINITY).value == 4
+    # on strictly increasing sizes, sizes[j] - j never falls, so each minimum
+    # is attained at j = i and the two bounds agree
+    for sizes in ((2, 3, 4), (1, 3, 7), (2, 3, 5, 9), (4,)):
+        for char in (INFINITY, ExtendedNat(3), ExtendedNat(11)):
+            anr = increasing_sizes_bound(sizes, char).value
+            assert anr == residue_class_bound(sizes, 1, char).value, (sizes, char)
 
 
 def test_distinct_sum_bound():

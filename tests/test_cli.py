@@ -568,8 +568,8 @@ def test_prime_scans_make_no_polynomial_evaluations(tmp_path, monkeypatch, capsy
 def count_grid_calls(monkeypatch):
     """A list that grows by one for each family counted on the int64 grid."""
     calls = []
-    real = cli._family_counts
-    monkeypatch.setattr(cli, "_family_counts", lambda *a: calls.append(1) or real(*a))
+    real = sweeps._family_counts
+    monkeypatch.setattr(sweeps, "_family_counts", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
@@ -823,6 +823,19 @@ def test_proof_replay_happy_path(tmp_path, capsys):
     assert payload["shrunk_sizes"] == [3, 4, 5]
     assert payload["witness"] is not None
     assert "N=4, h=3" in capsys.readouterr().err
+
+
+def test_proof_replay_jsonl_mirror(tmp_path, capsys):
+    cfg = replay_config(tmp_path)
+    out, jsonl = tmp_path / "r.json", tmp_path / "r.jsonl"
+    assert cli.main(["proof-replay", "--config", cfg, "--out", str(out)]) == 0
+    alone = out.read_bytes()
+    assert cli.main(["proof-replay", "--config", cfg, "--out", str(out), "--jsonl", str(jsonl)]) == 0
+    assert out.read_bytes() == alone
+    # one line: the --out record with sorted keys and no indentation
+    record = json.loads(alone)
+    assert jsonl.read_text() == json.dumps(record, sort_keys=True) + "\n"
+    capsys.readouterr()
 
 
 def test_proof_replay_stdout_and_determinism(tmp_path, capsys):

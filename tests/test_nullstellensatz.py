@@ -95,14 +95,6 @@ def test_zero_coefficient_short_circuits():
     assert not cert.searched
 
 
-def test_witness_search_can_be_disabled():
-    fam = grid_family(7, (1, 2))
-    cert = certify(NullstellensatzInstance(vandermonde(2), (0, 1), fam), witness_search=False)
-    assert cert.nonzero
-    assert cert.witness is None
-    assert not cert.searched
-
-
 def test_search_guard():
     fam = grid_family(7, (7, 7, 7))
     poly = SparsePoly.monomial(3, (1, 1, 1))

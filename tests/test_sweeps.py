@@ -5,12 +5,14 @@ import itertools
 import random
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
 from restrictedsums import (
     HypothesisViolated,
+    NotPrime,
     PowerSumForm,
     SearchSpaceTooLarge,
     SetFamily,
@@ -25,17 +27,21 @@ from restrictedsums import (
     random_sizes,
     random_subset,
     random_tail,
+    rational_field,
     residue_class_bound,
     restricted_value_set,
     unrestricted_value_set,
 )
+from restrictedsums import sweeps
 from restrictedsums.sweeps import (
     LATTICE_BYTE_GUARD,
     _family_counts,
     _fold_axis,
+    _injective,
     _integer_route_fits,
     _pow_mod_grid,
     _residue_route_fits,
+    _value_counts,
     _value_table,
 )
 
@@ -130,6 +136,16 @@ def test_value_table_guards():
     bad_tail = parse_poly("x1^3", nvars=2)
     with pytest.raises(HypothesisViolated):
         _value_table(5, 2, (1, 1), bad_tail)  # tail degree >= k
+    for k in (0, -1, 2.0, True):  # k = -1 once looped forever in _pow_mod_grid
+        with pytest.raises(HypothesisViolated):
+            _value_table(5, k, (1, 1))
+        with pytest.raises(HypothesisViolated):
+            lattice_min_cardinality(5, k, (1, 1))
+    for p in (4, 6, 8):  # Z/p is no field
+        with pytest.raises(NotPrime):
+            _value_table(p, 2, (1, 1))
+        with pytest.raises(NotPrime):
+            lattice_min_cardinality(p, 2, (1, 1))
 
 
 def test_pow_mod_grid():
@@ -149,8 +165,10 @@ def test_pow_mod_grid():
 
 def fold_trailing_axes(table, p, restricted):
     S = table
+    if restricted:
+        S = np.where(_injective(np.ix_(*[np.arange(p)] * table.ndim)), table, 0)
     for axis in range(table.ndim - 1, 0, -1):
-        S = _fold_axis(S, axis, p, restricted)
+        S = _fold_axis(S, axis, p)
     return S
 
 
@@ -437,6 +455,18 @@ def test_family_cardinality_fast_refuses_bad_forms(leading, tail):
         family_cardinality_fast(7, [[0, 1, 2], [3, 4]], 2, leading, tail)
 
 
+@pytest.mark.parametrize("k", [0, -1, 2.0, True])
+def test_family_cardinality_fast_refuses_bad_k(k):
+    with pytest.raises(HypothesisViolated):
+        family_cardinality_fast(7, [[0, 1], [2]], k)
+
+
+@pytest.mark.parametrize("p", [1, 4, 9, 3_037_000_493 * 3])
+def test_family_cardinality_fast_refuses_composite_p(p):
+    with pytest.raises(NotPrime):
+        family_cardinality_fast(p, [[0, 1], [2]], 2)
+
+
 @pytest.mark.parametrize("sets", [[[0, 7], [1, 2]], [[0, 7], [0, 1]]])
 def test_family_cardinality_fast_refuses_elements_equal_mod_p(sets):
     # 0 and 7 are one element of GF(7), as SetFamily says
@@ -456,3 +486,65 @@ def test_integer_grid_refuses_values_past_int64():
     # non-integer coefficients never take the integer grid
     assert not _integer_route_fits(1, (Fraction(1, 2),), None, [[0, 1]])
     assert not _integer_route_fits(2, (1,), SparsePoly(1, {(1,): Fraction(1, 3)}), [[0, 1]])
+
+
+# ---------- the route chooser of the CLI scans ----------
+
+
+def value_counts_cases():
+    """(field, family sets, form, whether it takes the int64 grid), seeded:
+    GF(13) and small rationals fit the grid; at GF(3 037 000 507) residue
+    products overflow int64, and denominators near 10^6 at k = 4 put L^4
+    alone past 2^63, so those two go to the exact enumerator."""
+    rng = random.Random(derive_seed("value-counts"))
+    big = 3_037_000_507
+    near_million = [Fraction(a, q) for q in (999_983, 999_979, 999_961) for a in (1, -2)]
+    small = [Fraction(a, b) for a in range(-5, 6) for b in (1, 2, 3)]
+    for _ in range(4):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, 4)
+        sets = [random_subset(rng, 13, rng.randint(1, 5)) for _ in range(n)]
+        yield prime_field(13), sets, PowerSumForm(k, random_leading(rng, n, 13), random_tail(rng, n, k)), True
+
+        pool = [0, 1, 2, big - 1, big - 2, big // 2]
+        sets = [sorted(rng.sample(pool, rng.randint(1, 3))) for _ in range(n)]
+        yield prime_field(big), sets, PowerSumForm(k, random_leading(rng, n, big), random_tail(rng, n, k)), False
+
+        sets = [sorted(set(rng.sample(small, rng.randint(1, 4)))) for _ in range(n)]
+        leading = [rng.choice((-3, -1, 1, 2, 5)) for _ in range(n)]
+        yield rational_field(), sets, PowerSumForm(k, leading, random_tail(rng, n, k)), True
+
+        sets = [sorted({rng.choice(near_million), *rng.sample(small[:4], rng.randint(0, 2))}) for _ in range(n)]
+        yield rational_field(), sets, PowerSumForm(4, leading, random_tail(rng, n, 4)), False
+
+
+def test_value_counts_matches_exact_enumerator(monkeypatch):
+    grid_calls = []
+    real = sweeps._family_counts
+    monkeypatch.setattr(sweeps, "_family_counts", lambda *a: grid_calls.append(1) or real(*a))
+    routes = []
+    for field, sets, f, grid in value_counts_cases():
+        fam = SetFamily.from_elements(field, sets)
+        exact = {True: restricted_value_set(fam, f).cardinality, False: unrestricted_value_set(fam, f).cardinality}
+        space = prod(fam.sizes)
+        for variants in ((True,), (False,), (True, False), (False, True)):
+            grid_calls.clear()
+            got = _value_counts(fam, f, variants, space)  # a guard of exactly the family's size
+            assert got == tuple(exact[v] for v in variants), (field, sets, f, variants)
+            assert len(grid_calls) == int(grid), (field, sets, f)
+        routes.append(grid)
+    assert routes.count(True) == routes.count(False) == 8
+
+
+def test_value_counts_tuple_guard_is_the_enumerators():
+    # one family on the residue grid, one past it on the exact enumerator
+    for p, sets in ((13, [[0, 1], [1, 2, 3], [4, 5]]), (3_037_000_507, [[0, 1], [1, 2, 3]])):
+        fam = SetFamily.from_elements(prime_field(p), sets)
+        f = PowerSumForm.unit(fam.n, 2)
+        space = prod(fam.sizes)
+        with pytest.raises(SearchSpaceTooLarge) as ours:
+            _value_counts(fam, f, (True, False), space - 1)
+        with pytest.raises(SearchSpaceTooLarge) as theirs:
+            restricted_value_set(fam, f, guard_tuples=space - 1)
+        assert str(ours.value) == str(theirs.value) == f"family spans {space} tuples, guard is {space - 1}"
+        assert _value_counts(fam, f, (False,), space) == (unrestricted_value_set(fam, f).cardinality,)
