@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import random
@@ -30,6 +31,7 @@ from .enumeration import (
 from .errors import (
     ConfigError,
     ExpansionTooLarge,
+    HypothesisViolated,
     Infeasible,
     InternalInvariantBroken,
     RestrictedSumsError,
@@ -50,22 +52,34 @@ from .sweeps import _value_counts
 
 THEOREM_BOUNDS = tuple(name for name, bound in BOUNDS.items() if not bound.conjectural)
 
-CSV_HEADER = [
-    "field",
-    "p(F)",
-    "n",
-    "k",
-    "sizes",
-    "bound_name",
-    "bound_value",
-    "actual_cardinality",
-    "hypotheses_ok",
-    "tight",
-    "seed",
-    "elapsed_ms",
-]
+# (CSV header, ReportRow attribute), in report order
+_COLUMNS = (
+    ("field", "field"),
+    ("p(F)", "char"),
+    ("n", "n"),
+    ("k", "k"),
+    ("sizes", "sizes"),
+    ("bound_name", "bound_name"),
+    ("bound_value", "bound_value"),
+    ("actual_cardinality", "actual_cardinality"),
+    ("hypotheses_ok", "hypotheses_ok"),
+    ("tight", "tight"),
+    ("seed", "seed"),
+    ("elapsed_ms", "elapsed_ms"),
+)
+CSV_HEADER = [header for header, _ in _COLUMNS]
 
 COEFF_HEADER = ["n", "k", "q", "N", "closed_form", "oracle", "status"]
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    return str(value)
 
 
 @dataclass
@@ -95,37 +109,12 @@ class ReportRow:
         )
 
     def csv_cells(self) -> list:
-        return [
-            self.field,
-            self.char,
-            str(self.n),
-            str(self.k),
-            ";".join(str(s) for s in self.sizes),
-            self.bound_name,
-            "" if self.bound_value is None else str(self.bound_value),
-            "" if self.actual_cardinality is None else str(self.actual_cardinality),
-            "true" if self.hypotheses_ok else "false",
-            "" if self.tight is None else ("true" if self.tight else "false"),
-            self.seed,
-            self.elapsed_ms,
-        ]
+        return [_cell(getattr(self, attr)) for _, attr in _COLUMNS]
 
     def json_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "p(F)": self.char,
-            "n": self.n,
-            "k": self.k,
-            "sizes": list(self.sizes),
-            "bound_name": self.bound_name,
-            "bound_value": self.bound_value,
-            "actual_cardinality": self.actual_cardinality,
-            "hypotheses_ok": self.hypotheses_ok,
-            "tight": self.tight,
-            "seed": self.seed,
-            "elapsed_ms": self.elapsed_ms,
-            "violated": self.violated,
-        }
+        record = {header: getattr(self, attr) for header, attr in _COLUMNS}
+        record["violated"] = self.violated
+        return record
 
 
 def _write_table(path: str | None, header: list, rows: list) -> None:
@@ -549,16 +538,11 @@ def cmd_verify_coeff(args) -> int:
 
 
 def cmd_example41(args) -> int:
-    if args.config:
-        cfg = _load_config(args.config, required={"n", "k", "q", "r"}, optional=set())
-        n, k, q, r = (_require_int(cfg, key, 0) for key in ("n", "k", "q", "r"))
-    else:
-        if None in (args.n, args.k, args.q, args.r):
-            raise ConfigError("example41 needs --config or all of --n --k --q --r")
-        n, k, q, r = args.n, args.k, args.q, args.r
+    cfg = _load_config(args.config, required={"n", "k", "q", "r"}, optional=set())
+    n, k, q, r = (_require_int(cfg, key, 0) for key in ("n", "k", "q", "r"))
     try:
         row = _ex41_row(n, k, q, r, str(args.seed))
-    except (Infeasible, RestrictedSumsError) as exc:
+    except (HypothesisViolated, Infeasible) as exc:
         raise ConfigError(str(exc)) from exc
     _emit_rows(args, [row])
     print(f"example41: formula {row.bound_value}, enumerated {row.actual_cardinality}", file=sys.stderr)
@@ -619,65 +603,73 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, config_required=True):
-    if config_required:
-        sub.add_argument("--config", required=True, help="JSON config path")
-    else:
-        sub.add_argument("--config", help="JSON config path")
-    sub.add_argument("--out", help="CSV output path (default: stdout)")
-    sub.add_argument("--jsonl", help="JSON-lines mirror output path")
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in reports (default 0)")
-    sub.add_argument(
-        "--guard-tuples",
-        type=int,
-        default=DEFAULT_TUPLE_GUARD,
-        help="enumeration guard: max tuples per family",
-    )
-    sub.add_argument(
-        "--guard-terms",
-        type=int,
-        default=DEFAULT_TERM_GUARD,
-        help="expansion guard: max distinct monomials formed while multiplying, cancelled ones included",
-    )
-    sub.add_argument(
-        "--timings",
-        action="store_true",
-        help="fill elapsed_ms (breaks byte-determinism of reports)",
-    )
+# Options a verb reads besides --config, --out and --jsonl, which every verb takes.
+_OPTIONS = {
+    "--seed": {"type": int, "default": 0, "help": "seed recorded in reports (default 0)"},
+    "--guard-tuples": {
+        "type": int,
+        "default": DEFAULT_TUPLE_GUARD,
+        "help": "enumeration guard: max tuples per family",
+    },
+    "--guard-terms": {
+        "type": int,
+        "default": DEFAULT_TERM_GUARD,
+        "help": "expansion guard: max distinct monomials formed while multiplying, cancelled ones included",
+    },
+    "--timings": {
+        "action": "store_true",
+        "help": "fill elapsed_ms (breaks byte-determinism of reports)",
+    },
+}
+
+# verb: (handler, help, the options of _OPTIONS it reads)
+_VERBS = {
+    "verify-bounds": (
+        cmd_verify_bounds,
+        "enumerate families and assert theorem bounds",
+        ("--seed", "--guard-tuples", "--timings"),
+    ),
+    "verify-coeff": (
+        cmd_verify_coeff,
+        "closed-form vs expansion coefficient sweep",
+        ("--guard-terms",),
+    ),
+    "tightness": (
+        cmd_tightness,
+        "scan for tight instances and conjecture violations",
+        ("--seed", "--guard-tuples", "--timings"),
+    ),
+    "example41": (
+        cmd_example41,
+        "check the sharpness model formula on one profile",
+        ("--seed",),
+    ),
+    "proof-replay": (
+        cmd_proof_replay,
+        "replay the constructive argument on one family",
+        ("--guard-tuples", "--guard-terms"),
+    ),
+}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use."""
     parser = _Parser(prog="restrictedsums", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    vb = subs.add_parser("verify-bounds", help="enumerate families and assert theorem bounds")
-    _add_common(vb)
-    vb.set_defaults(func=cmd_verify_bounds)
-
-    vc = subs.add_parser("verify-coeff", help="closed-form vs expansion coefficient sweep")
-    _add_common(vc)
-    vc.set_defaults(func=cmd_verify_coeff)
-
-    tg = subs.add_parser("tightness", help="scan for tight instances and conjecture violations")
-    _add_common(tg)
-    tg.set_defaults(func=cmd_tightness)
-
-    ex = subs.add_parser("example41", help="check the sharpness model formula on one profile")
-    _add_common(ex, config_required=False)
-    for name in ("n", "k", "q", "r"):
-        ex.add_argument(f"--{name}", type=int, default=None)
-    ex.set_defaults(func=cmd_example41)
-
-    pr = subs.add_parser("proof-replay", help="replay the constructive argument on one family")
-    _add_common(pr)
-    pr.set_defaults(func=cmd_proof_replay)
-
+    for verb, (handler, help_text, options) in _VERBS.items():
+        sub = subs.add_parser(verb, help=help_text)
+        sub.add_argument("--config", required=True, help="JSON config path")
+        sub.add_argument("--out", help="CSV output path (default: stdout)")
+        sub.add_argument("--jsonl", help="JSON-lines mirror output path")
+        for option in options:
+            sub.add_argument(option, **_OPTIONS[option])
+        sub.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

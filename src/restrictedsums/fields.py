@@ -29,10 +29,6 @@ class ExtendedNat:
                 raise ValueError(f"ExtendedNat must be positive, got {value}")
         self._value = value
 
-    @classmethod
-    def finite(cls, value: int) -> "ExtendedNat":
-        return cls(value)
-
     @property
     def is_infinite(self) -> bool:
         return self._value is None

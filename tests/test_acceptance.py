@@ -442,8 +442,9 @@ def test_criterion_9_cli_determinism(capsys, tmp_path):
             for attempt in range(2):
                 out = tmp_path / f"{name}.{attempt}.out"
                 jsonl = tmp_path / f"{name}.{attempt}.jsonl"
-                argv = [verbs[name], "--config", str(cfg_path), "--seed", "17"]
-                argv += ["--out", str(out)]
+                argv = [verbs[name], "--config", str(cfg_path), "--out", str(out)]
+                if verbs[name] in ("verify-bounds", "tightness", "example41"):
+                    argv += ["--seed", "17"]  # the verbs that read a seed
                 if verbs[name] != "proof-replay":
                     argv += ["--jsonl", str(jsonl)]
                 assert cli.main(argv) == 0, name

@@ -1,13 +1,17 @@
 """Command-line interface: configs, report formats, determinism, exit codes."""
 
+import argparse
 import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from restrictedsums import (
     BoundResult,
+    InternalInvariantBroken,
     PowerSumForm,
     SetFamily,
     SparsePoly,
@@ -364,6 +368,63 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 1
+    # an option the verb does not read is a usage error, not a silent no-op
+    for verb, option in [
+        ("verify-coeff", ["--seed", "5"]),
+        ("proof-replay", ["--timings"]),
+        ("verify-bounds", ["--guard-terms", "9"]),
+        ("example41", ["--n", "2"]),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([verb, "--config", "unused.json", *option])
+        assert exc.value.code == 1, verb
+    capsys.readouterr()
+
+
+def verb_parsers() -> dict:
+    """Each verb's subparser, in the order the CLI lists them."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def verb_options(verb) -> set:
+    """The long options of one verb's subparser, --help aside."""
+    actions = verb_parsers()[verb]._actions
+    return {s for a in actions for s in a.option_strings if s.startswith("--")} - {"--help"}
+
+
+SHARED_OPTIONS = {"--config", "--out", "--jsonl"}
+
+
+@pytest.mark.parametrize(
+    "verb, options",
+    [
+        ("verify-bounds", {"--seed", "--guard-tuples", "--timings"}),
+        ("tightness", {"--seed", "--guard-tuples", "--timings"}),
+        ("verify-coeff", {"--guard-terms"}),
+        ("example41", {"--seed"}),
+        ("proof-replay", {"--guard-tuples", "--guard-terms"}),
+    ],
+)
+def test_each_verb_takes_only_the_options_it_reads(verb, options):
+    assert verb_options(verb) == SHARED_OPTIONS | options
+
+
+def test_readme_lists_each_verbs_options():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = dict(re.findall(r"^\| `([\w-]+)` \| (.*) \|$", section, flags=re.MULTILINE))
+    assert list(table) == list(verb_parsers())
+    for verb, cell in table.items():
+        assert SHARED_OPTIONS | set(re.findall(r"--[\w-]+", cell)) == verb_options(verb), verb
+
+
+def test_main_reuses_one_parser(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n_max": 1, "sum_max": 1})
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert cli.main(["verify-coeff", "--config", cfg]) == 0
+    assert cli.build_parser.cache_info().misses == 1
     capsys.readouterr()
 
 
@@ -769,11 +830,10 @@ def test_verify_coeff_mismatch_exits_2(tmp_path, monkeypatch, capsys):
 # ---------- example41 ----------
 
 
-def test_example41_flags(tmp_path, capsys):
+def test_example41_report_row(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 2, "k": 2, "q": 2, "r": 1})
     out = tmp_path / "e.csv"
-    code = cli.main(
-        ["example41", "--n", "2", "--k", "2", "--q", "2", "--r", "1", "--out", str(out)]
-    )
+    code = cli.main(["example41", "--config", cfg, "--out", str(out)])
     assert code == 0
     assert "formula 4, enumerated 4" in capsys.readouterr().err
     row = out.read_text().splitlines()[1].split(",")
@@ -790,13 +850,26 @@ def test_example41_config_route(tmp_path, capsys):
 
 
 def test_example41_errors(tmp_path, capsys):
+    def run(cfg):
+        return cli.main(["example41", "--config", write_config(tmp_path, cfg)])
+
     # infeasible profile: not enough roots
-    assert cli.main(["example41", "--n", "6", "--k", "2", "--q", "2", "--r", "1"]) == 1
-    # incomplete flags
-    assert cli.main(["example41", "--n", "2", "--k", "2"]) == 1
+    assert run({"n": 6, "k": 2, "q": 2, "r": 1}) == 1
+    # incomplete profile
+    assert run({"n": 2, "k": 2}) == 1
     # r >= k
-    assert cli.main(["example41", "--n", "2", "--k", "2", "--q", "2", "--r", "2"]) == 1
+    assert run({"n": 2, "k": 2, "q": 2, "r": 2}) == 1
     capsys.readouterr()
+
+
+def test_example41_broken_invariant_exits_2(tmp_path, monkeypatch, capsys):
+    def broken(n, k, q, r):
+        raise InternalInvariantBroken("main term not divisible by k")
+
+    monkeypatch.setattr(cli, "roots_model_cardinality", broken)
+    cfg = write_config(tmp_path, {"n": 2, "k": 2, "q": 2, "r": 1})
+    assert cli.main(["example41", "--config", cfg]) == 2
+    assert "theorem assertion violated" in capsys.readouterr().err
 
 
 # ---------- proof-replay ----------
