@@ -660,7 +660,7 @@ def build_parser() -> argparse.ArgumentParser:
     for verb, (handler, help_text, options) in _VERBS.items():
         sub = subs.add_parser(verb, help=help_text)
         sub.add_argument("--config", required=True, help="JSON config path")
-        sub.add_argument("--out", help="CSV output path (default: stdout)")
+        sub.add_argument("--out", help="report path: CSV, or the JSON replay for proof-replay (default: stdout)")
         sub.add_argument("--jsonl", help="JSON-lines mirror output path")
         for option in options:
             sub.add_argument(option, **_OPTIONS[option])

@@ -29,13 +29,13 @@ from .enumeration import (
 )
 from .errors import HypothesisViolated, InternalInvariantBroken
 from .fields import FieldElement
-from .nullstellensatz import NullstellensatzCertificate, NullstellensatzInstance, certify
+from .nullstellensatz import NullstellensatzCertificate, _certified
 from .poly import (
     DEFAULT_TERM_GUARD,
     PowerSumForm,
     SparsePoly,
-    _product,
     _product_coefficients,
+    _product_top,
     power_sum_pow,
     vandermonde,
 )
@@ -67,9 +67,11 @@ class ResidueClasses:
         return (self.n - s) // self.k + 1
 
 
-def _shifted_entries(q, positions) -> list:
-    """c_j = q at the j-th position of the class, plus its offset j (0-based)."""
-    return [q[pos - 1] + j for j, pos in enumerate(positions)]
+def _shifted_classes(q, k: int) -> list:
+    """For each residue class s = 1..k of positions, its shifted entries:
+    c_j = q at the j-th position of the class, plus its offset j (0-based).
+    Walks q directly; the caller has checked 1 <= k <= len(q)."""
+    return [[qj + j for j, qj in enumerate(q[s::k])] for s in range(k)]
 
 
 def _validate_q(q, k: int) -> tuple:
@@ -92,11 +94,9 @@ def target_monomial(q, k: int) -> tuple:
 def coefficient_formula(q, k: int) -> int:
     """The closed form; may be zero or negative, always an exact integer."""
     q = _validate_q(q, k)
-    n = len(q)
     numerator = factorial(sum(q))
     denominator = 1
-    for positions in ResidueClasses(n, k).all_classes():
-        shifted = _shifted_entries(q, positions)
+    for shifted in _shifted_classes(q, k):
         for j, cj in enumerate(shifted):
             for ci in shifted[:j]:
                 numerator *= cj - ci
@@ -242,10 +242,8 @@ def _split_index(q, char) -> int:
 def _denominator_product(q_prime, k: int) -> int:
     """prod over classes, positions j, and r in [0, c_j) excluding earlier
     shifted entries, of (c_j - r)."""
-    n = len(q_prime)
     D = 1
-    for positions in ResidueClasses(n, k).all_classes():
-        shifted = _shifted_entries(q_prime, positions)
+    for shifted in _shifted_classes(q_prime, k):
         for j, cj in enumerate(shifted):
             earlier = set(shifted[:j])
             for r in range(cj):
@@ -292,8 +290,7 @@ def replay_shrink(sizes, k: int, char) -> ShrinkPlan:
         raise InternalInvariantBroken("shrunk degrees do not sum to k*(N-1)")
 
     # strict chain: within each residue class the shifted entries must rise
-    for positions in ResidueClasses(n, k).all_classes():
-        shifted = _shifted_entries(q_prime, positions)
+    for shifted in _shifted_classes(q_prime, k):
         if shifted[0] < 0 or any(b <= a for a, b in zip(shifted, shifted[1:])):
             raise InternalInvariantBroken(f"shifted entries not strictly increasing: {shifted}")
 
@@ -423,29 +420,33 @@ def proof_replay(
 
 
 def _expanded_certificate(shrunk, f, excluded, h_element, guard_tuples, guard_terms):
-    """Expand Q = prod_c (f - c) * vandermonde over the field and certify.
+    """Multiply out Q = prod_c (f - c) * vandermonde over the field and certify.
 
-    The coefficient of the product of x_i^(|A'_i| - 1) in Q must be exactly
-    the embedded h: the top-degree part of every factor (f - c) is the pure
-    power sum, so Q's top homogeneous component is the closed-form product.
+    Q's degree and its coefficient at the product of x_i^(|A'_i| - 1) are
+    read off the packed product, which is never unpacked.  That coefficient
+    must be exactly the embedded h: the top-degree part of every factor
+    (f - c) is the pure power sum, so Q's top homogeneous component is the
+    closed-form product.
     """
     field = shrunk.field
     n = shrunk.n
     f_poly = f.expand().reduce(field)
     factors = [vandermonde(n, max_terms=guard_terms).reduce(field)]
     factors += [f_poly - SparsePoly.constant(n, c) for c in excluded]
-    Q = _product(factors, guard_terms)
     degrees = tuple(size - 1 for size in shrunk.sizes)
+    degree, coefficient = _product_top(factors, degrees, guard_terms)
     expected_degree = f.k * len(excluded) + comb(n, 2)
-    if Q.degree != expected_degree or expected_degree != sum(degrees):
+    if degree != expected_degree or expected_degree != sum(degrees):
         raise InternalInvariantBroken(
-            f"contradiction polynomial has degree {Q.degree}, expected {expected_degree}"
+            f"contradiction polynomial has degree {degree}, expected {expected_degree}"
         )
-    instance = NullstellensatzInstance(Q, degrees, shrunk)
-    cert = certify(
-        instance,
-        guard_tuples=guard_tuples,
-        point_fn=lambda point: _contradiction_value(field, f, excluded, point),
+    cert = _certified(
+        degree,
+        coefficient,
+        degrees,
+        shrunk,
+        guard_tuples,
+        lambda point: _contradiction_value(field, f, excluded, point),
     )
     if cert.coefficient != h_element:
         raise InternalInvariantBroken(
@@ -456,12 +457,14 @@ def _expanded_certificate(shrunk, f, excluded, h_element, guard_tuples, guard_te
 
 def _contradiction_value(field, f, excluded, point):
     """The factored contradiction polynomial prod_c (f - c) * prod_{i<j} (xj - xi)
-    at one point of the field."""
-    value = field.one
-    fx = f.eval(point)
-    for c in excluded:
-        value = value * (fx - c)
-    for j in range(len(point)):
-        for i in range(j):
-            value = value * (point[j] - point[i])
-    return value
+    at one point of the field, multiplied on raw values (residues reduced
+    mod p as they go, or fractions) and wrapped once."""
+    p = field.p
+    fx = f.eval(point).value
+    xs = [x.value for x in point]
+    factors = [fx - c.value for c in excluded]
+    factors += [xj - xi for j, xj in enumerate(xs) for xi in xs[:j]]
+    value = 1
+    for d in factors:
+        value = value * d if p is None else value * d % p
+    return field.element(value)

@@ -71,30 +71,40 @@ def certify(
     factored form of the polynomial); by default the expanded polynomial is
     evaluated directly.
     """
-    field = instance.family.field
-    P = instance.poly.reduce(field)
-    total = sum(instance.degrees)
-    if P.degree != total:
-        raise HypothesisViolated(
-            f"deg P = {P.degree} over {field}, but degrees sum to {total}"
-        )
-    for i, (d, size) in enumerate(zip(instance.degrees, instance.family.sizes), start=1):
+    P = instance.poly.reduce(instance.family.field)
+    return _certified(
+        P.degree,
+        P.coefficient_of(instance.degrees),
+        instance.degrees,
+        instance.family,
+        guard_tuples,
+        point_fn if point_fn is not None else P.eval,
+    )
+
+
+def _certified(degree, coefficient, degrees, family, guard_tuples, evaluate):
+    """The checks and the search of :func:`certify`, given the polynomial's
+    degree and its coefficient at ``degrees`` over the family's field (an
+    int 0 when the monomial is absent) and an evaluator at one point."""
+    field = family.field
+    total = sum(degrees)
+    if degree != total:
+        raise HypothesisViolated(f"deg P = {degree} over {field}, but degrees sum to {total}")
+    for i, (d, size) in enumerate(zip(degrees, family.sizes), start=1):
         if d >= size:
             raise HypothesisViolated(f"need degree {d} < |A{i}| = {size}")
-    coefficient = P.coefficient_of(instance.degrees)
     if isinstance(coefficient, int):
         coefficient = field.embed(coefficient)
     if coefficient.is_zero:
         return NullstellensatzCertificate(coefficient, False, None, None, False)
-    space = prod(instance.family.sizes)
+    space = prod(family.sizes)
     if space > guard_tuples:
         raise SearchSpaceTooLarge(f"witness space has {space} tuples, guard is {guard_tuples}")
-    evaluate = point_fn if point_fn is not None else P.eval
-    for point in product(*instance.family.sets):
+    for point in product(*family.sets):
         value = evaluate(point)
         if not value.is_zero:
             return NullstellensatzCertificate(coefficient, True, point, value, True)
     raise InternalInvariantBroken(
         "nonzero coefficient but no witness on the whole grid; "
-        f"degrees={instance.degrees}, sizes={instance.family.sizes}"
+        f"degrees={degrees}, sizes={family.sizes}"
     )

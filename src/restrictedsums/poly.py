@@ -346,18 +346,37 @@ def _product(factors, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
     return SparsePoly._trusted(nvars, _unpacked(acc, width, nvars, field))
 
 
+def _packed_coefficient(acc: dict, width: int, field, nvars: int, exps):
+    """The settled coefficient of ``exps`` in a packed accumulator, the int
+    0 when absent.  A target of degree 2**width or more is above the
+    product's degree and may not fit the fields, so its key could alias
+    another monomial's; it reads 0."""
+    exps = tuple(exps)
+    _check_exponents(nvars, exps)
+    c = 0 if sum(exps) >> width else acc.get(_pack(exps, width), 0)
+    return _settled(c, field) or 0
+
+
 def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> list:
     """``_product(factors).coefficient_of(t)`` for each t in ``targets``, read
-    off the packed accumulator without unpacking it.  A target of degree
-    2**width or more is above the product's degree and may not fit the
-    fields, so its key could alias another monomial's; it reads 0."""
+    off the packed accumulator without unpacking it."""
     acc, width, field = _packed_product(factors, max_terms)
-    out = []
-    for exps in map(tuple, targets):
-        _check_exponents(factors[0].nvars, exps)
-        c = 0 if sum(exps) >> width else acc.get(_pack(exps, width), 0)
-        out.append(_settled(c, field) or 0)
-    return out
+    return [_packed_coefficient(acc, width, field, factors[0].nvars, t) for t in targets]
+
+
+def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
+    """``(P.degree, P.coefficient_of(target))`` for P = ``_product(factors)``,
+    read off the packed accumulator without unpacking it: the degree is the
+    degree field of the highest key whose coefficient settles nonzero, -inf
+    when none does."""
+    acc, width, field = _packed_product(factors, max_terms)
+    nvars = factors[0].nvars
+    degree = NEG_INF
+    for key in sorted(acc, reverse=True):
+        if _settled(acc[key], field) is not None:
+            degree = key >> (nvars * width)
+            break
+    return degree, _packed_coefficient(acc, width, field, nvars, target)
 
 
 # ---------- classical constructions ----------

@@ -410,6 +410,16 @@ def test_each_verb_takes_only_the_options_it_reads(verb, options):
     assert verb_options(verb) == SHARED_OPTIONS | options
 
 
+def test_out_help_names_both_report_formats():
+    # one help string for every verb: proof-replay's --out is JSON, not CSV
+    helps = {
+        verb: next(a.help for a in sub._actions if "--out" in a.option_strings)
+        for verb, sub in verb_parsers().items()
+    }
+    assert len(set(helps.values())) == 1
+    assert "CSV" in helps["verify-coeff"] and "JSON replay for proof-replay" in helps["proof-replay"]
+
+
 def test_readme_lists_each_verbs_options():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]

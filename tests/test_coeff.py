@@ -2,6 +2,7 @@
 construction of the lower-bound argument."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -15,13 +16,16 @@ from restrictedsums import (
     ExtendedNat,
     HypothesisViolated,
     NotInvariant,
+    NullstellensatzInstance,
     PowerSumForm,
     ResidueClasses,
     SetFamily,
     SparsePoly,
+    certify,
     coefficient_by_expansion,
     coefficient_formula,
     floor_minima,
+    parse_poly,
     prime_field,
     proof_replay,
     rational_field,
@@ -29,6 +33,8 @@ from restrictedsums import (
     target_monomial,
     vandermonde,
 )
+from restrictedsums import poly
+from restrictedsums.poly import _product
 from permutations import Permutation, falling_factorial
 
 
@@ -386,6 +392,104 @@ def test_proof_replay_with_expanded_certificate():
     assert cert.nonzero
     assert cert.witness is not None
     assert not cert.witness_value.is_zero
+
+
+# ---------- the expanded certificate against the unpacked route ----------
+
+# (p, n, k, sizes), the shapes of the benchmark's replay batch
+REPLAY_SHAPES = (
+    (13, 4, 1, (5, 6, 7, 8)),
+    (13, 4, 2, (6, 7, 8, 8)),
+    (13, 3, 1, (8, 8, 8)),
+    (11, 4, 1, (6, 6, 6, 6)),
+    (11, 3, 2, (7, 8, 8)),
+    (7, 4, 1, (4, 5, 6, 7)),
+    (7, 3, 1, (7, 7, 7)),
+    (5, 4, 1, (5, 5, 5, 5)),
+    (13, 4, 3, (8, 8, 8, 8)),
+    (13, 4, 4, (8, 8, 8, 8)),
+    (13, 2, 1, (8, 8)),
+    (13, 3, 3, (8, 8, 8)),
+    (13, 4, 2, (7, 7, 8, 8)),
+    (11, 4, 1, (5, 6, 7, 8)),
+    (13, 3, 2, (8, 8, 8)),
+)
+
+
+def unpacked_certificate(replay, f):
+    """The replay's certificate by the route that unpacks Q: the product
+    as a SparsePoly, certified with each point evaluated as the factored
+    product in FieldElement arithmetic, and the witness checked on Q."""
+    shrunk = replay.shrunk_family
+    field, n = shrunk.field, shrunk.n
+    excluded = [field.element(c) for c in replay.witness["excluded_values"]]
+    f_poly = f.expand().reduce(field)
+    factors = [vandermonde(n).reduce(field)]
+    factors += [f_poly - SparsePoly.constant(n, c) for c in excluded]
+    degrees = tuple(size - 1 for size in shrunk.sizes)
+
+    def factored(point):
+        value = field.one
+        for c in excluded:
+            value = value * (f.eval(point) - c)
+        for j in range(n):
+            for i in range(j):
+                value = value * (point[j] - point[i])
+        return value
+
+    Q = _product(factors)
+    cert = certify(NullstellensatzInstance(Q, degrees, shrunk), point_fn=factored)
+    assert Q.eval(cert.witness) == cert.witness_value
+    return cert
+
+
+@pytest.mark.parametrize("shape", REPLAY_SHAPES, ids=str)
+def test_expanded_certificate_matches_unpacked_route(shape):
+    p, n, k, sizes = shape
+    rng = random.Random(f"replay|{shape}")
+    family = SetFamily.from_elements(prime_field(p), [rng.sample(range(p), s) for s in sizes])
+    f = PowerSumForm.unit(n, k)
+    replay = proof_replay(family, k, f=f, expand_certificate=True)
+    assert replay.cn_certificate == unpacked_certificate(replay, f)
+
+
+@pytest.mark.parametrize(
+    "field, sets, k, tail, want",
+    [
+        (rational_field(), [[0, 1, "1/2"], [0, 1, 5, "2/3"]], 2, None, ("2", ["0", "1"], "5/12")),
+        (
+            prime_field(11),
+            [range(3), range(4), range(5)],
+            2,
+            "3*x1 + x2 - 2*x3 + 5",
+            ("3", ["0", "1", "2"], "9"),
+        ),
+    ],
+)
+def test_expanded_certificate_frozen(field, sets, k, tail, want):
+    family = SetFamily.from_elements(field, sets)
+    f = PowerSumForm.unit(family.n, k, None if tail is None else parse_poly(tail, family.n))
+    cert = proof_replay(family, k, f=f, expand_certificate=True).cn_certificate
+    d = cert.to_json_dict()
+    assert (d["coefficient"], d["witness"], d["witness_value"]) == want
+    assert type(cert.witness_value.value) is type(field.one.value)
+    assert cert == unpacked_certificate(proof_replay(family, k, f=f), f)
+
+
+def test_expanded_certificate_unpacks_only_the_vandermonde(monkeypatch):
+    # Q is read packed; the one unpacked product is vandermonde(n)
+    calls = []
+    unpacked = poly._unpacked
+
+    def counting(acc, width, nvars, field):
+        calls.append(nvars)
+        return unpacked(acc, width, nvars, field)
+
+    monkeypatch.setattr(poly, "_unpacked", counting)
+    family = SetFamily.from_elements(prime_field(13), [range(6), range(7), range(8), range(8)])
+    replay = proof_replay(family, 2, expand_certificate=True)
+    assert replay.cn_certificate.nonzero
+    assert calls == [4]
 
 
 def test_proof_replay_json_shape():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from restrictedsums import (
     rational_field,
     vandermonde,
 )
-from restrictedsums.poly import _product, _product_coefficients
+from restrictedsums.poly import _product, _product_coefficients, _product_top
 
 
 def inversion_sign(perm):
@@ -392,6 +393,65 @@ def test_product_coefficients_types():
         _product_coefficients([a, b], [(1, 1, 0)])
     with pytest.raises(ValueError):
         _product_coefficients([a, b], [(-1, 3)])
+
+
+# ---------- reading the degree and one coefficient off the packed product ----------
+
+
+def assert_same_top(factors, target, max_terms=DEFAULT_TERM_GUARD):
+    try:
+        product = _product(factors, max_terms)
+    except ExpansionTooLarge as exc:
+        with pytest.raises(ExpansionTooLarge, match=f"^{re.escape(str(exc))}$"):
+            _product_top(factors, target, max_terms)
+        return
+    degree, coefficient = _product_top(factors, target, max_terms)
+    assert (type(degree), degree) == (type(product.degree), product.degree)
+    want = product.coefficient_of(target)
+    assert (type(coefficient), coefficient) == (type(want), want)
+
+
+@pytest.mark.parametrize("kind", ["int", "gf2", "gf13", "rational"])
+def test_product_top_matches_product(kind):
+    rng = random.Random(f"top|{kind}")
+    for _ in range(30):
+        factors = [random_poly(rng, 3, kind, 3, rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        width = sum(max(f.degree, 0) for f in factors).bit_length() or 1
+        present = [e for e, _ in _product(factors).terms()]
+        targets = present[:1] + present[-1:]  # the top term and the lowest
+        targets += [tuple(rng.randint(0, 4) for _ in range(3))]  # mostly absent
+        targets += [(0, 0, 1 << width), (1 << width, 0, 0)]  # degree >= 2**width
+        for target in targets:
+            assert_same_top(factors, target)
+            assert_same_top(factors, target, max_terms=rng.randint(0, 30))
+
+
+def test_product_top_edge_cases():
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    # 13*x1^3 + x1^2 over Z times x1 over GF(13): the top term dies mod 13
+    # and the degree drops from 3 to 2
+    drop = [13 * x1**2 + x1, x1.reduce(GF13)]
+    assert _product_top(drop, (2, 0)) == (2, GF13.element(1))
+    assert _product_top(drop, (3, 0)) == (2, 0)
+    # products that settle to zero: a zero factor, and one that dies mod 13
+    assert _product_top([x1 + x2, SparsePoly.zero(2)], (0, 0)) == (float("-inf"), 0)
+    assert _product_top([13 * x1, x2.reduce(GF13)], (1, 1)) == (float("-inf"), 0)
+    # x1^2 - x2^2 over GF(13): the mixed monomial is absent
+    degree, coefficient = _product_top([(x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)], (1, 1))
+    assert (degree, type(coefficient), coefficient) == (2, int, 0)
+    half = (x1 + x2).reduce(QQ) * QQ.element(Fraction(1, 2))
+    assert _product_top([half, half], (1, 1)) == (2, QQ.element(Fraction(1, 2)))
+    # the guard trips at the same step, with the same message, as _product's
+    s = (x1 + x2).reduce(GF2)
+    cancelling = [s, s, (x1 + 3 * x2 + 1).reduce(GF2)]
+    with pytest.raises(ExpansionTooLarge, match=r"^product exceeds 5 terms \(2 x 3 inputs\)$"):
+        _product_top(cancelling, (1, 1), max_terms=5)
+    for factors in (drop, cancelling):
+        for target in ((0, 0), (1, 1), (2, 0), (3, 0)):
+            for max_terms in range(8):
+                assert_same_top(factors, target, max_terms)
+    with pytest.raises(ArityMismatch):
+        _product_top(drop, (1, 1, 0))
 
 
 # ---------- evaluation ----------
