@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
+from .enumeration import _field_leading
 from .errors import HypothesisViolated, Infeasible, InternalInvariantBroken
 from .fields import ExtendedNat
 
@@ -261,8 +262,10 @@ class Bound:
         """The floor for sets of these sizes in ``field`` and the form
         f = sum a_i x_i^k + ..., or None when a hypothesis fails.  Sizes
         cannot show that the sets coincide, so a shared-set token answers
-        None unless ``shared`` says they do."""
-        lead = [field.embed(a) for a in leading]
+        None unless ``shared`` says they do.  Leading coefficients that do
+        not map into ``field`` as nonzero elements, one per set, are no form
+        at all and raise as on every other route."""
+        lead = _field_leading(field, len(sizes), leading)
         if self.unit and any(a != field.one for a in lead) or self.linear and k != 1:
             return None
         if self.shared_set and not shared:

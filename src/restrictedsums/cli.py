@@ -583,9 +583,10 @@ def cmd_proof_replay(args) -> int:
         sys.stdout.write(payload)
     if args.jsonl:
         _write_jsonl(args.jsonl, [record])
+    skipped = ", witness skipped by the tuple guard" if witness and replay.witness is None else ""
     print(
         f"proof-replay: N={replay.N}, h={replay.h}, h in {family.field} is "
-        f"{replay.h_element!r} (nonzero)",
+        f"{replay.h_element!r} (nonzero){skipped}",
         file=sys.stderr,
     )
     return 0

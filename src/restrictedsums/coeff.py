@@ -25,9 +25,10 @@ from .bounds import floor_minima
 from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     SetFamily,
+    _field_leading,
     restricted_value_set,
 )
-from .errors import HypothesisViolated, InternalInvariantBroken
+from .errors import HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
 from .fields import FieldElement
 from .nullstellensatz import NullstellensatzCertificate, _certified
 from .poly import (
@@ -42,29 +43,6 @@ from .poly import (
 
 
 # ---------- residue classes of positions ----------
-
-
-@dataclass(frozen=True)
-class ResidueClasses:
-    """Positions 1..n grouped by their residue class s = 1..k (position mod k)."""
-
-    n: int
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n:
-            raise HypothesisViolated(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-
-    def positions(self, s: int) -> tuple:
-        if not 1 <= s <= self.k:
-            raise ValueError(f"class index must be in 1..{self.k}")
-        return tuple(range(s, self.n + 1, self.k))
-
-    def all_classes(self) -> tuple:
-        return tuple(self.positions(s) for s in range(1, self.k + 1))
-
-    def class_size(self, s: int) -> int:
-        return (self.n - s) // self.k + 1
 
 
 def _shifted_classes(q, k: int) -> list:
@@ -349,14 +327,18 @@ def proof_replay(
     shrunk value set, exhibits an injective tuple whose value lies outside
     the first N - 1 values, and (if requested) expands the full
     contradiction polynomial and runs the Nullstellensatz certifier on it.
+
+    When the shrunk family spans more tuples than ``guard_tuples``, the
+    witness alone is skipped (``witness`` and ``value_count`` stay None),
+    while the expanded certificate raises :class:`SearchSpaceTooLarge`.
     """
     n = family.n
     sizes = family.sizes
     if f is None:
         f = PowerSumForm.unit(n, k)
-    if f.n != n or f.k != k:
-        raise HypothesisViolated(f"form is ({f.n} vars, k={f.k}), family needs ({n}, k={k})")
-    if not f.has_unit_leading:
+    if f.k != k:
+        raise HypothesisViolated(f"form has k = {f.k}, replay needs k = {k}")
+    if any(a != family.field.one for a in _field_leading(family.field, n, f.leading)):
         raise HypothesisViolated("replay requires unit leading coefficients")
     char = family.field.characteristic
     plan = replay_shrink(sizes, k, char)
@@ -374,15 +356,14 @@ def proof_replay(
     value_count = None
     witness_record = None
     cn_certificate = None
-    run_witness = witness or expand_certificate
-    feasible = True
-    space = 1
-    for s in plan.shrunk_sizes:
-        space *= s
-    if run_witness and space > guard_tuples:
-        feasible = False
-    if run_witness and feasible:
-        enum = restricted_value_set(shrunk, f, guard_tuples=guard_tuples, collect_witnesses=True)
+    enum = None
+    if witness or expand_certificate:
+        try:
+            enum = restricted_value_set(shrunk, f, guard_tuples=guard_tuples, collect_witnesses=True)
+        except SearchSpaceTooLarge:
+            if expand_certificate:
+                raise
+    if enum is not None:
         value_count = enum.cardinality
         if value_count < N:
             raise InternalInvariantBroken(

@@ -16,7 +16,6 @@ from math import prod
 from .errors import (
     ArityMismatch,
     ConfigError,
-    FieldMismatch,
     HypothesisViolated,
     Infeasible,
     NotPrime,
@@ -112,28 +111,37 @@ class ValueSetResult:
     witnesses: dict | None = None
 
 
-def _check_form(family: SetFamily, f: PowerSumForm):
-    if f.n != family.n:
-        raise ArityMismatch(f"form has {f.n} variables, family has {family.n} sets")
-    for a in f.leading:
-        if isinstance(a, FieldElement) and a.field != family.field:
-            raise FieldMismatch("leading coefficients live in a different field")
+def _field_leading(field: FieldDescriptor, n: int, leading) -> tuple:
+    """The leading coefficients a_1..a_n of a form, mapped into ``field``:
+    the one check of a form against the field and the number of sets that
+    every route makes.  Refuses a count of coefficients other than n, and a
+    coefficient that does not map (a fraction in GF(p)) or maps to zero."""
+    if len(leading) != n:
+        raise ArityMismatch(f"form has {len(leading)} variables, family has {n} sets")
+    lead = []
+    for i, a in enumerate(leading, start=1):
+        try:
+            lead.append(field.element(a))
+        except (ValueError, TypeError) as exc:
+            raise HypothesisViolated(f"leading coefficient a{i} = {a!r} is not in {field}") from exc
+        if lead[-1].is_zero:
+            raise HypothesisViolated(f"leading coefficient a{i} = {a!r} vanishes in {field}")
+    return tuple(lead)
+
+
+def _check_tuple_guard(sizes, guard_tuples: int) -> None:
+    """Refuse a family whose tuple grid is larger than the guard."""
+    space = prod(sizes)
+    if space > guard_tuples:
+        raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
 
 
 def _enumerate(family, f, restricted, guard_tuples, collect_witnesses):
-    _check_form(family, f)
-    n = family.n
-    space = prod(family.sizes)
-    if space > guard_tuples:
-        raise SearchSpaceTooLarge(
-            f"family spans {space} tuples, guard is {guard_tuples}"
-        )
-    field = family.field
+    field, n = family.field, family.n
+    leading = _field_leading(field, n, f.leading)
+    _check_tuple_guard(family.sizes, guard_tuples)
     # a_i * x^k once per element, not once per tuple
-    lead = []
-    for a, s in zip(f.leading, family.sets):
-        coeff = field.embed(a) if isinstance(a, int) else a
-        lead.append({x: coeff * x**f.k for x in s})
+    lead = [{x: a * x**f.k for x in s} for a, s in zip(leading, family.sets)]
     tail = f.tail
     tail_is_zero = tail.is_zero
     seen: dict = {}

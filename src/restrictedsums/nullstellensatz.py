@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 
-from .errors import ArityMismatch, HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
-from .enumeration import DEFAULT_TUPLE_GUARD, SetFamily
+from .errors import ArityMismatch, HypothesisViolated, InternalInvariantBroken
+from .enumeration import DEFAULT_TUPLE_GUARD, SetFamily, _check_tuple_guard
 from .fields import FieldElement
 from .poly import SparsePoly
 
@@ -97,9 +96,7 @@ def _certified(degree, coefficient, degrees, family, guard_tuples, evaluate):
         coefficient = field.embed(coefficient)
     if coefficient.is_zero:
         return NullstellensatzCertificate(coefficient, False, None, None, False)
-    space = prod(family.sizes)
-    if space > guard_tuples:
-        raise SearchSpaceTooLarge(f"witness space has {space} tuples, guard is {guard_tuples}")
+    _check_tuple_guard(family.sizes, guard_tuples)
     for point in product(*family.sets):
         value = evaluate(point)
         if not value.is_zero:

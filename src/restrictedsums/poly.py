@@ -437,8 +437,10 @@ def power_sum_pow(
 class PowerSumForm:
     """f = a1*x1^k + ... + an*xn^k + tail, with deg(tail) < k.
 
-    ``leading`` holds the nonzero coefficients a1..an (ints or elements of a
-    common field); ``tail`` is a SparsePoly in the same n variables.
+    ``leading`` holds the nonzero coefficients a1..an as plain numbers: ints,
+    or Fractions for a form over Q.  Whether they stay nonzero in a given
+    field is checked once, against the family, by every route that reads
+    the form.  ``tail`` is a SparsePoly in the same n variables.
     """
 
     k: int
@@ -446,14 +448,16 @@ class PowerSumForm:
     tail: SparsePoly
 
     def __post_init__(self):
-        if self.k < 1:
-            raise HypothesisViolated(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
+            raise HypothesisViolated(f"k must be an integer >= 1, got {self.k!r}")
         object.__setattr__(self, "leading", tuple(self.leading))
         if not self.leading:
             raise HypothesisViolated("need at least one variable")
         for i, a in enumerate(self.leading, start=1):
-            if _is_zero_scalar(a):
-                raise HypothesisViolated(f"leading coefficient a{i} must be nonzero")
+            if not isinstance(a, (int, Fraction)) or isinstance(a, bool) or a == 0:
+                raise HypothesisViolated(
+                    f"leading coefficient a{i} must be a nonzero int or Fraction, got {a!r}"
+                )
         if self.tail.nvars != len(self.leading):
             raise ArityMismatch(
                 f"tail has {self.tail.nvars} variables, leading part has {len(self.leading)}"
@@ -472,12 +476,6 @@ class PowerSumForm:
         """x1^k + ... + xn^k + tail (all leading coefficients 1)."""
         return cls(k, (1,) * n, tail if tail is not None else SparsePoly.zero(n))
 
-    @property
-    def has_unit_leading(self) -> bool:
-        return all(
-            (a == 1 if isinstance(a, int) else a == a.field.one) for a in self.leading
-        )
-
     def expand(self) -> SparsePoly:
         p = SparsePoly(
             self.n,
@@ -495,7 +493,7 @@ class PowerSumForm:
         field = point[0].field
         total = field.zero
         for a, x in zip(self.leading, point):
-            total = total + (x**self.k) * a
+            total = total + (x**self.k) * field.element(a)
         if not self.tail.is_zero:
             total = total + self.tail.eval(point)
         return total

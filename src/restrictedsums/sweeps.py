@@ -26,6 +26,15 @@ against the exact backtracking enumerator in the test suite:
     value or partial sum passes 2^63.  Whatever fails these goes to the
     exact enumerator, which stays the oracle.
 
+Every route reads the form as a `PowerSumForm`: leading coefficients are
+ints, or Fractions over Q, and a form whose leading coefficient vanishes in
+the field (or is no element of it) is refused by every route, through the
+one check `enumeration._field_leading`.  The two raw-residue entries,
+`lattice_min_cardinality` and `family_cardinality_fast`, take
+(p, k, leading, tail) and build the form once (`_residue_form`).  Over Q a
+form can be scaled by a nonzero constant without changing its value-set
+cardinality, which is what lets the integer grid hold L^k*f.
+
 Both routes drop tuples with a repeated coordinate by one mask, `_injective`:
 the per-family grid is filtered with it, and the lattice zeroes its value
 table with it, so its folds, plain ORs, need no injectivity logic.
@@ -46,10 +55,10 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .enumeration import restricted_value_set, unrestricted_value_set
+from .enumeration import _check_tuple_guard, _field_leading, restricted_value_set, unrestricted_value_set
 from .errors import HypothesisViolated, SearchSpaceTooLarge
 from .fields import prime_field
-from .poly import SparsePoly
+from .poly import PowerSumForm, SparsePoly
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
 LATTICE_BYTE_GUARD = 1 << 30  # largest allocation, in bytes, a sweep may ask for
@@ -112,15 +121,22 @@ def random_sizes(rng: random.Random, n: int, low_fn, high: int) -> tuple:
 # ---------- route 1: the subset lattice ----------
 
 
-def _value_table(p: int, k: int, leading, tail: SparsePoly | None = None) -> np.ndarray:
-    """uint8 grid of shape (p,)*n holding the bit 1 << f(x) for every tuple x,
-    where f = sum a_i x_i^k + tail over GF(p)."""
-    n = len(leading)
+def _residue_form(p: int, n: int, k: int, leading, tail: SparsePoly | None) -> PowerSumForm:
+    """The form f = sum a_i x_i^k + tail that a raw-residue entry describes
+    on n sets of GF(p) (all a_i = 1 when ``leading`` is None, no tail when
+    ``tail`` is None), checked against GF(p) as every route checks it."""
+    f = PowerSumForm(k, (1,) * n if leading is None else leading, SparsePoly.zero(n) if tail is None else tail)
+    _field_leading(prime_field(p), n, f.leading)
+    return f
+
+
+def _value_table(p: int, f: PowerSumForm) -> np.ndarray:
+    """uint8 grid of shape (p,)*n holding the bit 1 << f(x) for every tuple x
+    of GF(p)^n."""
     if not 2 <= p <= MAX_LATTICE_PRIME:
         raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
     prime_field(p)  # NotPrime for a composite p
-    _check_residue_form(p, n, k, leading, tail)
-    total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * n), k, leading, tail)
+    total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * f.n), f)
     return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
 
 
@@ -130,16 +146,16 @@ def _residue_route_fits(p: int) -> bool:
     return (p - 1) ** 2 < 1 << 63
 
 
-def _integer_route_fits(k: int, leading, tail: SparsePoly | None, sets) -> bool:
+def _integer_route_fits(f: PowerSumForm, sets) -> bool:
     """Whether f = sum a_i u_i^k + tail, with integer coefficients, stays
     below 2^63 in absolute value, partial sums and products included, at
     every point of the integer sets: with M = max(|u|, 1) over the sets,
     M^k * sum |a_i| + sum |c_e| * M^|e| < 2^63."""
-    terms = [] if tail is None else list(tail.terms())
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in [*leading, *(c for _, c in terms)]):
+    terms = list(f.tail.terms())
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in [*f.leading, *(c for _, c in terms)]):
         return False
     top = max([1] + [abs(u) for s in sets for u in s])
-    bound = top**k * sum(abs(a) for a in leading) + sum(abs(c) * top ** sum(e) for e, c in terms)
+    bound = top**f.k * sum(abs(a) for a in f.leading) + sum(abs(c) * top ** sum(e) for e, c in terms)
     return bound < 1 << 63
 
 
@@ -148,39 +164,19 @@ def _mod(v, p: int | None):
     return v if p is None else v % p
 
 
-def _check_residue_form(p: int | None, n: int, k: int, leading, tail: SparsePoly | None) -> None:
-    """Refuse what the residue evaluator would otherwise truncate or overflow
-    (p None: plain integers, whose size `_integer_route_fits` settles)."""
-    if n < 1:
-        raise HypothesisViolated("need at least one variable")
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise HypothesisViolated(f"k must be an integer >= 1, got {k!r}")
-    if p is not None and not _residue_route_fits(p):
-        raise HypothesisViolated(f"residues mod {p} overflow int64 products; use the exact enumerator")
-    if len(leading) != n:
-        raise HypothesisViolated(f"{len(leading)} leading coefficients for {n} variables")
-    if any(_mod(int(a), p) == 0 for a in leading):
-        raise HypothesisViolated("leading coefficients must be nonzero" + ("" if p is None else f" mod {p}"))
-    if tail is not None and not tail.is_zero:
-        if tail.nvars != n:
-            raise HypothesisViolated(f"tail has {tail.nvars} variables, expected {n}")
-        if tail.degree >= k:
-            raise HypothesisViolated(f"tail degree {tail.degree} must be < k = {k}")
-
-
-def _residue_values(p: int | None, axes, k: int, leading, tail: SparsePoly | None) -> np.ndarray:
-    """int64 grid of f = sum a_i x_i^k + tail mod p over the open mesh ``axes``
-    of np.ix_: each power is taken once per coordinate and broadcast.  Each
-    product, at most (p-1)^2, is reduced before it is summed.  With p None
-    the grid holds f itself, unreduced, which `_integer_route_fits` must
-    have shown to fit int64."""
+def _residue_values(p: int | None, axes, f: PowerSumForm) -> np.ndarray:
+    """int64 grid of f mod p over the open mesh ``axes`` of np.ix_: each
+    power is taken once per coordinate and broadcast.  Each product, at most
+    (p-1)^2, is reduced before it is summed.  With p None the grid holds f
+    itself, unreduced, which `_integer_route_fits` must have shown to fit
+    int64."""
 
     def power(x, e):
         return x**e if p is None else _pow_mod_grid(x, e, p)
 
-    total = _mod(sum((_mod(_mod(int(a), p) * power(x, k), p) for a, x in zip(leading, axes)), np.int64(0)), p)
-    if tail is not None and not tail.is_zero:
-        for exps, c in tail.terms():
+    total = _mod(sum((_mod(_mod(int(a), p) * power(x, f.k), p) for a, x in zip(f.leading, axes)), np.int64(0)), p)
+    if not f.tail.is_zero:
+        for exps, c in f.tail.terms():
             term = _mod(int(c), p)
             for x, e in zip(axes, exps):
                 if e:
@@ -255,8 +251,9 @@ def lattice_min_cardinality(
     popcounts fold into acc[|A_1|] at once.
     """
     n = len(leading)
+    f = _residue_form(p, n, k, leading, tail)
     _check_bytes((3 * p + 3) * (1 << p) ** (n - 1), f"the GF({p}), n = {n} lattice")
-    S = _value_table(p, k, leading, tail)
+    S = _value_table(p, f)
     if restricted:
         S[~_injective(np.ix_(*[np.arange(p)] * n))] = 0
     for axis in range(n - 1, 0, -1):
@@ -321,11 +318,9 @@ def family_cardinality_fast(
     distinct values.
     """
     n = len(sets)
-    if leading is None:
-        leading = (1,) * n
-    prime_field(p)  # NotPrime for a composite p
+    f = _residue_form(p, n, k, leading, tail)
     _check_bytes(prod(len(s) for s in sets) * _grid_bytes(n), f"a family of {n} sets")
-    return _family_counts(p, sets, k, leading, tail, (restricted,))[0]
+    return _family_counts(p, sets, f, (restricted,))[0]
 
 
 def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
@@ -337,20 +332,21 @@ def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
     denominators; a nonzero scale keeps values apart and u_i = u_j iff
     x_i = x_j, so the counts are unchanged.
     """
-    space = prod(family.sizes)
-    if space > guard_tuples:
-        raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
-    field, tail = family.field, f.tail
+    field = family.field
+    _field_leading(field, family.n, f.leading)
+    _check_tuple_guard(family.sizes, guard_tuples)
     if field.is_prime_field:
+        grid_form = f
         sets = [[x.value for x in s] for s in family.sets]
         fits = _residue_route_fits(field.p)
     else:
         scale = lcm(*(x.value.denominator for s in family.sets for x in s))
         sets = [[int(x.value * scale) for x in s] for s in family.sets]
-        tail = SparsePoly(tail.nvars, {e: c * scale ** (f.k - sum(e)) for e, c in tail.terms()})
-        fits = _integer_route_fits(f.k, f.leading, tail, sets)
+        tail = SparsePoly(f.n, {e: c * scale ** (f.k - sum(e)) for e, c in f.tail.terms()})
+        grid_form = PowerSumForm(f.k, f.leading, tail)
+        fits = _integer_route_fits(grid_form, sets)
     if fits:
-        return _family_counts(field.p, sets, f.k, f.leading, tail, variants)
+        return _family_counts(field.p, sets, grid_form, variants)
     exact = {True: restricted_value_set, False: unrestricted_value_set}
     return tuple(exact[restricted](family, f, guard_tuples).cardinality for restricted in variants)
 
@@ -361,30 +357,32 @@ def _grid_bytes(n: int) -> int:
     return 8 * (n + 3)
 
 
-def _family_counts(p: int | None, sets, k: int, leading, tail: SparsePoly | None, variants) -> tuple:
+def _family_counts(p: int | None, sets, f: PowerSumForm, variants) -> tuple:
     """Value-set cardinality of one family for each flag of ``variants``
     (True: pairwise-distinct tuples only), all from one evaluation of f,
-    over GF(p), or over the integers when p is None.
+    over GF(p), or over the integers when p is None.  The caller has checked
+    f against the field and the number of sets.
 
     The tuple grid is cut into boxes of at most `LATTICE_BYTE_GUARD` bytes,
     slabs along the first set, so a family of any size is counted; the
     distinct values of each box are merged into those of the boxes before.
     """
     n = len(sets)
-    _check_residue_form(p, n, k, leading, tail)
     reduced = [[_mod(int(x), p) for x in s] for s in sets]
     for i, s in enumerate(reduced, start=1):
         if len(set(s)) != len(s):
             where = "" if p is None else f" mod {p}"
             raise HypothesisViolated(f"set {i} repeats an element{where}: {list(sets[i - 1])}")
-    if p is None and not _integer_route_fits(k, leading, tail, reduced):
+    if p is not None and not _residue_route_fits(p):
+        raise HypothesisViolated(f"residues mod {p} overflow int64 products; use the exact enumerator")
+    if p is None and not _integer_route_fits(f, reduced):
         raise HypothesisViolated("integer values may overflow int64; use the exact enumerator")
     coords = [np.asarray(s, dtype=np.int64) for s in reduced]
     budget = max(LATTICE_BYTE_GUARD // _grid_bytes(n), 1)
     seen = [None] * len(variants)
     for box in _boxes(coords, budget):
         axes = np.ix_(*box)
-        total = _residue_values(p, axes, k, leading, tail)
+        total = _residue_values(p, axes, f)
         for j, restricted in enumerate(variants):
             vals = total[_injective(axes)] if restricted else total.ravel()
             seen[j] = _distinct(vals if seen[j] is None else np.concatenate((seen[j], vals)))

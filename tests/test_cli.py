@@ -960,6 +960,22 @@ def test_proof_replay_expanded_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_proof_replay_past_the_tuple_guard(tmp_path, capsys):
+    # the shrunk sizes 5, 6, 7, 8 span 1680 tuples: past a guard of 30 the
+    # expanded certificate fails, and the witness alone is skipped and said so
+    family = {"field": "gf(13)", "sets": [list(range(s)) for s in (6, 7, 8, 8)]}
+    cfg = write_config(tmp_path, {"family": family, "k": 2, "expand_certificate": True})
+    assert cli.main(["proof-replay", "--config", cfg, "--guard-tuples", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family spans 1680 tuples, guard is 30\n"
+    cfg = write_config(tmp_path, {"family": family, "k": 2}, "witness.json")
+    assert cli.main(["proof-replay", "--config", cfg, "--guard-tuples", "30"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["witness"] is None
+    assert captured.err.endswith("(nonzero), witness skipped by the tuple guard\n")
+
+
 def test_proof_replay_rational_family(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

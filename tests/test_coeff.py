@@ -18,7 +18,6 @@ from restrictedsums import (
     NotInvariant,
     NullstellensatzInstance,
     PowerSumForm,
-    ResidueClasses,
     SetFamily,
     SparsePoly,
     certify,
@@ -34,6 +33,7 @@ from restrictedsums import (
     vandermonde,
 )
 from restrictedsums import poly
+from restrictedsums.coeff import _shifted_classes
 from restrictedsums.poly import _product
 from permutations import Permutation, falling_factorial
 
@@ -168,26 +168,24 @@ def test_falling_factorial_determinant_equals_power_determinant(t):
 
 
 def test_residue_classes():
-    rc = ResidueClasses(5, 2)
-    assert rc.positions(1) == (1, 3, 5)
-    assert rc.positions(2) == (2, 4)
-    assert rc.all_classes() == ((1, 3, 5), (2, 4))
-    assert rc.class_size(1) == 3
-    assert rc.class_size(2) == 2
-    with pytest.raises(ValueError):
-        rc.positions(3)
-    with pytest.raises(HypothesisViolated):
-        ResidueClasses(2, 3)
+    # positions 1..5 fall in the classes {1, 3, 5} and {2, 4} mod 2; each
+    # entry is q at that position plus its offset within the class
+    q = (10, 20, 30, 40, 50)
+    assert _shifted_classes(q, 2) == [[10, 31, 52], [20, 41]]
+    assert _shifted_classes(q, 1) == [[10, 21, 32, 43, 54]]
+    assert _shifted_classes(q, 5) == [[10], [20], [30], [40], [50]]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_residue_classes_partition(n):
+    # q = 100, 101, ... makes each entry name its position: the classes
+    # partition 1..n by position mod k, each class in increasing order
+    q = tuple(range(100, 100 + n))
     for k in range(1, n + 1):
-        rc = ResidueClasses(n, k)
-        flat = [p for cls in rc.all_classes() for p in cls]
-        assert sorted(flat) == list(range(1, n + 1))
-        for s in range(1, k + 1):
-            assert rc.class_size(s) == len(rc.positions(s))
+        positions = [[c - j - 99 for j, c in enumerate(shifted)] for shifted in _shifted_classes(q, k)]
+        assert sorted(x for cls in positions for x in cls) == list(range(1, n + 1))
+        for s, cls in enumerate(positions, start=1):
+            assert cls == list(range(s, n + 1, k))
 
 
 # ---------- the coefficient identity ----------

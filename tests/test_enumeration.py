@@ -1,11 +1,14 @@
 """Exhaustive value-set enumeration: the ground truth every bound is
 checked against."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from restrictedsums import (
+    DEFAULT_TUPLE_GUARD,
     ArityMismatch,
     ConfigError,
     HypothesisViolated,
@@ -15,16 +18,21 @@ from restrictedsums import (
     SearchSpaceTooLarge,
     SetFamily,
     SparsePoly,
+    family_cardinality_fast,
     family_from_json,
     family_to_json,
+    lattice_min_cardinality,
     multiplicity_value_set,
     parse_poly,
     prime_field,
+    proof_replay,
     rational_field,
     restricted_value_set,
     roots_model_cardinality,
     unrestricted_value_set,
 )
+from restrictedsums.bounds import BOUNDS
+from restrictedsums.sweeps import _value_counts
 
 
 # ---------- families ----------
@@ -158,11 +166,72 @@ def test_form_family_shape_mismatches():
     with pytest.raises(ArityMismatch):
         restricted_value_set(fam, PowerSumForm.unit(3, 1))
     other = prime_field(5)
-    bad = PowerSumForm(1, (other.element(1), other.element(1)), SparsePoly.zero(2))
-    from restrictedsums import FieldMismatch
+    with pytest.raises(HypothesisViolated):  # leading coefficients are plain numbers
+        PowerSumForm(1, (other.element(1), other.element(1)), SparsePoly.zero(2))
 
-    with pytest.raises(FieldMismatch):
-        restricted_value_set(fam, bad)
+
+# ---------- what a valid form is, on every route ----------
+
+GF7 = prime_field(7)
+TWO_SETS = [[0, 1, 2], [3, 4]]
+
+# (k, leading, tail) on the two sets over GF(7), and the class every route
+# refuses it with
+BAD_FORMS = [
+    (2, (1, 7), None, HypothesisViolated),  # a leading coefficient = 0 mod 7
+    (2, (Fraction(1, 2), 1), None, HypothesisViolated),  # no element of GF(7)
+    (2, (GF7.element(1), 1), None, HypothesisViolated),  # leading coefficients are plain numbers
+    (0, (1, 1), None, HypothesisViolated),
+    (-1, (1, 1), None, HypothesisViolated),
+    (2.0, (1, 1), None, HypothesisViolated),
+    (True, (1, 1), None, HypothesisViolated),
+    (2, (1, 1), parse_poly("x1^2 + x2", nvars=2), HypothesisViolated),  # tail degree >= k
+    (2, (1, 1), parse_poly("x1*x2*x3", nvars=3), ArityMismatch),  # a tail in three variables
+    (2, (1, 1, 1), None, ArityMismatch),  # three variables for two sets
+]
+
+
+@pytest.mark.parametrize("k, leading, tail, error", BAD_FORMS)
+def test_every_route_refuses_the_same_forms(k, leading, tail, error):
+    with pytest.raises(error):
+        family_cardinality_fast(7, TWO_SETS, k, leading, tail)
+    if len(leading) == len(TWO_SETS):  # the lattice takes n from the form
+        with pytest.raises(error):
+            lattice_min_cardinality(7, k, leading, tail)
+    try:
+        f = PowerSumForm(k, leading, tail if tail is not None else SparsePoly.zero(len(leading)))
+    except error:
+        return  # no route can be handed this form
+    fam = SetFamily.from_elements(GF7, TWO_SETS)
+    routes = [
+        lambda: restricted_value_set(fam, f),
+        lambda: unrestricted_value_set(fam, f),
+        lambda: _value_counts(fam, f, (True, False), DEFAULT_TUPLE_GUARD),
+        lambda: proof_replay(fam, k, f=f),
+    ]
+    for route in routes:
+        with pytest.raises(error):
+            route()
+
+
+def test_leading_coefficients_are_read_in_the_field_on_every_route():
+    # 8 = 1 in GF(7): the replay and the unit-coefficient bounds accept it
+    fam = SetFamily.from_elements(GF7, [[0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5]])
+    eights, ones = PowerSumForm(2, (8, 8, 8), SparsePoly.zero(3)), PowerSumForm.unit(3, 2)
+    replay = proof_replay(fam, 2, f=eights, expand_certificate=True)
+    assert replay.to_json_dict() == proof_replay(fam, 2, f=ones, expand_certificate=True).to_json_dict()
+    assert BOUNDS["thm12"].evaluate(fam, 2, (8, 8, 8)) == BOUNDS["thm12"].evaluate(fam, 2, (1, 1, 1)) == 4
+    assert restricted_value_set(fam, eights).values == restricted_value_set(fam, ones).values
+    # over Q a fraction is a valid coefficient, and scaling the whole form
+    # by a nonzero constant keeps every count
+    QQ = rational_field()
+    fam = SetFamily.from_elements(QQ, [[0, 1, Fraction(1, 2)], [2, Fraction(-1, 3), 5]])
+    half = PowerSumForm(2, (Fraction(1, 2), 3), parse_poly("x1 - 1", nvars=2))
+    doubled = PowerSumForm(2, (1, 6), parse_poly("2*x1 - 2", nvars=2))
+    counts = (restricted_value_set(fam, half).cardinality, unrestricted_value_set(fam, half).cardinality)
+    assert _value_counts(fam, half, (True, False), DEFAULT_TUPLE_GUARD) == counts
+    assert _value_counts(fam, doubled, (True, False), DEFAULT_TUPLE_GUARD) == counts
+    assert BOUNDS["thm11u"].evaluate(fam, 2, half.leading) == BOUNDS["thm11u"].evaluate(fam, 2, (1, 1))
 
 
 def test_search_space_guard():

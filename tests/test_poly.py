@@ -502,7 +502,6 @@ def test_power_sum_form_unit():
     F = prime_field(7)
     # 2^3 + 3^3 = 35, divisible by 7
     assert form.eval((F.element(2), F.element(3))).is_zero
-    assert form.has_unit_leading
     assert form.n == 2
 
 
@@ -511,7 +510,6 @@ def test_power_sum_form_with_leading_and_tail():
     F = prime_field(5)
     form = PowerSumForm(2, (2, 1), parse_poly("x1 + 1", nvars=2))
     assert form.eval((F.element(1), F.element(3))) == F.element(3)
-    assert not form.has_unit_leading
 
 
 def test_power_sum_form_guards():

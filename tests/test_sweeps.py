@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from restrictedsums import (
+    ArityMismatch,
     HypothesisViolated,
     NotPrime,
     PowerSumForm,
@@ -118,7 +119,7 @@ def test_value_table_matches_field_evaluation():
     F = prime_field(p)
     tail = random_tail(random.Random(3), 2, k)
     form = PowerSumForm(k, (2, 3), tail)
-    table = _value_table(p, k, (2, 3), tail)
+    table = _value_table(p, form)
     assert table.shape == (p, p) and table.dtype == np.uint8
     for x1 in range(p):
         for x2 in range(p):
@@ -128,22 +129,21 @@ def test_value_table_matches_field_evaluation():
 
 def test_value_table_guards():
     with pytest.raises(HypothesisViolated):
-        _value_table(11, 2, (1, 1))  # beyond the uint8 lattice limit
+        _value_table(11, PowerSumForm.unit(2, 2))  # beyond the uint8 lattice limit
+    # the form is checked once, by the entry that builds it
     with pytest.raises(HypothesisViolated):
-        _value_table(5, 2, (5, 1))  # leading coefficient dies mod 5
-    with pytest.raises(HypothesisViolated):
-        _value_table(5, 2, (1, 1), random_tail(random.Random(0), 3, 2))  # arity
+        lattice_min_cardinality(5, 2, (5, 1))  # leading coefficient dies mod 5
+    with pytest.raises(ArityMismatch):
+        lattice_min_cardinality(5, 2, (1, 1), random_tail(random.Random(0), 3, 2))  # arity
     bad_tail = parse_poly("x1^3", nvars=2)
     with pytest.raises(HypothesisViolated):
-        _value_table(5, 2, (1, 1), bad_tail)  # tail degree >= k
+        lattice_min_cardinality(5, 2, (1, 1), bad_tail)  # tail degree >= k
     for k in (0, -1, 2.0, True):  # k = -1 once looped forever in _pow_mod_grid
-        with pytest.raises(HypothesisViolated):
-            _value_table(5, k, (1, 1))
         with pytest.raises(HypothesisViolated):
             lattice_min_cardinality(5, k, (1, 1))
     for p in (4, 6, 8):  # Z/p is no field
         with pytest.raises(NotPrime):
-            _value_table(p, 2, (1, 1))
+            _value_table(p, PowerSumForm.unit(2, 2))
         with pytest.raises(NotPrime):
             lattice_min_cardinality(p, 2, (1, 1))
 
@@ -182,7 +182,7 @@ def family_mask(S, p, masks):
 @pytest.mark.parametrize("restricted", [True, False])
 def test_fold_masks_exhaustive_p3(restricted):
     p, k = 3, 1
-    S = fold_trailing_axes(_value_table(p, k, (1, 1)), p, restricted)
+    S = fold_trailing_axes(_value_table(p, PowerSumForm.unit(2, k)), p, restricted)
     assert S.shape == (3, 8)
     for m1 in range(8):
         for m2 in range(8):
@@ -201,7 +201,7 @@ def test_fold_masks_random_p5_n3(restricted):
     rng = random.Random(derive_seed("fold", p, k, restricted))
     leading = random_leading(rng, 3, p)
     tail = random_tail(rng, 3, k)
-    S = fold_trailing_axes(_value_table(p, k, leading, tail), p, restricted)
+    S = fold_trailing_axes(_value_table(p, PowerSumForm(k, leading, tail)), p, restricted)
     assert S.shape == (5, 32, 32)
     for _ in range(25):
         masks = [mask_of(random_subset(rng, p, rng.randint(1, p))) for _ in range(3)]
@@ -212,7 +212,7 @@ def test_fold_masks_random_p5_n3(restricted):
 
 def test_fold_masks_single_variable():
     p = 5
-    S = fold_trailing_axes(_value_table(p, 2, (1,)), p, True)
+    S = fold_trailing_axes(_value_table(p, PowerSumForm.unit(1, 2)), p, True)
     assert S.shape == (5,)
     # squares mod 5: {0,1,4}; subset {1,2,3} -> values {1,4,4} -> mask 0b10010
     assert family_mask(S, p, (mask_of((1, 2, 3)),)) == mask_of((1, 4))
@@ -314,11 +314,12 @@ def test_lattice_route_agrees_with_per_family_route():
     rng = random.Random(derive_seed("routes", p, k))
     leading = random_leading(rng, 2, p)
     tail = random_tail(rng, 2, k)
+    form = PowerSumForm(k, leading, tail)
     subsets = [c for s in range(1, p + 1) for c in itertools.combinations(range(p), s)]
     minima = {}
     for sets in itertools.product(subsets, repeat=2):
         sizes = tuple(len(s) for s in sets)
-        counts = _family_counts(p, sets, k, leading, tail, (True, False))
+        counts = _family_counts(p, sets, form, (True, False))
         minima[sizes] = [min(c, m) for c, m in zip(counts, minima.get(sizes, counts))]
     for j, restricted in enumerate((True, False)):
         got = lattice_min_cardinality(p, k, leading, tail, restricted)
@@ -451,7 +452,9 @@ def test_residue_route_stops_where_int64_products_overflow():
     ],
 )
 def test_family_cardinality_fast_refuses_bad_forms(leading, tail):
-    with pytest.raises(HypothesisViolated):
+    # a count of variables other than two is an ArityMismatch, as on every route
+    arity = len(leading) != 2 or tail is not None and tail.nvars != 2
+    with pytest.raises(ArityMismatch if arity else HypothesisViolated):
         family_cardinality_fast(7, [[0, 1, 2], [3, 4]], 2, leading, tail)
 
 
@@ -478,14 +481,15 @@ def test_integer_grid_refuses_values_past_int64():
     # |u| <= 2^31 - 1 with two unit leading coefficients and k = 2 fits
     # int64; one step further the shapes no longer prove it
     top = 2**31 - 1
-    assert _integer_route_fits(2, (1, 1), None, [[0, top], [-top]])
-    assert not _integer_route_fits(2, (1, 1), None, [[0, top + 1], [-top]])
-    assert _family_counts(None, [[0, top], [0, top]], 2, (1, 1), None, (True, False)) == (1, 3)
+    form = PowerSumForm.unit(2, 2)
+    assert _integer_route_fits(form, [[0, top], [-top]])
+    assert not _integer_route_fits(form, [[0, top + 1], [-top]])
+    assert _family_counts(None, [[0, top], [0, top]], form, (True, False)) == (1, 3)
     with pytest.raises(HypothesisViolated):
-        _family_counts(None, [[0, top + 1], [0, top]], 2, (1, 1), None, (True, False))
+        _family_counts(None, [[0, top + 1], [0, top]], form, (True, False))
     # non-integer coefficients never take the integer grid
-    assert not _integer_route_fits(1, (Fraction(1, 2),), None, [[0, 1]])
-    assert not _integer_route_fits(2, (1,), SparsePoly(1, {(1,): Fraction(1, 3)}), [[0, 1]])
+    assert not _integer_route_fits(PowerSumForm(1, (Fraction(1, 2),), SparsePoly.zero(1)), [[0, 1]])
+    assert not _integer_route_fits(PowerSumForm(2, (1,), SparsePoly(1, {(1,): Fraction(1, 3)})), [[0, 1]])
 
 
 # ---------- the route chooser of the CLI scans ----------
