@@ -16,14 +16,16 @@ import random
 from restrictedsums import (
     ExtendedNat,
     MultiplicityProfile,
+    PowerSumForm,
+    SetFamily,
     check_lattice_bounds,
     derive_seed,
     equal_size_bound,
-    family_cardinality_fast,
     lattice_min_cardinality,
     multiplicity_value_set,
     prime_field,
     random_tail,
+    restricted_value_set,
     roots_model_cardinality,
 )
 from restrictedsums.bounds import BOUNDS
@@ -59,15 +61,16 @@ for m in range(2, p + 1):
     print(f"  m = {m}: bound {bound}, minimum {actual}{marker}")
     assert actual >= bound
 
-# The lattice aggregates; the per-family route pins down one witness.
+# The lattice aggregates; the exact enumerator pins down one witness.
 # Find a family realizing the minimum at profile (3, 3).
 target = int(min_card[3, 3])
+form = PowerSumForm.unit(2, k, tail)
 from itertools import combinations
 
 witness = None
 for a1 in combinations(range(p), 3):
     for a2 in combinations(range(p), 3):
-        if family_cardinality_fast(p, [a1, a2], k, None, tail) == target:
+        if restricted_value_set(SetFamily.from_elements(field, [a1, a2]), form).cardinality == target:
             witness = (a1, a2)
             break
     if witness:

@@ -25,6 +25,7 @@ from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     MultiplicityProfile,
     SetFamily,
+    _field_leading,
     family_from_json,
     multiplicity_value_set,
 )
@@ -284,9 +285,10 @@ def _parse_leading(cfg: dict, field, n: int) -> tuple:
         or not all(isinstance(a, int) and not isinstance(a, bool) for a in raw)
     ):
         raise ConfigError(f'"leading" must be a list of {n} integers')
-    for a in raw:
-        if field.embed(a).is_zero:
-            raise ConfigError(f"leading coefficient {a} vanishes in {field}")
+    try:
+        _field_leading(field, n, raw)
+    except HypothesisViolated as exc:
+        raise ConfigError(str(exc)) from exc
     return tuple(raw)
 
 

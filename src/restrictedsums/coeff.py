@@ -25,7 +25,7 @@ from .bounds import floor_minima
 from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     SetFamily,
-    _field_leading,
+    _field_form,
     restricted_value_set,
 )
 from .errors import HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
@@ -338,7 +338,7 @@ def proof_replay(
         f = PowerSumForm.unit(n, k)
     if f.k != k:
         raise HypothesisViolated(f"form has k = {f.k}, replay needs k = {k}")
-    if any(a != family.field.one for a in _field_leading(family.field, n, f.leading)):
+    if any(a != family.field.one for a in _field_form(family.field, n, f)):
         raise HypothesisViolated("replay requires unit leading coefficients")
     char = family.field.characteristic
     plan = replay_shrink(sizes, k, char)

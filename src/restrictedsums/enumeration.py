@@ -129,6 +129,20 @@ def _field_leading(field: FieldDescriptor, n: int, leading) -> tuple:
     return tuple(lead)
 
 
+def _field_form(field: FieldDescriptor, n: int, f: PowerSumForm) -> tuple:
+    """The form's leading coefficients mapped into ``field`` by
+    `_field_leading`, once the tail's coefficients are shown to be elements
+    of ``field`` too (a fraction is none of GF(p)): the check of a whole
+    form that every counting route makes, once per family."""
+    lead = _field_leading(field, n, f.leading)
+    for _, c in f.tail.terms():
+        try:
+            field.element(c)
+        except (ValueError, TypeError) as exc:
+            raise HypothesisViolated(f"tail coefficient {c} is not in {field}") from exc
+    return lead
+
+
 def _check_tuple_guard(sizes, guard_tuples: int) -> None:
     """Refuse a family whose tuple grid is larger than the guard."""
     space = prod(sizes)
@@ -138,7 +152,7 @@ def _check_tuple_guard(sizes, guard_tuples: int) -> None:
 
 def _enumerate(family, f, restricted, guard_tuples, collect_witnesses):
     field, n = family.field, family.n
-    leading = _field_leading(field, n, f.leading)
+    leading = _field_form(field, n, f)
     _check_tuple_guard(family.sizes, guard_tuples)
     # a_i * x^k once per element, not once per tuple
     lead = [{x: a * x**f.k for x in s} for a, s in zip(leading, family.sets)]

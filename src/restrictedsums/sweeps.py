@@ -12,35 +12,36 @@ against the exact backtracking enumerator in the test suite:
     per-profile minimum, so no (2^p)^n grid of masks is ever built.  Peak
     memory is about (3p+3)*(2^p)^(n-1) bytes: 50 MB and a fraction of a
     second for GF(7), n = 4;
-  * a per-family vectorized evaluation (`family_cardinality_fast`) for
-    seeded samples at primes too large for the lattice.  The same evaluation
-    serves the CLI's `verify-bounds` and `tightness` scans through
-    `_value_counts`, the one function that picks a family's route: it takes
-    a family's restricted and unrestricted counts from one int64 grid, cut
-    into slabs along the first set past the byte guard, so every family the
-    tuple guard admits is counted.  Over GF(p) the grid holds residues,
-    whose products must fit int64, so it needs (p-1)^2 < 2^63.  Over Q it
-    scales the family to integers u = L*x and the form to L^k*f, and the
-    grid holds those integer values unreduced; it needs integer
-    coefficients and a bound from the shapes (`_integer_route_fits`) that no
-    value or partial sum passes 2^63.  Whatever fails these goes to the
-    exact enumerator, which stays the oracle.
+  * the per-family int64 grid (`_family_counts`), reached only through
+    `_value_counts`, the one function that picks a family's route.  It
+    serves the CLI's `verify-bounds` and `tightness` scans and the sampled
+    families of the acceptance criteria: it takes a family's restricted and
+    unrestricted counts from one int64 grid, cut into slabs along the first
+    set past the byte guard, so every family the tuple guard admits is
+    counted.  Over GF(p) the grid holds residues, whose products must fit
+    int64, so it needs (p-1)^2 < 2^63.  Over Q it scales the family to
+    integers u = L*x and the form to L^k*f, and the grid holds those integer
+    values unreduced; it needs integer coefficients and a bound from the
+    shapes (`_integer_route_fits`) that no value or partial sum passes 2^63.
+    Whatever fails these goes to the exact enumerator, which stays the
+    oracle.
 
 Every route reads the form as a `PowerSumForm`: leading coefficients are
 ints, or Fractions over Q, and a form whose leading coefficient vanishes in
-the field (or is no element of it) is refused by every route, through the
-one check `enumeration._field_leading`.  The two raw-residue entries,
-`lattice_min_cardinality` and `family_cardinality_fast`, take
-(p, k, leading, tail) and build the form once (`_residue_form`).  Over Q a
-form can be scaled by a nonzero constant without changing its value-set
-cardinality, which is what lets the integer grid hold L^k*f.
+the field, or with a coefficient that is no element of it, is refused by
+every route, through the one check `enumeration._field_form`.  The grid
+reads a `SetFamily`, whose sets are distinct elements of one field; the
+lattice alone takes raw (p, k, leading, tail) and builds the form itself.
+Over Q a form can be scaled by a nonzero constant without changing its
+value-set cardinality, which is what lets the integer grid hold L^k*f.
 
 Both routes drop tuples with a repeated coordinate by one mask, `_injective`:
 the per-family grid is filtered with it, and the lattice zeroes its value
 table with it, so its folds, plain ORs, need no injectivity logic.
 
-Every array these routes allocate is sized from the shapes first and refused
-with `SearchSpaceTooLarge` when it would pass `LATTICE_BYTE_GUARD` bytes.
+The lattice is sized from the shapes first and refused with
+`SearchSpaceTooLarge` when it would pass `LATTICE_BYTE_GUARD` bytes; a
+family grid is never refused by bytes, only counted in slabs.
 
 Elements of GF(p) are the residues 0..p-1 throughout, so on the lattice a
 subset is a p-bit mask and a set of attained values is again a p-bit mask.
@@ -55,20 +56,13 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .enumeration import _check_tuple_guard, _field_leading, restricted_value_set, unrestricted_value_set
+from .enumeration import _check_tuple_guard, _field_form, restricted_value_set, unrestricted_value_set
 from .errors import HypothesisViolated, SearchSpaceTooLarge
 from .fields import prime_field
 from .poly import PowerSumForm, SparsePoly
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
 LATTICE_BYTE_GUARD = 1 << 30  # largest allocation, in bytes, a sweep may ask for
-
-
-def _check_bytes(nbytes: int, what: str) -> None:
-    if nbytes > LATTICE_BYTE_GUARD:
-        raise SearchSpaceTooLarge(
-            f"{what} needs about {nbytes} bytes, over the {LATTICE_BYTE_GUARD}-byte guard"
-        )
 
 
 # ---------- seeded randomness ----------
@@ -121,21 +115,11 @@ def random_sizes(rng: random.Random, n: int, low_fn, high: int) -> tuple:
 # ---------- route 1: the subset lattice ----------
 
 
-def _residue_form(p: int, n: int, k: int, leading, tail: SparsePoly | None) -> PowerSumForm:
-    """The form f = sum a_i x_i^k + tail that a raw-residue entry describes
-    on n sets of GF(p) (all a_i = 1 when ``leading`` is None, no tail when
-    ``tail`` is None), checked against GF(p) as every route checks it."""
-    f = PowerSumForm(k, (1,) * n if leading is None else leading, SparsePoly.zero(n) if tail is None else tail)
-    _field_leading(prime_field(p), n, f.leading)
-    return f
-
-
 def _value_table(p: int, f: PowerSumForm) -> np.ndarray:
     """uint8 grid of shape (p,)*n holding the bit 1 << f(x) for every tuple x
-    of GF(p)^n."""
+    of GF(p)^n; the lattice has built GF(p), so p is prime."""
     if not 2 <= p <= MAX_LATTICE_PRIME:
         raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
-    prime_field(p)  # NotPrime for a composite p
     total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * f.n), f)
     return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
 
@@ -251,8 +235,14 @@ def lattice_min_cardinality(
     popcounts fold into acc[|A_1|] at once.
     """
     n = len(leading)
-    f = _residue_form(p, n, k, leading, tail)
-    _check_bytes((3 * p + 3) * (1 << p) ** (n - 1), f"the GF({p}), n = {n} lattice")
+    f = PowerSumForm(k, leading, SparsePoly.zero(n) if tail is None else tail)
+    _field_form(prime_field(p), n, f)
+    nbytes = (3 * p + 3) * (1 << p) ** (n - 1)
+    if nbytes > LATTICE_BYTE_GUARD:
+        raise SearchSpaceTooLarge(
+            f"the GF({p}), n = {n} lattice needs about {nbytes} bytes, "
+            f"over the {LATTICE_BYTE_GUARD}-byte guard"
+        )
     S = _value_table(p, f)
     if restricted:
         S[~_injective(np.ix_(*[np.arange(p)] * n))] = 0
@@ -303,26 +293,6 @@ def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):
 # ---------- route 2: per-family vectorized evaluation ----------
 
 
-def family_cardinality_fast(
-    p: int,
-    sets,
-    k: int,
-    leading=None,
-    tail: SparsePoly | None = None,
-    restricted: bool = True,
-) -> int:
-    """Value-set cardinality of one family over GF(p), residues as ints.
-
-    Evaluates f on the full tuple grid, drops the tuples with a repeated
-    coordinate by the mask the lattice uses too (`_injective`), and counts
-    distinct values.
-    """
-    n = len(sets)
-    f = _residue_form(p, n, k, leading, tail)
-    _check_bytes(prod(len(s) for s in sets) * _grid_bytes(n), f"a family of {n} sets")
-    return _family_counts(p, sets, f, (restricted,))[0]
-
-
 def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
     """Value-set cardinalities of the form ``f`` on a `SetFamily`, one per
     flag of ``variants`` (True: pairwise-distinct tuples only), with the
@@ -333,7 +303,7 @@ def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
     x_i = x_j, so the counts are unchanged.
     """
     field = family.field
-    _field_leading(field, family.n, f.leading)
+    _field_form(field, family.n, f)
     _check_tuple_guard(family.sizes, guard_tuples)
     if field.is_prime_field:
         grid_form = f
@@ -351,34 +321,22 @@ def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
     return tuple(exact[restricted](family, f, guard_tuples).cardinality for restricted in variants)
 
 
-def _grid_bytes(n: int) -> int:
-    # values, their reduction, the filter, the filtered and the sorted copy,
-    # with room: n + 3 grids of 8 bytes a tuple
-    return 8 * (n + 3)
-
-
 def _family_counts(p: int | None, sets, f: PowerSumForm, variants) -> tuple:
     """Value-set cardinality of one family for each flag of ``variants``
     (True: pairwise-distinct tuples only), all from one evaluation of f,
-    over GF(p), or over the integers when p is None.  The caller has checked
-    f against the field and the number of sets.
+    over GF(p), or over the integers when p is None.  Its one caller,
+    `_value_counts`, has checked f against the field and the number of sets
+    and has chosen this route: each set holds distinct ints, residues mod p
+    or lcm-scaled rationals, on which f provably fits int64.
 
     The tuple grid is cut into boxes of at most `LATTICE_BYTE_GUARD` bytes,
     slabs along the first set, so a family of any size is counted; the
     distinct values of each box are merged into those of the boxes before.
     """
-    n = len(sets)
-    reduced = [[_mod(int(x), p) for x in s] for s in sets]
-    for i, s in enumerate(reduced, start=1):
-        if len(set(s)) != len(s):
-            where = "" if p is None else f" mod {p}"
-            raise HypothesisViolated(f"set {i} repeats an element{where}: {list(sets[i - 1])}")
-    if p is not None and not _residue_route_fits(p):
-        raise HypothesisViolated(f"residues mod {p} overflow int64 products; use the exact enumerator")
-    if p is None and not _integer_route_fits(f, reduced):
-        raise HypothesisViolated("integer values may overflow int64; use the exact enumerator")
-    coords = [np.asarray(s, dtype=np.int64) for s in reduced]
-    budget = max(LATTICE_BYTE_GUARD // _grid_bytes(n), 1)
+    coords = [np.asarray(s, dtype=np.int64) for s in sets]
+    # values, their reduction, the filter, the filtered and the sorted copy,
+    # with room: n + 3 grids of 8 bytes a tuple
+    budget = max(LATTICE_BYTE_GUARD // (8 * (len(sets) + 3)), 1)
     seen = [None] * len(variants)
     for box in _boxes(coords, budget):
         axes = np.ix_(*box)

@@ -13,14 +13,15 @@ from math import factorial, prod
 import pytest
 
 from restrictedsums import (
+    DEFAULT_TUPLE_GUARD,
     ExtendedNat,
+    PowerSumForm,
     SetFamily,
     cli,
     coefficient_formula,
     derive_seed,
     equal_size_bound,
     equal_size_floor_sum,
-    family_cardinality_fast,
     floor_minima,
     lattice_min_cardinality,
     check_lattice_bounds,
@@ -41,6 +42,7 @@ from restrictedsums import (
     vandermonde,
 )
 from restrictedsums.bounds import BOUNDS
+from restrictedsums.sweeps import _value_counts
 from permutations import Permutation
 
 LATTICE_PRIMES = (3, 5, 7)
@@ -84,6 +86,12 @@ def unit_lattice(cache, p, n, k, tail_idx):
         tail = random_tail(rng, n, k)
         cache[key] = lattice_min_cardinality(p, k, (1,) * n, tail)
     return cache[key]
+
+
+def sampled_count(fam, f, restricted):
+    """One sampled family's value-set cardinality, through the route chooser
+    the CLI scans use."""
+    return _value_counts(fam, f, (restricted,), DEFAULT_TUPLE_GUARD)[0]
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -139,17 +147,18 @@ def test_criterion_2_residue_class_bound_sweep(capsys, lattice_cache):
                         checked += c
                         violations.extend((p, n, k, tail_idx) + v for v in viol)
         for p in SAMPLED_PRIMES:
-            char = ExtendedNat(p)
+            field, char = prime_field(p), ExtendedNat(p)
             for n in range(1, 5):
                 for k in range(1, n + 1):
                     rng = random.Random(derive_seed("acceptance-2", p, n, k))
                     for _ in range(SAMPLES_PER_CASE):
                         sizes = random_sizes(rng, n, lambda i: i, 8)
                         sets = [random_subset(rng, p, s) for s in sizes]
+                        fam = SetFamily.from_elements(field, sets)
                         bound = residue_class_bound(sizes, k, char).value
                         for _ in range(TAILS_PER_CASE):
                             tail = random_tail(rng, n, k)
-                            actual = family_cardinality_fast(p, sets, k, None, tail)
+                            actual = sampled_count(fam, PowerSumForm.unit(n, k, tail), True)
                             checked += 1
                             if actual < bound:
                                 violations.append((p, n, k, sets, tail, actual, bound))
@@ -204,20 +213,19 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
                         checked += c
                         violations.extend(("r", p, n, k, tail_idx) + v for v in viol)
         for p in SAMPLED_PRIMES:
-            char = ExtendedNat(p)
+            field, char = prime_field(p), ExtendedNat(p)
             for n in range(1, 5):
                 for k in range(1, n + 1):
                     rng = random.Random(derive_seed("acceptance-3us", p, n, k))
                     for _ in range(SAMPLES_PER_CASE):
                         sizes = random_sizes(rng, n, lambda i: 1, 8)
                         sets = [random_subset(rng, p, s) for s in sizes]
+                        fam = SetFamily.from_elements(field, sets)
                         leading = random_leading(rng, n, p)
                         bound = unrestricted_floor_bound(sizes, k, char).value
                         for _ in range(TAILS_PER_CASE):
                             tail = random_tail(rng, n, k)
-                            actual = family_cardinality_fast(
-                                p, sets, k, leading, tail, restricted=False
-                            )
+                            actual = sampled_count(fam, PowerSumForm(k, leading, tail), False)
                             checked += 1
                             if actual < bound:
                                 violations.append(("u", p, n, k, sets, actual, bound))
@@ -226,11 +234,12 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
                     for _ in range(SAMPLES_PER_CASE):
                         sizes = random_sizes(rng, n, lambda i: i, 8)
                         sets = [random_subset(rng, p, s) for s in sizes]
+                        fam = SetFamily.from_elements(field, sets)
                         leading = random_leading(rng, n, p)
                         bound = restricted_floor_bound(sizes, k, char).value
                         for _ in range(TAILS_PER_CASE):
                             tail = random_tail(rng, n, k)
-                            actual = family_cardinality_fast(p, sets, k, leading, tail)
+                            actual = sampled_count(fam, PowerSumForm(k, leading, tail), True)
                             checked += 1
                             if actual < bound:
                                 violations.append(("r", p, n, k, sets, actual, bound))
@@ -268,17 +277,18 @@ def test_criterion_4_equal_size_bound_and_identity(capsys, lattice_cache):
                             if actual < bound:
                                 violations.append((p, n, k, m, actual, bound))
         for p in SAMPLED_PRIMES:
-            char = ExtendedNat(p)
+            field, char = prime_field(p), ExtendedNat(p)
             for n in range(1, 5):
                 for k in range(1, n + 1):
                     rng = random.Random(derive_seed("acceptance-4", p, n, k))
                     for _ in range(SAMPLES_PER_CASE):
                         m = rng.randint(n, 8)
                         sets = [random_subset(rng, p, m) for _ in range(n)]
+                        fam = SetFamily.from_elements(field, sets)
                         bound = equal_size_bound(m, n, k, char).value
                         for _ in range(TAILS_PER_CASE):
                             tail = random_tail(rng, n, k)
-                            actual = family_cardinality_fast(p, sets, k, None, tail)
+                            actual = sampled_count(fam, PowerSumForm.unit(n, k, tail), True)
                             checked += 1
                             if actual < bound:
                                 violations.append((p, n, k, sets, actual, bound))

@@ -300,6 +300,13 @@ def test_verify_bounds_config_errors_exit_1(tmp_path, capsys, mutate):
     assert "error" in capsys.readouterr().err
 
 
+def test_vanishing_leading_coefficient_is_named_as_every_route_names_it(tmp_path, capsys):
+    cfg = verify_bounds_config()
+    cfg["leading"] = [7, 1]
+    assert cli.main(["verify-bounds", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "config error: leading coefficient a1 = 7 vanishes in gf(7)\n"
+
+
 def test_generation_config_errors(tmp_path, capsys):
     huge_sweep = {
         "field": "gf(13)",

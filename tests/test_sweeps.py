@@ -1,16 +1,19 @@
 """Vectorized sweep routes cross-checked against the exact enumerator."""
 
+import ast
 import gc
 import itertools
 import random
 import tracemalloc
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from restrictedsums import (
+    DEFAULT_TUPLE_GUARD,
     ArityMismatch,
     HypothesisViolated,
     NotPrime,
@@ -20,7 +23,6 @@ from restrictedsums import (
     SparsePoly,
     check_lattice_bounds,
     derive_seed,
-    family_cardinality_fast,
     lattice_min_cardinality,
     parse_poly,
     prime_field,
@@ -142,8 +144,6 @@ def test_value_table_guards():
         with pytest.raises(HypothesisViolated):
             lattice_min_cardinality(5, k, (1, 1))
     for p in (4, 6, 8):  # Z/p is no field
-        with pytest.raises(NotPrime):
-            _value_table(p, PowerSumForm.unit(2, 2))
         with pytest.raises(NotPrime):
             lattice_min_cardinality(p, 2, (1, 1))
 
@@ -350,8 +350,9 @@ def test_byte_guards_refuse_before_allocating():
     assert (1 << 7) ** 4 <= LATTICE_BYTE_GUARD < (1 << 7) ** 5
     with pytest.raises(SearchSpaceTooLarge):
         lattice_min_cardinality(7, 2, (1,) * 5)  # 6.4 GB of slabs
-    with pytest.raises(SearchSpaceTooLarge):
-        family_cardinality_fast(13, [range(13)] * 7, 2)  # 13^7 tuples
+    fam = SetFamily.from_elements(prime_field(13), [range(13)] * 7)
+    with pytest.raises(SearchSpaceTooLarge):  # 13^7 tuples, past the tuple guard
+        _value_counts(fam, PowerSumForm.unit(7, 2), (True,), DEFAULT_TUPLE_GUARD)
 
 
 def test_check_lattice_bounds_clean_and_tight():
@@ -389,57 +390,23 @@ def test_check_lattice_bounds_reports_synthetic_violation():
     assert tight == ()
 
 
-# ---------- the per-family fast route ----------
-
-
-@pytest.mark.parametrize("p", [11, 13])
-def test_family_cardinality_fast_matches_exact(p):
-    rng = random.Random(derive_seed("fast", p))
-    for trial in range(12):
-        n = rng.randint(1, 3)
-        k = rng.randint(1, 3)
-        restricted = rng.random() < 0.5
-        leading = random_leading(rng, n, p)
-        tail = random_tail(rng, n, k)
-        sets = [random_subset(rng, p, rng.randint(max(1, i), 4)) for i in range(1, n + 1)]
-        fast = family_cardinality_fast(p, sets, k, leading, tail, restricted)
-        F = prime_field(p)
-        fam = SetFamily.from_elements(F, sets)
-        form = PowerSumForm(k, leading, tail)
-        run = restricted_value_set if restricted else unrestricted_value_set
-        assert fast == run(fam, form).cardinality, (trial, sets, k, restricted)
-
-
-def test_family_cardinality_fast_degenerate():
-    # identical singleton sets admit no injective pair
-    assert family_cardinality_fast(11, [(3,), (3,)], 2) == 0
-    assert family_cardinality_fast(11, [(3,), (3,)], 2, restricted=False) == 1
-    assert family_cardinality_fast(11, [(0, 1, 2)], 1) == 3
+# ---------- the per-family int64 grid ----------
 
 
 # the largest prime p with (p-1)^2 < 2^63, and the next prime after it
 LAST_INT64_PRIME, FIRST_PRIME_PAST_INT64 = 3_037_000_493, 3_037_000_507
 
 
-@pytest.mark.parametrize("p", [2**31 - 1, LAST_INT64_PRIME])
-def test_family_cardinality_fast_has_no_int64_overflow(p):
-    # four products a*x near p^2 sum past 2^63 unless each is reduced first;
-    # with k = 1 the wrapped sums merge values the exact enumerator keeps apart
-    leading = (p - 1, p - 2, p - 3, p - 4)
-    sets = [[0, 1, p - 1, p - 2, p - 5]] * 4
-    fam = SetFamily.from_elements(prime_field(p), sets)
-    for k in (1, 2):
-        form = PowerSumForm(k, leading, SparsePoly.zero(4))
-        for restricted, run in ((True, restricted_value_set), (False, unrestricted_value_set)):
-            fast = family_cardinality_fast(p, sets, k, leading, None, restricted)
-            assert fast == run(fam, form).cardinality, (k, restricted)
-
-
 def test_residue_route_stops_where_int64_products_overflow():
     assert _residue_route_fits(LAST_INT64_PRIME)
     assert not _residue_route_fits(FIRST_PRIME_PAST_INT64)
-    with pytest.raises(HypothesisViolated):
-        family_cardinality_fast(FIRST_PRIME_PAST_INT64, [[0, 1], [2, 3]], 2)
+
+
+# These four keep the names of `family_cardinality_fast`, the per-family
+# entry that took raw residues; each now checks the entry or the type that
+# refuses the same input.
+
+GF7_PAIR = SetFamily.from_elements(prime_field(7), [[0, 1, 2], [3, 4]])
 
 
 @pytest.mark.parametrize(
@@ -455,26 +422,28 @@ def test_family_cardinality_fast_refuses_bad_forms(leading, tail):
     # a count of variables other than two is an ArityMismatch, as on every route
     arity = len(leading) != 2 or tail is not None and tail.nvars != 2
     with pytest.raises(ArityMismatch if arity else HypothesisViolated):
-        family_cardinality_fast(7, [[0, 1, 2], [3, 4]], 2, leading, tail)
+        f = PowerSumForm(2, leading, tail if tail is not None else SparsePoly.zero(len(leading)))
+        _value_counts(GF7_PAIR, f, (True,), DEFAULT_TUPLE_GUARD)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.0, True])
 def test_family_cardinality_fast_refuses_bad_k(k):
     with pytest.raises(HypothesisViolated):
-        family_cardinality_fast(7, [[0, 1], [2]], k)
+        _value_counts(GF7_PAIR, PowerSumForm.unit(2, k), (True,), DEFAULT_TUPLE_GUARD)
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 3_037_000_493 * 3])
 def test_family_cardinality_fast_refuses_composite_p(p):
+    # the lattice, the one entry left that takes p itself, builds GF(p) first
     with pytest.raises(NotPrime):
-        family_cardinality_fast(p, [[0, 1], [2]], 2)
+        lattice_min_cardinality(p, 2, (1, 1))
 
 
 @pytest.mark.parametrize("sets", [[[0, 7], [1, 2]], [[0, 7], [0, 1]]])
 def test_family_cardinality_fast_refuses_elements_equal_mod_p(sets):
-    # 0 and 7 are one element of GF(7), as SetFamily says
-    with pytest.raises(HypothesisViolated):
-        family_cardinality_fast(7, sets, 1)
+    # 0 and 7 are one element of GF(7): no family, so no route, holds such a set
+    with pytest.raises(ValueError, match="duplicate"):
+        SetFamily.from_elements(prime_field(7), sets)
 
 
 def test_integer_grid_refuses_values_past_int64():
@@ -485,8 +454,6 @@ def test_integer_grid_refuses_values_past_int64():
     assert _integer_route_fits(form, [[0, top], [-top]])
     assert not _integer_route_fits(form, [[0, top + 1], [-top]])
     assert _family_counts(None, [[0, top], [0, top]], form, (True, False)) == (1, 3)
-    with pytest.raises(HypothesisViolated):
-        _family_counts(None, [[0, top + 1], [0, top]], form, (True, False))
     # non-integer coefficients never take the integer grid
     assert not _integer_route_fits(PowerSumForm(1, (Fraction(1, 2),), SparsePoly.zero(1)), [[0, 1]])
     assert not _integer_route_fits(PowerSumForm(2, (1,), SparsePoly(1, {(1,): Fraction(1, 3)})), [[0, 1]])
@@ -499,7 +466,8 @@ def value_counts_cases():
     """(field, family sets, form, whether it takes the int64 grid), seeded:
     GF(13) and small rationals fit the grid; at GF(3 037 000 507) residue
     products overflow int64, and denominators near 10^6 at k = 4 put L^4
-    alone past 2^63, so those two go to the exact enumerator."""
+    alone past 2^63, so those two go to the exact enumerator.  Then a
+    degenerate family, and residues near the largest primes the grid takes."""
     rng = random.Random(derive_seed("value-counts"))
     big = 3_037_000_507
     near_million = [Fraction(a, q) for q in (999_983, 999_979, 999_961) for a in (1, -2)]
@@ -521,6 +489,15 @@ def value_counts_cases():
         sets = [sorted({rng.choice(near_million), *rng.sample(small[:4], rng.randint(0, 2))}) for _ in range(n)]
         yield rational_field(), sets, PowerSumForm(4, leading, random_tail(rng, n, 4)), False
 
+    # identical singletons admit no injective pair, and one plain tuple
+    yield prime_field(11), [[3], [3]], PowerSumForm.unit(2, 2), True
+    # four products a*x near p^2 sum past 2^63 unless each is reduced first;
+    # with k = 1 the wrapped sums would merge values the enumerator keeps apart
+    for p in (2**31 - 1, LAST_INT64_PRIME):
+        for k in (1, 2):
+            form = PowerSumForm(k, (p - 1, p - 2, p - 3, p - 4), SparsePoly.zero(4))
+            yield prime_field(p), [[0, 1, p - 1, p - 2, p - 5]] * 4, form, True
+
 
 def test_value_counts_matches_exact_enumerator(monkeypatch):
     grid_calls = []
@@ -537,7 +514,7 @@ def test_value_counts_matches_exact_enumerator(monkeypatch):
             assert got == tuple(exact[v] for v in variants), (field, sets, f, variants)
             assert len(grid_calls) == int(grid), (field, sets, f)
         routes.append(grid)
-    assert routes.count(True) == routes.count(False) == 8
+    assert (routes.count(True), routes.count(False)) == (13, 8)
 
 
 def test_value_counts_tuple_guard_is_the_enumerators():
@@ -552,3 +529,31 @@ def test_value_counts_tuple_guard_is_the_enumerators():
             restricted_value_set(fam, f, guard_tuples=space - 1)
         assert str(ours.value) == str(theirs.value) == f"family spans {space} tuples, guard is {space - 1}"
         assert _value_counts(fam, f, (False,), space) == (unrestricted_value_set(fam, f).cardinality,)
+
+
+def package_calls():
+    """(module, innermost enclosing function or None, called name) for every
+    call of a name or an attribute in the package's source."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                found.append((module, owner, func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, module, inner)
+
+    for path in sorted(Path(sweeps.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    return found
+
+
+def test_value_counts_is_the_one_entry_to_the_int64_grid():
+    # the route chooser alone reaches the grid, so the grid trusts its choice
+    calls = package_calls()
+    assert [(module, owner) for module, owner, name in calls if name == "_family_counts"] == [
+        ("sweeps.py", "_value_counts")
+    ]
+    in_grid = {name for module, owner, name in calls if (module, owner) == ("sweeps.py", "_family_counts")}
+    assert in_grid and not in_grid & {"_residue_route_fits", "_integer_route_fits"}
