@@ -25,8 +25,8 @@ from .bounds import floor_minima
 from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     SetFamily,
+    _enumerate,
     _field_form,
-    restricted_value_set,
 )
 from .errors import HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
 from .fields import FieldElement
@@ -338,7 +338,8 @@ def proof_replay(
         f = PowerSumForm.unit(n, k)
     if f.k != k:
         raise HypothesisViolated(f"form has k = {f.k}, replay needs k = {k}")
-    if any(a != family.field.one for a in _field_form(family.field, n, f)):
+    leading = _field_form(family.field, n, f)
+    if any(a != family.field.one for a in leading):
         raise HypothesisViolated("replay requires unit leading coefficients")
     char = family.field.characteristic
     plan = replay_shrink(sizes, k, char)
@@ -359,7 +360,7 @@ def proof_replay(
     enum = None
     if witness or expand_certificate:
         try:
-            enum = restricted_value_set(shrunk, f, guard_tuples=guard_tuples, collect_witnesses=True)
+            enum = _enumerate(shrunk, f, leading, True, guard_tuples, True)
         except SearchSpaceTooLarge:
             if expand_certificate:
                 raise

@@ -150,9 +150,11 @@ def _check_tuple_guard(sizes, guard_tuples: int) -> None:
         raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
 
 
-def _enumerate(family, f, restricted, guard_tuples, collect_witnesses):
+def _enumerate(family, f, leading, restricted, guard_tuples, collect_witnesses):
+    """The value set of f on ``family``; ``leading`` holds f's leading
+    coefficients as `_field_form` mapped them into the family's field, so
+    the caller has checked the form once for all its enumerations."""
     field, n = family.field, family.n
-    leading = _field_form(field, n, f)
     _check_tuple_guard(family.sizes, guard_tuples)
     # a_i * x^k once per element, not once per tuple
     lead = [{x: a * x**f.k for x in s} for a, s in zip(leading, family.sets)]
@@ -196,7 +198,8 @@ def restricted_value_set(
     collect_witnesses: bool = False,
 ) -> ValueSetResult:
     """Values of f over tuples with pairwise distinct coordinates."""
-    return _enumerate(family, f, True, guard_tuples, collect_witnesses)
+    leading = _field_form(family.field, family.n, f)
+    return _enumerate(family, f, leading, True, guard_tuples, collect_witnesses)
 
 
 def unrestricted_value_set(
@@ -206,7 +209,8 @@ def unrestricted_value_set(
     collect_witnesses: bool = False,
 ) -> ValueSetResult:
     """Values of f over all tuples of the family."""
-    return _enumerate(family, f, False, guard_tuples, collect_witnesses)
+    leading = _field_form(family.field, family.n, f)
+    return _enumerate(family, f, leading, False, guard_tuples, collect_witnesses)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,22 @@
 """Sparse multivariate polynomials with exact scalars.
 
-Coefficients are arbitrary-precision ints (the default for identity work) or
-:class:`~restrictedsums.fields.FieldElement` values; reduction mod p happens
-only when explicitly requested via :meth:`SparsePoly.reduce`.  Terms are kept
-in graded-lexicographic order so iteration and printing are deterministic.
+Coefficients are arbitrary-precision ints (the default for identity work),
+Fractions or :class:`~restrictedsums.fields.FieldElement` values; reduction
+mod p happens only when explicitly requested via :meth:`SparsePoly.reduce`.
+Terms are kept in graded-lexicographic order so iteration and printing are
+deterministic.
+
+Products, of two factors or of a whole chain, are formed on numpy columns
+(`_packed_product`).  Each exponent vector packs into one integer key, so
+adding two keys multiplies two monomials; the running product is a column
+of keys sorted ascending beside a column of their scalars.  A step forms
+the outer sum of the keys and the outer product of the scalars, groups
+equal keys with one stable argsort and sums them with ``np.add.reduceat``.
+Keys and scalars are int64 where they provably fit and object columns of
+exact Python values where they do not, so nothing ever wraps.  Three
+readers settle the result: `_product` unpacks it into a `SparsePoly`,
+`_product_coefficients` looks up target monomials by one searchsorted, and
+`_product_top` reads the degree and one coefficient.
 """
 
 from __future__ import annotations
@@ -13,6 +26,8 @@ from fractions import Fraction
 from math import comb, factorial, inf
 import re
 
+import numpy as np
+
 from .errors import ArityMismatch, ExpansionTooLarge, HypothesisViolated
 from .fields import FieldDescriptor, FieldElement
 
@@ -20,6 +35,12 @@ from .fields import FieldDescriptor, FieldElement
 DEFAULT_TERM_GUARD = 5_000_000
 
 NEG_INF = -inf
+
+# A chain step multiplies the rows of its left factor in chunks of at most
+# this many term pairs, so its temporaries stay small whatever its size.
+_PAIR_BUDGET = 1 << 18
+
+_WORD = 1 << 63  # int64 holds magnitudes below this
 
 
 def _is_zero_scalar(c) -> bool:
@@ -63,32 +84,111 @@ def _pack(exps, width: int) -> int:
     return key
 
 
-def _packed(p: "SparsePoly", width: int, field) -> list:
-    """p's terms as (key, scalar) pairs; residues in place of GF(p) elements."""
-    return [(_pack(exps, width), c if field is None else c.value) for exps, c in p._terms.items()]
+def _column(values) -> np.ndarray:
+    """Scalars as an int64 column when each is an int of magnitude below
+    2**63, else as an object column holding the values themselves."""
+    if isinstance(values, np.ndarray) and values.dtype == np.int64:
+        return values
+    if all(type(c) is int for c in values) and max(map(abs, values), default=0) < _WORD:
+        return np.array(values, dtype=np.int64)
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
 
 
-def _settled(c, field):
-    """A summed scalar as the product holds it: None if zero, GF(p) residues wrapped."""
-    if field is None:
-        return None if _is_zero_scalar(c) else c
-    c %= field.p
-    return FieldElement(field, c) if c else None
+def _packed(p: "SparsePoly", width: int, field, wide: bool) -> tuple:
+    """p's terms as a key column sorted ascending and a scalar column, with
+    residues in place of GF(p) elements.  Narrow keys are int64, packed for
+    all terms at once; wide ones are Python ints in an object column."""
+    exps = list(reversed(p._terms))
+    scalars = [c if field is None else c.value for c in reversed(p._terms.values())]
+    if wide:
+        keys = np.empty(len(exps), dtype=object)
+        keys[:] = [_pack(e, width) for e in exps]
+    else:
+        matrix = np.array(exps, dtype=np.int64).reshape(len(exps), p.nvars)
+        weights = np.array([1 << s for s in _shifts(p.nvars, width)], dtype=np.int64)
+        keys = (matrix.sum(axis=1) << (p.nvars * width)) + matrix @ weights
+    return keys, _column(scalars)
 
 
-def _unpacked(acc: dict, width: int, nvars: int, field) -> dict:
+def _shifts(nvars: int, width: int) -> list:
+    """The offset of each variable's field in a packed key, x1 first."""
+    return list(range((nvars - 1) * width, -1, -width))
+
+
+def _live(acc: tuple, field) -> tuple:
+    """acc's terms whose scalars settle nonzero, residues reduced mod p."""
+    keys, scalars = acc
+    # residue columns are never negative, so an int64 one is reduced already
+    # when p is past int64
+    if field is not None and (scalars.dtype == object or field.p < _WORD):
+        scalars = scalars % field.p
+    if scalars.dtype == object:
+        live = np.fromiter((not _is_zero_scalar(c) for c in scalars), bool, len(scalars))
+    else:
+        live = scalars != 0
+    return keys[live], scalars[live]
+
+
+def _summed(keys: np.ndarray, scalars: np.ndarray) -> tuple:
+    """The terms with equal keys summed, sorted by key.  The sort is stable,
+    so equal keys are summed in the order their pairs were formed, as the
+    schoolbook product sums them, and timsort merges the sorted runs it is
+    handed (the result so far, and one run per row of a chunk)."""
+    if not len(keys):
+        return keys, scalars
+    order = np.argsort(keys, kind="stable")
+    keys, scalars = keys[order], scalars[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(scalars, starts)
+
+
+def _step_scalars(left: np.ndarray, right: np.ndarray) -> tuple:
+    """The two scalar columns of one step in the dtype it multiplies on:
+    int64 when no sum it forms can reach 2**63 (each key sums at most
+    min(len(left), len(right)) products), else object."""
+    left, right = _column(left), _column(right)
+    if left.dtype == right.dtype == np.int64 and len(left) and len(right):
+        bound = int(np.abs(left).max()) * int(np.abs(right).max()) * min(len(left), len(right))
+        if bound < _WORD:
+            return left, right
+    return left.astype(object), right.astype(object)
+
+
+def _times(acc: tuple, right: tuple, field, max_terms: int) -> tuple:
+    """One step of a chain: the live terms of acc times right, summed by key.
+    Rows of acc go in chunks of at most `_PAIR_BUDGET` pairs, each merged
+    into the sorted result so far; a result of more than ``max_terms`` keys,
+    a count that only grows within a step, raises at once."""
+    keys, scalars = _live(acc, field)
+    right_keys, right_scalars = right
+    scalars, right_scalars = _step_scalars(scalars, right_scalars)
+    out_keys, out_scalars = keys[:0], scalars[:0]
+    rows = max(_PAIR_BUDGET // max(len(right_keys), 1), 1)
+    for start in range(0, len(keys), rows):
+        chunk = slice(start, start + rows)
+        out_keys, out_scalars = _summed(
+            np.concatenate((out_keys, (keys[chunk, None] + right_keys).ravel())),
+            np.concatenate((out_scalars, (scalars[chunk, None] * right_scalars).ravel())),
+        )
+        if len(out_keys) > max_terms:
+            raise ExpansionTooLarge(
+                f"product exceeds {max_terms} terms ({len(keys)} x {len(right_keys)} inputs)"
+            )
+    return out_keys, out_scalars
+
+
+def _unpacked(acc: tuple, width: int, nvars: int, field) -> dict:
     """acc's nonzero terms keyed by exponent vectors, in descending key
-    order; acc is emptied on the way, so it is freed as the result grows."""
-    mask = (1 << width) - 1
-    shifts = range((nvars - 1) * width, -1, -width)
-    terms = {}
-    order = sorted(acc)
-    while order:
-        key = order.pop()
-        c = _settled(acc.pop(key), field)
-        if c is not None:
-            terms[tuple([(key >> s) & mask for s in shifts])] = c
-    return terms
+    order, with GF(p) residues wrapped as elements."""
+    keys, scalars = _live(acc, field)
+    shifts = np.array(_shifts(nvars, width), dtype=keys.dtype)
+    exps = ((keys[::-1, None] >> shifts) & ((1 << width) - 1)).tolist()
+    values = scalars[::-1].tolist()
+    if field is not None:
+        values = [FieldElement(field, c) for c in values]
+    return dict(zip(map(tuple, exps), values))
 
 
 def _packed_product(factors, max_terms: int):
@@ -96,36 +196,32 @@ def _packed_product(factors, max_terms: int):
 
     Every factor is packed once, at a width that holds the sum of their
     degrees; that sum bounds every exponent, so adding two keys multiplies
-    two monomials without a carry.  When every coefficient lies in one GF(p)
-    the loop multiplies plain residues.  Between factors the partial product
-    is reduced mod p and rid of zeros, so each step holds, and guards, the
-    terms a left fold of ``SparsePoly.mul`` would.  Returns the last
-    accumulator unreduced, with its width and field, for a reader to settle.
+    two monomials without a carry.  Keys are int64 while
+    (nvars + 1) * width < 63, which keeps every key of every partial product
+    below 2**62, else Python ints in object columns.  When every
+    coefficient lies in one GF(p) the chain multiplies plain residues.
+
+    The accumulator is two columns, keys sorted ascending and their
+    scalars.  Each step multiplies the live terms of the accumulator (zeros
+    dropped, residues reduced mod p) by the next factor: the outer sum of
+    the keys and the outer product of the scalars, grouped by one stable
+    argsort and summed by ``np.add.reduceat``.  A step multiplies on int64
+    when no sum can pass 2**63, else on object columns of exact Python
+    scalars (big ints, Fractions, field elements), so a chain may go over to
+    object midway; one step serves every kind of scalar.  Each step holds,
+    and guards, the terms a left fold of ``SparsePoly.mul`` would.  Returns
+    the last accumulator unreduced, with its width and field, for a reader
+    to settle.
     """
     first = factors[0]
     for other in factors[1:]:
         first._check_arity(other)
     width = sum(max(f.degree, 0) for f in factors).bit_length() or 1
     field = _common_prime_field(*factors)
-    acc = dict(_packed(first, width, field))
+    wide = (first.nvars + 1) * width >= 63
+    acc = _packed(first, width, field, wide)
     for other in factors[1:]:
-        if field is None:
-            left = [(k, c) for k, c in acc.items() if not _is_zero_scalar(c)]
-        else:
-            left = [(k, r) for k, c in acc.items() if (r := c % field.p)]
-        right = _packed(other, width, field)
-        acc = {}
-        for k1, c1 in left:
-            for k2, c2 in right:
-                k = k1 + k2
-                if k in acc:
-                    acc[k] += c1 * c2
-                else:
-                    acc[k] = c1 * c2
-            if len(acc) > max_terms:
-                raise ExpansionTooLarge(
-                    f"product exceeds {max_terms} terms ({len(left)} x {len(right)} inputs)"
-                )
+        acc = _times(acc, _packed(other, width, field, wide), field, max_terms)
     return acc, width, field
 
 
@@ -346,22 +442,35 @@ def _product(factors, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
     return SparsePoly._trusted(nvars, _unpacked(acc, width, nvars, field))
 
 
-def _packed_coefficient(acc: dict, width: int, field, nvars: int, exps):
-    """The settled coefficient of ``exps`` in a packed accumulator, the int
-    0 when absent.  A target of degree 2**width or more is above the
-    product's degree and may not fit the fields, so its key could alias
-    another monomial's; it reads 0."""
-    exps = tuple(exps)
-    _check_exponents(nvars, exps)
-    c = 0 if sum(exps) >> width else acc.get(_pack(exps, width), 0)
-    return _settled(c, field) or 0
+def _packed_coefficients(live: tuple, width: int, field, nvars: int, targets) -> list:
+    """The coefficient of each exponent vector in ``targets``, the int 0
+    when absent, all looked up by one searchsorted in the sorted keys of
+    ``live``, a product's terms as `_live` settles them; GF(p) residues are
+    wrapped.  A target of degree 2**width or more is above the product's
+    degree and may not fit the fields, so its key could alias another
+    monomial's; it reads 0."""
+    packed = []
+    for exps in targets:
+        exps = tuple(exps)
+        _check_exponents(nvars, exps)
+        packed.append(-1 if sum(exps) >> width else _pack(exps, width))
+    keys, scalars = live
+    if not len(keys):
+        return [0] * len(packed)
+    packed = np.array(packed, dtype=keys.dtype)
+    at = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
+    found = (keys[at] == packed).tolist()
+    return [
+        (c if field is None else FieldElement(field, c)) if hit else 0
+        for c, hit in zip(scalars[at].tolist(), found)
+    ]
 
 
 def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> list:
     """``_product(factors).coefficient_of(t)`` for each t in ``targets``, read
     off the packed accumulator without unpacking it."""
     acc, width, field = _packed_product(factors, max_terms)
-    return [_packed_coefficient(acc, width, field, factors[0].nvars, t) for t in targets]
+    return _packed_coefficients(_live(acc, field), width, field, factors[0].nvars, targets)
 
 
 def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
@@ -371,12 +480,9 @@ def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
     when none does."""
     acc, width, field = _packed_product(factors, max_terms)
     nvars = factors[0].nvars
-    degree = NEG_INF
-    for key in sorted(acc, reverse=True):
-        if _settled(acc[key], field) is not None:
-            degree = key >> (nvars * width)
-            break
-    return degree, _packed_coefficient(acc, width, field, nvars, target)
+    live = _live(acc, field)
+    degree = int(live[0][-1]) >> (nvars * width) if len(live[0]) else NEG_INF
+    return degree, _packed_coefficients(live, width, field, nvars, [target])[0]
 
 
 # ---------- classical constructions ----------

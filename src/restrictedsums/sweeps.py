@@ -20,9 +20,10 @@ against the exact backtracking enumerator in the test suite:
     set past the byte guard, so every family the tuple guard admits is
     counted.  Over GF(p) the grid holds residues, whose products must fit
     int64, so it needs (p-1)^2 < 2^63.  Over Q it scales the family to
-    integers u = L*x and the form to L^k*f, and the grid holds those integer
-    values unreduced; it needs integer coefficients and a bound from the
-    shapes (`_integer_route_fits`) that no value or partial sum passes 2^63.
+    integers u = L*x and the form to D*L^k*f, D the lcm of the denominators
+    of its coefficients, and the grid holds those integer values unreduced;
+    it needs a bound from the shapes (`_integer_route_fits`) that no value
+    or partial sum passes 2^63.
     Whatever fails these goes to the exact enumerator, which stays the
     oracle.
 
@@ -56,7 +57,7 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .enumeration import _check_tuple_guard, _field_form, restricted_value_set, unrestricted_value_set
+from .enumeration import _check_tuple_guard, _enumerate, _field_form
 from .errors import HypothesisViolated, SearchSpaceTooLarge
 from .fields import prime_field
 from .poly import PowerSumForm, SparsePoly
@@ -298,27 +299,38 @@ def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
     flag of ``variants`` (True: pairwise-distinct tuples only), with the
     enumerator's tuple guard.  The one place that picks a family's route:
     the int64 grid of `_family_counts` where it provably fits, else the exact
-    enumerator.  Over Q the grid holds L^k * f(x) at u = L*x, L the lcm of the
-    denominators; a nonzero scale keeps values apart and u_i = u_j iff
-    x_i = x_j, so the counts are unchanged.
+    enumerator.  Over Q the grid holds D * L^k * f(x) at u = L*x, L the lcm
+    of the elements' denominators and D that of the form's coefficients; a
+    nonzero scale keeps values apart and u_i = u_j iff x_i = x_j, so the
+    counts are unchanged.  The form is checked against the field once, here,
+    and the enumerator is handed its mapped leading coefficients.
     """
     field = family.field
-    _field_form(field, family.n, f)
+    leading = _field_form(field, family.n, f)
     _check_tuple_guard(family.sizes, guard_tuples)
     if field.is_prime_field:
         grid_form = f
         sets = [[x.value for x in s] for s in family.sets]
         fits = _residue_route_fits(field.p)
     else:
+        lead = [a.value for a in leading]
+        tail = {e: field.element(c).value for e, c in f.tail.terms()}
+        form_scale = lcm(*(c.denominator for c in [*lead, *tail.values()]))
         scale = lcm(*(x.value.denominator for s in family.sets for x in s))
         sets = [[int(x.value * scale) for x in s] for s in family.sets]
-        tail = SparsePoly(f.n, {e: c * scale ** (f.k - sum(e)) for e, c in f.tail.terms()})
-        grid_form = PowerSumForm(f.k, f.leading, tail)
+
+        def scaled(c, power=1):  # D * c * power in integer arithmetic
+            return c.numerator * (form_scale // c.denominator) * power
+
+        tail = {e: scaled(c, scale ** (f.k - sum(e))) for e, c in tail.items()}
+        grid_form = PowerSumForm(f.k, [scaled(a) for a in lead], SparsePoly(f.n, tail))
         fits = _integer_route_fits(grid_form, sets)
     if fits:
         return _family_counts(field.p, sets, grid_form, variants)
-    exact = {True: restricted_value_set, False: unrestricted_value_set}
-    return tuple(exact[restricted](family, f, guard_tuples).cardinality for restricted in variants)
+    return tuple(
+        _enumerate(family, f, leading, restricted, guard_tuples, False).cardinality
+        for restricted in variants
+    )
 
 
 def _family_counts(p: int | None, sets, f: PowerSumForm, variants) -> tuple:

@@ -5,6 +5,7 @@ import random
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,7 +25,9 @@ from restrictedsums import (
     rational_field,
     vandermonde,
 )
-from restrictedsums.poly import _product, _product_coefficients, _product_top
+from restrictedsums import poly
+from restrictedsums.fields import FieldDescriptor
+from restrictedsums.poly import _packed_product, _product, _product_coefficients, _product_top
 
 
 def inversion_sign(perm):
@@ -187,11 +190,19 @@ def schoolbook_mul(a, b):
 
 
 GF2, GF3, GF13, QQ = prime_field(2), prime_field(3), prime_field(13), rational_field()
+# (p - 1)^2 fits int64 for both; 3 * (p - 1)^2 does not for the first, and
+# 2 * (p - 1)^2 does not for the second, so their chains step over to object
+# columns once a step sums that many products
+GF_M31, GF_BIG = prime_field(2**31 - 1), prime_field(3_037_000_493)
+GF_HUGE = FieldDescriptor(2**64 + 13)
 SCALARS = {
     "int": lambda c, d: c,
     "gf2": lambda c, d: GF2.element(c),
     "gf3": lambda c, d: GF3.element(c),
     "gf13": lambda c, d: GF13.element(c),
+    # -c: the residues p - 3 .. p - 1 as well as 0 .. 3
+    "gf2147483647": lambda c, d: GF_M31.element(-c),
+    "gf3037000493": lambda c, d: GF_BIG.element(-c),
     "rational": lambda c, d: QQ.element(Fraction(c, d)),
     "fraction": lambda c, d: Fraction(c, d),
 }
@@ -294,18 +305,26 @@ def schoolbook_chain(factors, max_terms):
     return acc, None
 
 
-def assert_same_chain(factors, max_terms):
+# pair budgets a test chain runs at: the default, and 1 and 7 pairs, at
+# which a step's rows go in many chunks merged into its result one by one
+BUDGETS = (None, 1, 7)
+
+
+def assert_same_chain(factors, max_terms, budget=None):
     ref, message = schoolbook_chain(factors, max_terms)
-    if message is not None:
-        with pytest.raises(ExpansionTooLarge) as chain_error:
-            _product(factors, max_terms)
-        with pytest.raises(ExpansionTooLarge) as fold_error:
-            folded = factors[0]
-            for other in factors[1:]:
-                folded = folded.mul(other, max_terms=max_terms)
-        assert str(chain_error.value) == str(fold_error.value) == message
-        return
-    got = _product(factors, max_terms)
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(poly, "_PAIR_BUDGET", budget)
+        if message is not None:
+            with pytest.raises(ExpansionTooLarge) as chain_error:
+                _product(factors, max_terms)
+            with pytest.raises(ExpansionTooLarge) as fold_error:
+                folded = factors[0]
+                for other in factors[1:]:
+                    folded = folded.mul(other, max_terms=max_terms)
+            assert str(chain_error.value) == str(fold_error.value) == message
+            return
+        got = _product(factors, max_terms)
     assert [(e, type(c), c) for e, c in got.terms()] == [(e, type(c), c) for e, c in ref.terms()]
     assert format_poly(got) == format_poly(ref)
 
@@ -316,14 +335,15 @@ def test_product_matches_schoolbook_fold(kind, max_exp):
     # Chains of 1 to 6 factors; at max_exp 10**6 the packed keys of a
     # chain are several machine words long.
     rng = random.Random(f"chain|{kind}|{max_exp}")
-    for _ in range(30):
+    for i in range(30):
         nvars = rng.randint(0, 3)
         factors = [
             random_poly(rng, nvars, kind, max_exp, rng.randint(0, 4))
             for _ in range(rng.randint(1, 6))
         ]
-        assert_same_chain(factors, max_terms=DEFAULT_TERM_GUARD)
-        assert_same_chain(factors, max_terms=rng.randint(0, 60))
+        budget = BUDGETS[i % len(BUDGETS)]
+        assert_same_chain(factors, DEFAULT_TERM_GUARD, budget)
+        assert_same_chain(factors, rng.randint(0, 60), budget)
 
 
 def test_product_chain_edge_cases():
@@ -336,7 +356,8 @@ def test_product_chain_edge_cases():
     zero_factor = [x1 + x2, SparsePoly.zero(2), x1 - x2]
     for factors in (cancelling, zero_factor, [x1 + x2], [x1 - x2, x1 + x2]):
         for max_terms in range(8):
-            assert_same_chain(factors, max_terms)
+            for budget in BUDGETS:
+                assert_same_chain(factors, max_terms, budget)
     assert _product(zero_factor).is_zero
     # the guard trips at the step that forms too many monomials: the first
     # step forms 3 from 2 x 2 terms and keeps 2; the second forms 6 from
@@ -348,6 +369,84 @@ def test_product_chain_edge_cases():
     with pytest.raises(ExpansionTooLarge, match=r"^product exceeds 1 terms \(1 x 2 inputs\)$"):
         vandermonde(2, max_terms=1)
     assert vandermonde(1, max_terms=0) == SparsePoly.constant(1, 1)
+
+
+def key_dtype(factors):
+    return _packed_product(factors, DEFAULT_TERM_GUARD)[0][0].dtype
+
+
+def test_product_chain_array_edges():
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    y = SparsePoly.variable(1, 1)
+    big = 2**30 * (x1 + x2)
+    word = 2**31 * (y + 1)
+    chains = [
+        # the coefficients pass 2^63 at the third factor: 2^60 * (1, 2, 1),
+        # then up to 3 * 2^90, so that step multiplies on object columns
+        [big, big, big, x1 - x2],
+        # max|a| * max|b| * min = 2^63: the middle coefficient is exactly
+        # 2^63, which int64 would wrap to -2^63
+        [word, word],
+        [word, 2**31 * (y - 1)],
+        # -2^63 fits int64, but its magnitude does not: times -1 it wraps
+        [SparsePoly.monomial(1, (1,), -(2**63)), y - 1],
+        [SparsePoly.monomial(1, (1,), 2**62 - 1), y + 1, y - 1],
+        # residues next to p in the two large fields
+        [(GF_M31.element(-1) * x1 + GF_M31.element(-2) * x2).reduce(GF_M31)] * 3,
+        [(GF_BIG.element(-1) * x1 + GF_BIG.element(-1) * x2 + GF_BIG.element(-3)).reduce(GF_BIG)] * 4,
+        [(GF_BIG.element(-1) * x1).reduce(GF_BIG), (GF_BIG.element(-1) * x1).reduce(GF_BIG)],
+        # an int factor times a near-p one: one field is not common to all
+        [x1 + x2, (GF_BIG.element(-1) * x1 + x2).reduce(GF_BIG)],
+        # p past int64 (2^64 + 13 is prime; built directly, as trial
+        # division would take too long): small residues stay int64 and
+        # need no reduction, large ones are object columns
+        [(x1 + 2 * x2 + 3).reduce(GF_HUGE)] * 3,
+        [(GF_HUGE.element(-1) * x1 + x2).reduce(GF_HUGE), (x1 - 1).reduce(GF_HUGE)],
+    ]
+    for factors in chains:
+        for max_terms in (0, 2, 3, DEFAULT_TERM_GUARD):
+            for budget in BUDGETS:
+                assert_same_chain(factors, max_terms, budget)
+    # keys of exactly 62 bits, (nvars + 1) * width = 2 * 31, stay int64;
+    # 63 bits, 3 * 21, go to object columns of Python ints
+    top = 2**30
+    narrow = [y**top + 3 * y ** (top - 1) + 1, y ** (top - 1) - y + 2]
+    assert (2 * top - 1).bit_length() == 31
+    wide = [x1 ** (2**19) + x2 - 1, x2 ** (2**19) * 5 + x1 * x2]
+    assert (2 * 2**19 + 1).bit_length() == 21
+    assert key_dtype(narrow) == np.int64
+    assert key_dtype(wide) == object
+    for factors in (narrow, wide, narrow[:1], wide[:1], narrow + [y + 1], wide + [x1 - x2]):
+        for max_terms in (0, 3, DEFAULT_TERM_GUARD):
+            for budget in BUDGETS:
+                assert_same_chain(factors, max_terms, budget)
+
+
+def test_guard_trips_in_a_later_chunk(monkeypatch):
+    # one row of the left factor per chunk: each row of (1 + x1 + x1^2)
+    # times (1 + x2 + x2^2) adds three new monomials, so a guard of 7 trips
+    # in the third chunk and a guard of 5 in the second
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    factors = [1 + x1 + x1**2, 1 + x2 + x2**2]
+    monkeypatch.setattr(poly, "_PAIR_BUDGET", 3)
+    chunks = []
+    summed = poly._summed
+
+    def counting(keys, scalars):
+        chunks.append(len(keys))
+        return summed(keys, scalars)
+
+    monkeypatch.setattr(poly, "_summed", counting)
+    for max_terms, merged in ((7, [3, 6, 9]), (5, [3, 6])):
+        chunks.clear()
+        with pytest.raises(ExpansionTooLarge) as error:
+            _product(factors, max_terms)
+        assert str(error.value) == schoolbook_chain(factors, max_terms)[1]
+        assert str(error.value) == f"product exceeds {max_terms} terms (3 x 3 inputs)"
+        assert chunks == merged
+    chunks.clear()
+    assert _product(factors, 9) == schoolbook_chain(factors, 9)[0]
+    assert chunks == [3, 6, 9]
 
 
 # ---------- reading target coefficients off the packed product ----------

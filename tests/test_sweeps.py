@@ -35,7 +35,7 @@ from restrictedsums import (
     restricted_value_set,
     unrestricted_value_set,
 )
-from restrictedsums import sweeps
+from restrictedsums import coeff, enumeration, sweeps
 from restrictedsums.sweeps import (
     LATTICE_BYTE_GUARD,
     _family_counts,
@@ -489,6 +489,12 @@ def value_counts_cases():
         sets = [sorted({rng.choice(near_million), *rng.sample(small[:4], rng.randint(0, 2))}) for _ in range(n)]
         yield rational_field(), sets, PowerSumForm(4, leading, random_tail(rng, n, 4)), False
 
+    # Fraction coefficients: the form is scaled by the lcm of their
+    # denominators as well, so it takes the grid
+    thirds = [[0, 1, Fraction(1, 2)], [0, 2, Fraction(-1, 3)]]
+    yield rational_field(), thirds, PowerSumForm(2, (Fraction(1, 2), 3), SparsePoly.zero(2)), True
+    yield rational_field(), thirds, PowerSumForm(2, (1, 1), SparsePoly(2, {(1, 0): Fraction(1, 3)})), True
+
     # identical singletons admit no injective pair, and one plain tuple
     yield prime_field(11), [[3], [3]], PowerSumForm.unit(2, 2), True
     # four products a*x near p^2 sum past 2^63 unless each is reduced first;
@@ -514,7 +520,7 @@ def test_value_counts_matches_exact_enumerator(monkeypatch):
             assert got == tuple(exact[v] for v in variants), (field, sets, f, variants)
             assert len(grid_calls) == int(grid), (field, sets, f)
         routes.append(grid)
-    assert (routes.count(True), routes.count(False)) == (13, 8)
+    assert (routes.count(True), routes.count(False)) == (15, 8)
 
 
 def test_value_counts_tuple_guard_is_the_enumerators():
@@ -529,6 +535,29 @@ def test_value_counts_tuple_guard_is_the_enumerators():
             restricted_value_set(fam, f, guard_tuples=space - 1)
         assert str(ours.value) == str(theirs.value) == f"family spans {space} tuples, guard is {space - 1}"
         assert _value_counts(fam, f, (False,), space) == (unrestricted_value_set(fam, f).cardinality,)
+
+
+def test_one_form_check_per_family_on_the_exact_route(monkeypatch):
+    # past the residue grid a family is enumerated once per variant, and a
+    # replay enumerates its shrunk family; each checks its form once
+    calls = []
+    real = enumeration._field_form
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    for module in (enumeration, sweeps, coeff):
+        monkeypatch.setattr(module, "_field_form", counting)
+    big = prime_field(3_037_000_507)
+    fam = SetFamily.from_elements(big, [[0, 1, 5], [1, 2]])
+    # x^2 + y^2 on {0, 1, 5} x {1, 2}: (1, 1) is the one repeated tuple
+    assert _value_counts(fam, PowerSumForm.unit(2, 2), (True, False), 100) == (5, 6)
+    assert calls == [big]
+    calls.clear()
+    fam = SetFamily.from_elements(prime_field(13), [range(6), range(7), range(8), range(8)])
+    assert coeff.proof_replay(fam, 2, expand_certificate=True).cn_certificate.nonzero
+    assert calls == [prime_field(13)]
 
 
 def package_calls():
