@@ -19,8 +19,10 @@ import time
 from dataclasses import dataclass
 from math import comb, prod
 
+import numpy as np
+
 from .bounds import BOUNDS, roots_model_cardinality
-from .coeff import coefficient_formula, proof_replay, target_monomial
+from .coeff import _closed_form, proof_replay
 from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     MultiplicityProfile,
@@ -505,16 +507,18 @@ def cmd_verify_coeff(args) -> int:
                 qs = list(_compositions(total, n))
                 oracles = [None] * len(qs)
                 if vdm is not None:
+                    # the target monomials (k*q_j + j), one row per composition
+                    targets = k * np.array(qs, dtype=np.int64) + np.arange(n, dtype=np.int64)
                     try:
                         oracles = _product_coefficients(
                             [power_sum_pow(n, k, total, max_terms=args.guard_terms), vdm],
-                            [target_monomial(q, k) for q in qs],
+                            targets,
                             max_terms=args.guard_terms,
                         )
                     except ExpansionTooLarge:
                         pass
                 for q, oracle in zip(qs, oracles):
-                    closed = coefficient_formula(q, k)
+                    closed = _closed_form(q, k)
                     if oracle is None:
                         skipped += 1
                         cells.append([n, k, ";".join(map(str, q)), total, str(closed), "", "skipped"])

@@ -22,12 +22,7 @@ from dataclasses import dataclass, replace
 from math import comb, factorial
 
 from .bounds import floor_minima
-from .enumeration import (
-    DEFAULT_TUPLE_GUARD,
-    SetFamily,
-    _enumerate,
-    _field_form,
-)
+from .enumeration import DEFAULT_TUPLE_GUARD, SetFamily, _field_form
 from .errors import HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
 from .fields import FieldElement
 from .nullstellensatz import NullstellensatzCertificate, _certified
@@ -40,6 +35,7 @@ from .poly import (
     power_sum_pow,
     vandermonde,
 )
+from .sweeps import _value_counts
 
 
 # ---------- residue classes of positions ----------
@@ -71,7 +67,13 @@ def target_monomial(q, k: int) -> tuple:
 
 def coefficient_formula(q, k: int) -> int:
     """The closed form; may be zero or negative, always an exact integer."""
-    q = _validate_q(q, k)
+    return _closed_form(_validate_q(q, k), k)
+
+
+def _closed_form(q, k: int) -> int:
+    """The closed form of a q that `_validate_q` would pass: the unchecked
+    core of `coefficient_formula`, for a caller that builds its own
+    compositions."""
     numerator = factorial(sum(q))
     denominator = 1
     for shifted in _shifted_classes(q, k):
@@ -323,10 +325,13 @@ def proof_replay(
     """Replay the constructive argument behind the residue-class bound.
 
     Runs the arithmetic phase (`replay_shrink`) on the family's sizes, embeds
-    h in the field and checks it survives, then optionally enumerates the
+    h in the field and checks it survives, then optionally computes the
     shrunk value set, exhibits an injective tuple whose value lies outside
     the first N - 1 values, and (if requested) expands the full
     contradiction polynomial and runs the Nullstellensatz certifier on it.
+    The value set, with the first tuple in product order that reaches each
+    value, comes from `sweeps._value_counts`: the int64 residue grid over
+    GF(p) where it fits, else the exact enumerator.
 
     When the shrunk family spans more tuples than ``guard_tuples``, the
     witness alone is skipped (``witness`` and ``value_count`` stay None),
@@ -360,7 +365,7 @@ def proof_replay(
     enum = None
     if witness or expand_certificate:
         try:
-            enum = _enumerate(shrunk, f, leading, True, guard_tuples, True)
+            (enum,) = _value_counts(shrunk, f, (True,), guard_tuples, leading, witnesses=True)
         except SearchSpaceTooLarge:
             if expand_certificate:
                 raise
@@ -382,7 +387,7 @@ def proof_replay(
         }
         if expand_certificate:
             cn_certificate = _expanded_certificate(
-                shrunk, f, excluded, h_element, guard_tuples, guard_terms
+                shrunk, f, enum, excluded, h_element, guard_tuples, guard_terms
             )
     return ProofReplay(
         family=family,
@@ -401,7 +406,7 @@ def proof_replay(
     )
 
 
-def _expanded_certificate(shrunk, f, excluded, h_element, guard_tuples, guard_terms):
+def _expanded_certificate(shrunk, f, enum, excluded, h_element, guard_tuples, guard_terms):
     """Multiply out Q = prod_c (f - c) * vandermonde over the field and certify.
 
     Q's degree and its coefficient at the product of x_i^(|A'_i| - 1) are
@@ -409,6 +414,13 @@ def _expanded_certificate(shrunk, f, excluded, h_element, guard_tuples, guard_te
     must be exactly the embedded h: the top-degree part of every factor
     (f - c) is the pure power sum, so Q's top homogeneous component is the
     closed-form product.
+
+    The witness search reads ``enum``, the shrunk family's value set with
+    its witnesses, instead of evaluating Q point by point.  Over a field Q
+    is nonzero exactly at the injective tuples whose value is no excluded
+    c, so the first such point in product order is the first tuple of some
+    value past the excluded ones: the least of their witnesses.  Q is then
+    evaluated there, exactly, and must not vanish.
     """
     field = shrunk.field
     n = shrunk.n
@@ -422,14 +434,17 @@ def _expanded_certificate(shrunk, f, excluded, h_element, guard_tuples, guard_te
         raise InternalInvariantBroken(
             f"contradiction polynomial has degree {degree}, expected {expected_degree}"
         )
-    cert = _certified(
-        degree,
-        coefficient,
-        degrees,
-        shrunk,
-        guard_tuples,
-        lambda point: _contradiction_value(field, f, excluded, point),
-    )
+
+    def search():
+        position = [{x: i for i, x in enumerate(s)} for s in shrunk.sets]
+        later = [enum.witnesses[v] for v in enum.values[len(excluded) :]]
+        point = min(later, key=lambda pt: [at[x] for at, x in zip(position, pt)])
+        value = _contradiction_value(field, f, excluded, point)
+        if value.is_zero:
+            raise InternalInvariantBroken(f"Q vanishes at {point}, the first tuple of a value past the excluded ones")
+        return point, value
+
+    cert = _certified(degree, coefficient, degrees, shrunk, guard_tuples, search)
     if cert.coefficient != h_element:
         raise InternalInvariantBroken(
             f"expanded coefficient {cert.coefficient} != embedded h {h_element}"

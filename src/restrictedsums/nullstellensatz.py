@@ -71,20 +71,33 @@ def certify(
     evaluated directly.
     """
     P = instance.poly.reduce(instance.family.field)
+    evaluate = point_fn if point_fn is not None else P.eval
     return _certified(
         P.degree,
         P.coefficient_of(instance.degrees),
         instance.degrees,
         instance.family,
         guard_tuples,
-        point_fn if point_fn is not None else P.eval,
+        lambda: _first_nonzero(product(*instance.family.sets), evaluate),
     )
 
 
-def _certified(degree, coefficient, degrees, family, guard_tuples, evaluate):
+def _first_nonzero(points, evaluate):
+    """The first of ``points`` where ``evaluate`` is nonzero, with that
+    value, or None when it vanishes at all of them."""
+    for point in points:
+        value = evaluate(point)
+        if not value.is_zero:
+            return point, value
+    return None
+
+
+def _certified(degree, coefficient, degrees, family, guard_tuples, search):
     """The checks and the search of :func:`certify`, given the polynomial's
     degree and its coefficient at ``degrees`` over the family's field (an
-    int 0 when the monomial is absent) and an evaluator at one point."""
+    int 0 when the monomial is absent) and ``search()``, which returns the
+    first point of the family's grid in product order where the polynomial
+    is nonzero, with its value, or None."""
     field = family.field
     total = sum(degrees)
     if degree != total:
@@ -97,11 +110,11 @@ def _certified(degree, coefficient, degrees, family, guard_tuples, evaluate):
     if coefficient.is_zero:
         return NullstellensatzCertificate(coefficient, False, None, None, False)
     _check_tuple_guard(family.sizes, guard_tuples)
-    for point in product(*family.sets):
-        value = evaluate(point)
-        if not value.is_zero:
-            return NullstellensatzCertificate(coefficient, True, point, value, True)
-    raise InternalInvariantBroken(
-        "nonzero coefficient but no witness on the whole grid; "
-        f"degrees={degrees}, sizes={family.sizes}"
-    )
+    found = search()
+    if found is None:
+        raise InternalInvariantBroken(
+            "nonzero coefficient but no witness on the whole grid; "
+            f"degrees={degrees}, sizes={family.sizes}"
+        )
+    point, value = found
+    return NullstellensatzCertificate(coefficient, True, point, value, True)

@@ -449,21 +449,43 @@ def _packed_coefficients(live: tuple, width: int, field, nvars: int, targets) ->
     wrapped.  A target of degree 2**width or more is above the product's
     degree and may not fit the fields, so its key could alias another
     monomial's; it reads 0."""
-    packed = []
-    for exps in targets:
-        exps = tuple(exps)
-        _check_exponents(nvars, exps)
-        packed.append(-1 if sum(exps) >> width else _pack(exps, width))
     keys, scalars = live
+    packed = _packed_targets(targets, width, nvars, keys.dtype)
     if not len(keys):
         return [0] * len(packed)
-    packed = np.array(packed, dtype=keys.dtype)
     at = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
     found = (keys[at] == packed).tolist()
     return [
         (c if field is None else FieldElement(field, c)) if hit else 0
         for c, hit in zip(scalars[at].tolist(), found)
     ]
+
+
+def _packed_targets(targets, width: int, nvars: int, dtype) -> np.ndarray:
+    """The keys of the exponent vectors in ``targets``, -1 for those of
+    degree 2**width or more.  An int64 matrix of targets is checked as a
+    whole, and its narrow keys come from one matrix product: the degree
+    shifted past the fields plus the exponents times the field weights.
+    Wide keys, and targets given one by one, go through `_check_exponents`
+    and `_pack` each."""
+    if isinstance(targets, np.ndarray) and targets.dtype == np.int64:
+        if targets.ndim != 2 or targets.shape[1] != nvars:
+            raise ArityMismatch(f"target matrix of shape {targets.shape}, expected rows of length {nvars}")
+        if (targets < 0).any():
+            raise ValueError(f"exponents must be nonnegative integers, got {targets.min()}")
+        if dtype == np.int64:
+            # below 2**width each, the exponents of a row sum without a wrap
+            degree = targets.sum(axis=1)
+            past = (targets >> width).any(axis=1) | (degree >> width != 0)
+            weights = np.array([1 << s for s in _shifts(nvars, width)], dtype=np.int64)
+            return np.where(past, -1, (degree << (nvars * width)) + targets @ weights)
+        targets = targets.tolist()
+    packed = []
+    for exps in targets:
+        exps = tuple(exps)
+        _check_exponents(nvars, exps)
+        packed.append(-1 if sum(exps) >> width else _pack(exps, width))
+    return np.array(packed, dtype=dtype)
 
 
 def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> list:
@@ -500,7 +522,8 @@ def vandermonde(n: int, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
 
 
 def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative ints summing to ``total``."""
+    """All tuples of ``parts`` nonnegative ints summing to ``total``, in
+    lexicographic order."""
     if parts == 1:
         yield (total,)
         return
@@ -519,6 +542,10 @@ def power_sum_pow(
     """(x1^k + ... + xn^k) ** N, by direct multinomial generation or by
     repeated squaring of the expanded power sum.  The two methods must agree;
     tests rely on that as a cross-check.
+
+    The multinomial terms are all of degree k*N, so descending graded-lex
+    order is the reverse of the compositions' lexicographic order, and
+    they are wrapped as they are.
     """
     if n < 1 or k < 1 or N < 0:
         raise ValueError(f"need n >= 1, k >= 1, N >= 0; got n={n}, k={k}, N={N}")
@@ -527,12 +554,12 @@ def power_sum_pow(
             raise ExpansionTooLarge(f"(power sum)^{N} in {n} variables exceeds {max_terms} terms")
         terms = {}
         fN = factorial(N)
-        for parts in _compositions(N, n):
+        for parts in reversed(list(_compositions(N, n))):
             coeff = fN
             for i in parts:
                 coeff //= factorial(i)
             terms[tuple(k * i for i in parts)] = coeff
-        return SparsePoly(n, terms)
+        return SparsePoly._trusted(n, terms)
     if method == "pow":
         base = SparsePoly(n, {tuple(k if i == j else 0 for i in range(n)): 1 for j in range(n)})
         return base.pow(N, max_terms=max_terms)

@@ -14,12 +14,15 @@ against the exact backtracking enumerator in the test suite:
     second for GF(7), n = 4;
   * the per-family int64 grid (`_family_counts`), reached only through
     `_value_counts`, the one function that picks a family's route.  It
-    serves the CLI's `verify-bounds` and `tightness` scans and the sampled
-    families of the acceptance criteria: it takes a family's restricted and
-    unrestricted counts from one int64 grid, cut into slabs along the first
-    set past the byte guard, so every family the tuple guard admits is
-    counted.  Over GF(p) the grid holds residues, whose products must fit
-    int64, so it needs (p-1)^2 < 2^63.  Over Q it scales the family to
+    serves the CLI's `verify-bounds` and `tightness` scans, the sampled
+    families of the acceptance criteria and the proof replay's shrunk
+    family: it takes a family's restricted and unrestricted counts from one
+    int64 grid, cut into slabs along the first set past the byte guard, so
+    every family the tuple guard admits is counted.  For the replay it
+    also keeps, over GF(p), the first tuple in product order that reaches
+    each value; the scans, which only count, sort their values and no more.
+    Over GF(p) the grid holds residues, whose products must fit int64, so
+    it needs (p-1)^2 < 2^63.  Over Q it scales the family to
     integers u = L*x and the form to D*L^k*f, D the lcm of the denominators
     of its coefficients, and the grid holds those integer values unreduced;
     it needs a bound from the shapes (`_integer_route_fits`) that no value
@@ -57,9 +60,9 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .enumeration import _check_tuple_guard, _enumerate, _field_form
+from .enumeration import ValueSetResult, _check_tuple_guard, _enumerate, _field_form
 from .errors import HypothesisViolated, SearchSpaceTooLarge
-from .fields import prime_field
+from .fields import FieldElement, prime_field
 from .poly import PowerSumForm, SparsePoly
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
@@ -294,7 +297,7 @@ def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):
 # ---------- route 2: per-family vectorized evaluation ----------
 
 
-def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
+def _value_counts(family, f, variants, guard_tuples: int, leading=None, witnesses: bool = False) -> tuple:
     """Value-set cardinalities of the form ``f`` on a `SetFamily`, one per
     flag of ``variants`` (True: pairwise-distinct tuples only), with the
     enumerator's tuple guard.  The one place that picks a family's route:
@@ -302,16 +305,26 @@ def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
     enumerator.  Over Q the grid holds D * L^k * f(x) at u = L*x, L the lcm
     of the elements' denominators and D that of the form's coefficients; a
     nonzero scale keeps values apart and u_i = u_j iff x_i = x_j, so the
-    counts are unchanged.  The form is checked against the field once, here,
-    and the enumerator is handed its mapped leading coefficients.
+    counts are unchanged.  The form is checked against the field once: here,
+    or by a caller that hands over the ``leading`` coefficients `_field_form`
+    mapped; the enumerator is handed them.
+
+    With ``witnesses`` each flag gets the `ValueSetResult` the enumerator
+    gives with witnesses: the values sorted, the first tuple in product
+    order that reaches each, and the count of tuples examined.  The grid
+    serves it over GF(p), where a residue is read back as its element; a
+    family over Q goes to the enumerator.
     """
     field = family.field
-    leading = _field_form(field, family.n, f)
+    if leading is None:
+        leading = _field_form(field, family.n, f)
     _check_tuple_guard(family.sizes, guard_tuples)
     if field.is_prime_field:
         grid_form = f
         sets = [[x.value for x in s] for s in family.sets]
         fits = _residue_route_fits(field.p)
+    elif witnesses:
+        fits = False
     else:
         lead = [a.value for a in leading]
         tail = {e: field.element(c).value for e, c in f.tail.terms()}
@@ -325,15 +338,21 @@ def _value_counts(family, f, variants, guard_tuples: int) -> tuple:
         tail = {e: scaled(c, scale ** (f.k - sum(e))) for e, c in tail.items()}
         grid_form = PowerSumForm(f.k, [scaled(a) for a in lead], SparsePoly(f.n, tail))
         fits = _integer_route_fits(grid_form, sets)
-    if fits:
-        return _family_counts(field.p, sets, grid_form, variants)
-    return tuple(
-        _enumerate(family, f, leading, restricted, guard_tuples, False).cardinality
-        for restricted in variants
-    )
+    if not fits:
+        runs = [_enumerate(family, f, leading, restricted, guard_tuples, witnesses) for restricted in variants]
+        return tuple(runs) if witnesses else tuple(run.cardinality for run in runs)
+    counts = _family_counts(field.p, sets, grid_form, variants, witnesses)
+    if not witnesses:
+        return counts
+    results = []
+    for restricted, (residues, points, examined) in zip(variants, counts):
+        values = tuple(FieldElement(field, v) for v in residues.tolist())
+        first = {v: tuple(s[i] for s, i in zip(family.sets, row)) for v, row in zip(values, points.tolist())}
+        results.append(ValueSetResult(len(values), values, examined, restricted, first))
+    return tuple(results)
 
 
-def _family_counts(p: int | None, sets, f: PowerSumForm, variants) -> tuple:
+def _family_counts(p: int | None, sets, f: PowerSumForm, variants, witnesses: bool = False) -> tuple:
     """Value-set cardinality of one family for each flag of ``variants``
     (True: pairwise-distinct tuples only), all from one evaluation of f,
     over GF(p), or over the integers when p is None.  Its one caller,
@@ -344,19 +363,56 @@ def _family_counts(p: int | None, sets, f: PowerSumForm, variants) -> tuple:
     The tuple grid is cut into boxes of at most `LATTICE_BYTE_GUARD` bytes,
     slabs along the first set, so a family of any size is counted; the
     distinct values of each box are merged into those of the boxes before.
+    With ``witnesses`` each flag gets instead (values, points, examined):
+    the distinct values sorted, beside each the indices into the sets of
+    the first tuple in product order that reaches it (`_first_seen`), and
+    the number of tuples the flag admits.
     """
     coords = [np.asarray(s, dtype=np.int64) for s in sets]
     # values, their reduction, the filter, the filtered and the sorted copy,
     # with room: n + 3 grids of 8 bytes a tuple
     budget = max(LATTICE_BYTE_GUARD // (8 * (len(sets) + 3)), 1)
     seen = [None] * len(variants)
-    for box in _boxes(coords, budget):
-        axes = np.ix_(*box)
+    # boxes of indices into the sets, so a witness is read off its box
+    for box in _boxes([np.arange(len(c)) for c in coords], budget):
+        axes = np.ix_(*map(np.take, coords, box))
         total = _residue_values(p, axes, f)
         for j, restricted in enumerate(variants):
-            vals = total[_injective(axes)] if restricted else total.ravel()
-            seen[j] = _distinct(vals if seen[j] is None else np.concatenate((seen[j], vals)))
-    return tuple(int(values.size) for values in seen)
+            if witnesses:
+                seen[j] = _first_seen(seen[j], total, _injective(axes) if restricted else None, box)
+            else:
+                vals = total[_injective(axes)] if restricted else total.ravel()
+                seen[j] = _distinct(vals if seen[j] is None else np.concatenate((seen[j], vals)))
+    return tuple(seen) if witnesses else tuple(int(values.size) for values in seen)
+
+
+def _first_seen(seen, total: np.ndarray, keep, box) -> tuple:
+    """``seen``, the (values, points, examined) of the boxes before, with
+    the box ``box`` of index arrays merged in: ``total`` holds its values,
+    of which the tuples ``keep`` marks count (all when None).  Boxes come
+    in product order and C order runs through a box in product order, so a
+    value's first tuple is its first in the earliest box that reaches it;
+    a stable sort keeps that one."""
+    flat = np.arange(total.size) if keep is None else np.flatnonzero(keep)
+    examined = flat.size
+    flat = flat[_first_of_each(total.ravel()[flat])]
+    values = total.ravel()[flat]
+    points = np.stack([b[i] for b, i in zip(box, np.unravel_index(flat, total.shape))], axis=-1)
+    if seen is not None:
+        values, points = np.concatenate((seen[0], values)), np.concatenate((seen[1], points))
+        first = _first_of_each(values)
+        values, points, examined = values[first], points[first], examined + seen[2]
+    return values, points, examined
+
+
+def _first_of_each(vals: np.ndarray) -> np.ndarray:
+    """The position of the first occurrence of each distinct entry of a 1-D
+    array, in the order of the entries' values: one stable argsort."""
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    keep = np.ones(vals.size, dtype=bool)
+    np.not_equal(vals[1:], vals[:-1], out=keep[1:])
+    return order[keep]
 
 
 def _injective(axes) -> np.ndarray:

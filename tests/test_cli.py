@@ -1,6 +1,8 @@
 """Command-line interface: configs, report formats, determinism, exit codes."""
 
 import argparse
+import functools
+import itertools
 import json
 import random
 import re
@@ -11,15 +13,21 @@ import pytest
 
 from restrictedsums import (
     BoundResult,
+    ExpansionTooLarge,
     InternalInvariantBroken,
     PowerSumForm,
     SetFamily,
     SparsePoly,
     bounds as bounds_module,
+    coefficient_by_expansion,
+    coefficient_formula,
     parse_field,
     parse_poly,
+    power_sum_pow,
     restricted_value_set,
+    target_monomial,
     unrestricted_value_set,
+    vandermonde,
 )
 from restrictedsums import cli, sweeps
 
@@ -833,11 +841,55 @@ def test_verify_coeff_guard_skips(tmp_path, capsys):
         assert capsys.readouterr().err.strip() == summary
 
 
+def test_verify_coeff_rows_match_the_public_functions(tmp_path, capsys):
+    # the verb reads each cell through the unchecked core and one packed
+    # product per (n, k, N); cell by cell its rows are the checked public
+    # closed form and expansion, or skipped where the expansion trips.  On
+    # {5, 6} the expansion is the public product, formed once per (n, k, N)
+    # and read by coefficient_of, as coefficient_by_expansion forms it per
+    # cell, which would take seconds.
+    @functools.lru_cache(maxsize=None)
+    def product(n, k, total):
+        return power_sum_pow(n, k, total).mul(vandermonde(n))
+
+    runs = [({"n_max": 5, "sum_max": 6}, None)]
+    runs += [({"n_max": 4, "sum_max": 4}, guard) for guard in (20, 48, 49, 100)]
+    for cfg, guard in runs:
+        out = tmp_path / "coeff.csv"
+        argv = ["verify-coeff", "--config", write_config(tmp_path, cfg), "--out", str(out)]
+        assert cli.main(argv + ([] if guard is None else ["--guard-terms", str(guard)])) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        cells = []
+        for n, k, q, total, closed, oracle, status in rows:
+            n, k, q, total = int(n), int(k), tuple(map(int, q.split(";"))), int(total)
+            assert (len(q), sum(q)) == (n, total)
+            cells.append((n, k, q))
+            assert closed == str(coefficient_formula(q, k))
+            if guard is None:
+                want = (str(product(n, k, total).coefficient_of(target_monomial(q, k))), "ok")
+            else:
+                try:
+                    want = (str(coefficient_by_expansion(q, k, max_terms=guard)), "ok")
+                except ExpansionTooLarge:
+                    want = ("", "skipped")
+            assert (oracle, status) == want, (guard, n, k, q)
+        every = [
+            (n, k, q)
+            for n in range(1, cfg["n_max"] + 1)
+            for k in range(1, n + 1)
+            for total in range(cfg["sum_max"] + 1)
+            for q in sorted(c for c in itertools.product(range(total + 1), repeat=n) if sum(c) == total)
+        ]
+        assert cells == every
+        assert len(cells) == (3465 if guard is None else 420)
+    capsys.readouterr()
+
+
 def test_verify_coeff_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     from restrictedsums import coeff as coeff_module
 
-    real = coeff_module.coefficient_formula
-    monkeypatch.setattr(cli, "coefficient_formula", lambda q, k: real(q, k) + 1)
+    real = coeff_module._closed_form
+    monkeypatch.setattr(cli, "_closed_form", lambda q, k: real(q, k) + 1)
     cfg = write_config(tmp_path, {"n_max": 2, "sum_max": 1})
     code = cli.main(["verify-coeff", "--config", cfg, "--out", str(tmp_path / "c.csv")])
     assert code == 2

@@ -18,6 +18,7 @@ from restrictedsums import (
     NotInvariant,
     NullstellensatzInstance,
     PowerSumForm,
+    SearchSpaceTooLarge,
     SetFamily,
     SparsePoly,
     certify,
@@ -32,8 +33,9 @@ from restrictedsums import (
     target_monomial,
     vandermonde,
 )
-from restrictedsums import poly
+from restrictedsums import coeff, enumeration, poly, sweeps
 from restrictedsums.coeff import _shifted_classes
+from restrictedsums.enumeration import DEFAULT_TUPLE_GUARD, _enumerate, _field_form
 from restrictedsums.poly import _product
 from permutations import Permutation, falling_factorial
 
@@ -488,6 +490,82 @@ def test_expanded_certificate_unpacks_only_the_vandermonde(monkeypatch):
     replay = proof_replay(family, 2, expand_certificate=True)
     assert replay.cn_certificate.nonzero
     assert calls == [4]
+
+
+# ---------- the replay's value set: the residue grid against the enumerator ----------
+
+
+def replay_route_cases():
+    """(family, form): the shrunk and the whole family of each replay shape
+    on seeded sets, GF(2), a tail, and a family with no injective tuple."""
+    for shape in REPLAY_SHAPES:
+        p, n, k, sizes = shape
+        rng = random.Random(f"route|{shape}")
+        family = SetFamily.from_elements(prime_field(p), [rng.sample(range(p), s) for s in sizes])
+        f = PowerSumForm.unit(n, k)
+        yield family.subfamily(replay_shrink(sizes, k, family.field.characteristic).shrunk_sizes), f
+        yield family, f
+    yield SetFamily.from_elements(prime_field(2), [[0, 1], [1, 0], [0, 1]]), PowerSumForm.unit(3, 1)
+    cubic = PowerSumForm(3, (1, 1), parse_poly("x1*x2 + 1", 2))
+    yield SetFamily.from_elements(prime_field(2), [[1], [0, 1]]), cubic
+    tail = parse_poly("3*x1 - x2*x3 + 2", 3)
+    sets = [[0, 1, 2, 3, 5, 7], [1, 2, 4, 6, 8], [0, 3, 4, 9, 10]]
+    yield SetFamily.from_elements(prime_field(11), sets), PowerSumForm(3, (1, 4, 10), tail)
+    yield SetFamily.from_elements(prime_field(13), [[3], [3], [1, 3, 5]]), PowerSumForm.unit(3, 2)
+
+
+def assert_same_value_sets(family, f):
+    leading = _field_form(family.field, family.n, f)
+    got = sweeps._value_counts(family, f, (True, False), DEFAULT_TUPLE_GUARD, witnesses=True)
+    for restricted, run in zip((True, False), got):
+        want = _enumerate(family, f, leading, restricted, DEFAULT_TUPLE_GUARD, True)
+        assert run == want, (family, restricted)
+        assert list(run.witnesses) == list(want.witnesses)
+
+
+def test_replay_route_matches_the_enumerator():
+    for family, f in replay_route_cases():
+        assert_same_value_sets(family, f)
+
+
+def test_replay_route_matches_the_enumerator_in_slabs(monkeypatch):
+    # boxes of 1, 7 and 30 tuples: slabs of the first set, and single elements
+    # of it times slabs of the rest; the first box to reach a value keeps it
+    cases = list(replay_route_cases())
+    shrunk = cases[0 : 2 * len(REPLAY_SHAPES) : 2]
+    for tuples in (1, 7, 30):
+        for family, f in shrunk[:3] + cases[-4:]:
+            monkeypatch.setattr(sweeps, "LATTICE_BYTE_GUARD", 8 * (family.n + 3) * tuples)
+            assert_same_value_sets(family, f)
+
+
+def test_replay_counts_on_the_grid_where_it_fits(monkeypatch):
+    calls = []
+    real = enumeration._enumerate
+
+    def counting(*args):
+        calls.append(args[0].field)
+        return real(*args)
+
+    for module in (enumeration, sweeps, coeff):
+        monkeypatch.setattr(module, "_enumerate", counting, raising=False)
+    cases = [
+        (prime_field(13), [range(6), range(7), range(8), range(8)], 0),
+        (rational_field(), [[0, 1, "1/2"], [0, 1, 5, "2/3"]], 1),
+        (prime_field(3_037_000_507), [[0, 1, 5, 9], [1, 2, 7], [3, 4, 8]], 1),
+    ]
+    for field, sets, enumerations in cases:
+        calls.clear()
+        family = SetFamily.from_elements(field, sets)
+        replay = proof_replay(family, 2, expand_certificate=True)
+        assert replay.cn_certificate.nonzero
+        assert calls == [field] * enumerations
+    # the tuple guard stops the replay where it did: the witness is skipped,
+    # and the expanded certificate refuses
+    family = SetFamily.from_elements(prime_field(13), [range(6), range(7), range(8)])
+    assert proof_replay(family, 2, guard_tuples=10).witness is None
+    with pytest.raises(SearchSpaceTooLarge, match="^family spans 210 tuples, guard is 10$"):
+        proof_replay(family, 2, expand_certificate=True, guard_tuples=10)
 
 
 def test_proof_replay_json_shape():

@@ -175,6 +175,20 @@ def test_power_sum_pow_coefficients_are_multinomials():
     assert p.coefficient_of((2, 2, 4)) == 12
 
 
+def test_power_sum_pow_terms_come_in_grlex_order():
+    # the multinomial route wraps its terms unchecked: they must be the
+    # checking constructor's, in its order, and the powering route's
+    for n in range(1, 6):
+        for k in range(1, 4):
+            for N in range(7):
+                terms = list(power_sum_pow(n, k, N).terms())
+                assert terms == list(SparsePoly(n, dict(terms)).terms()), (n, k, N)
+                assert terms == list(power_sum_pow(n, k, N, method="pow").terms()), (n, k, N)
+    with pytest.raises(ExpansionTooLarge, match=r"^\(power sum\)\^6 in 5 variables exceeds 209 terms$"):
+        power_sum_pow(5, 1, 6, max_terms=209)  # C(10, 4) = 210 terms
+    assert power_sum_pow(5, 1, 6, max_terms=210).term_count() == 210
+
+
 # ---------- mul against the schoolbook tuple-key product ----------
 
 
@@ -475,6 +489,36 @@ def test_product_coefficients_match_coefficient_of(kind):
         got = _product_coefficients(factors, targets)
         want = [product.coefficient_of(t) for t in targets]
         assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+
+
+def test_product_coefficients_take_a_target_matrix():
+    # an int64 matrix of targets is packed by one matrix product; it reads
+    # what the same targets read one by one, those past the fields included
+    rng = random.Random("target matrix")
+    for kind in ("int", "gf13", "rational"):
+        for _ in range(10):
+            factors = [random_poly(rng, 3, kind, 3, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+            width = sum(max(f.degree, 0) for f in factors).bit_length() or 1
+            targets = [e for e, _ in _product(factors).terms()]
+            targets += [tuple(rng.randint(0, 6) for _ in range(3)) for _ in range(10)]
+            targets += [(0, 0, 1 << width), (1 << width, 0, 0), (0, (1 << width) - 1, 1 << width)]
+            targets += [(e[0] - 1, e[1] + (1 << width), e[2]) for e in targets if e[0] % 2]
+            targets += [(1 << 62, 1 << 62, 0)]  # a row whose degree wraps int64
+            want = _product_coefficients(factors, targets)
+            got = _product_coefficients(factors, np.array(targets, dtype=np.int64))
+            assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    assert _product_coefficients([x1 + x2, x1 - x2], np.zeros((0, 2), dtype=np.int64)) == []
+    with pytest.raises(ArityMismatch):
+        _product_coefficients([x1 + x2, x1 - x2], np.array([[1, 1, 0]]))
+    with pytest.raises(ArityMismatch):
+        _product_coefficients([x1 + x2, x1 - x2], np.array([1, 1]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _product_coefficients([x1 + x2, x1 - x2], np.array([[2, 0], [-1, 3]]))
+    # keys past 63 bits are packed one by one, from the matrix too
+    tall = SparsePoly.monomial(2, (1 << 21, 0))
+    targets = [(1 << 21, 1), ((1 << 21) + 1, 0), (1, 1)]
+    assert _product_coefficients([tall, x1 + x2], np.array(targets)) == [1, 1, 0]
 
 
 def test_product_coefficients_types():
