@@ -29,6 +29,7 @@ from restrictedsums import (
     roots_model_cardinality,
 )
 from restrictedsums.bounds import BOUNDS
+from restrictedsums.poly import _field_form
 
 p, k = 7, 2
 char = ExtendedNat(p)
@@ -43,10 +44,12 @@ print(f"minimum cardinality per size profile:\n{min_card[1:, 1:]}")
 
 
 # The registry answers None where a hypothesis fails, here the size
-# staircase |A_i| >= i of the residue-class bound.
+# staircase |A_i| >= i of the residue-class bound.  It reads the form as
+# mapped into GF(p), once for the whole lattice.
 field = prime_field(p)
+form = _field_form(field, 2, PowerSumForm.unit(2, k, tail))
 checked, violations, tight = check_lattice_bounds(
-    min_card, p, lambda sizes: BOUNDS["thm12"].for_sizes(sizes, k, (1, 1), field)
+    min_card, p, lambda sizes: BOUNDS["thm12"].for_sizes(sizes, form)
 )
 print(f"\nresidue-class bound: {checked} profiles, {len(violations)} violations")
 print(f"tight profiles (bound met exactly by some family): {[t[0] for t in tight]}")
@@ -64,13 +67,13 @@ for m in range(2, p + 1):
 # The lattice aggregates; the exact enumerator pins down one witness.
 # Find a family realizing the minimum at profile (3, 3).
 target = int(min_card[3, 3])
-form = PowerSumForm.unit(2, k, tail)
 from itertools import combinations
 
 witness = None
 for a1 in combinations(range(p), 3):
     for a2 in combinations(range(p), 3):
-        if restricted_value_set(SetFamily.from_elements(field, [a1, a2]), form).cardinality == target:
+        family = SetFamily.from_elements(field, [a1, a2])
+        if restricted_value_set(family, PowerSumForm.unit(2, k, tail)).cardinality == target:
             witness = (a1, a2)
             break
     if witness:

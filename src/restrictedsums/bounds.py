@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
-from .enumeration import _field_leading
 from .errors import HypothesisViolated, Infeasible, InternalInvariantBroken
 from .fields import ExtendedNat
 
@@ -252,27 +251,25 @@ class Bound:
     linear: bool = False  # k == 1
     shared_set: bool = False  # every set is the same set
 
-    def evaluate(self, family, k: int, leading) -> int | None:
-        """The floor for this family and form f = sum a_i x_i^k + ..., or
-        None when a hypothesis fails."""
+    def evaluate(self, family, form) -> int | None:
+        """The floor for this family and its `FieldForm`
+        f = sum a_i x_i^k + ..., or None when a hypothesis fails."""
         shared = self.shared_set and all(s == family.sets[0] for s in family.sets)
-        return self.for_sizes(family.sizes, k, leading, family.field, shared)
+        return self.for_sizes(family.sizes, form, shared)
 
-    def for_sizes(self, sizes, k: int, leading, field, shared: bool = False) -> int | None:
-        """The floor for sets of these sizes in ``field`` and the form
+    def for_sizes(self, sizes, form, shared: bool = False) -> int | None:
+        """The floor for sets of these sizes and the `FieldForm`
         f = sum a_i x_i^k + ..., or None when a hypothesis fails.  Sizes
         cannot show that the sets coincide, so a shared-set token answers
-        None unless ``shared`` says they do.  Leading coefficients that do
-        not map into ``field`` as nonzero elements, one per set, are no form
-        at all and raise as on every other route."""
-        lead = _field_leading(field, len(sizes), leading)
-        if self.unit and any(a != field.one for a in lead) or self.linear and k != 1:
+        None unless ``shared`` says they do."""
+        lead = form.leading
+        if self.unit and any(a.value != 1 for a in lead) or self.linear and form.k != 1:
             return None
         if self.shared_set and not shared:
             return None
         negated_pair = len(lead) == 2 and (lead[0] + lead[1]).is_zero
         try:
-            return self.floor(sizes, k, field.characteristic, negated_pair).value
+            return self.floor(sizes, form.k, form.field.characteristic, negated_pair).value
         except HypothesisViolated:
             return None
 

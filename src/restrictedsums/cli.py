@@ -27,7 +27,6 @@ from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     MultiplicityProfile,
     SetFamily,
-    _field_leading,
     family_from_json,
     multiplicity_value_set,
 )
@@ -46,6 +45,8 @@ from .poly import (
     PowerSumForm,
     SparsePoly,
     _compositions,
+    _field_form,
+    _field_leading,
     _product_coefficients,
     parse_poly,
     power_sum_pow,
@@ -347,17 +348,17 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
     theorem_bad = False
     conjecture_bad = False
     for k in ks:
-        f = PowerSumForm(k, leading, tail)
+        form = _field_form(field, n, PowerSumForm(k, leading, tail))
         for fam in families:
             start = time.monotonic()
             try:
-                counts = dict(zip(variants, _value_counts(fam, f, variants, args.guard_tuples)))
+                counts = dict(zip(variants, _value_counts(fam, form, variants, args.guard_tuples)))
             except SearchSpaceTooLarge:
                 counts = {}  # guard violations are recorded per-row, never fatal
             elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
             for name in bounds:
                 bound = BOUNDS[name]
-                value = bound.evaluate(fam, k, leading)
+                value = bound.evaluate(fam, form)
                 actual = counts.get(bound.restricted)
                 tight = None
                 violated = False

@@ -22,14 +22,16 @@ from dataclasses import dataclass, replace
 from math import comb, factorial
 
 from .bounds import floor_minima
-from .enumeration import DEFAULT_TUPLE_GUARD, SetFamily, _field_form
+from .enumeration import DEFAULT_TUPLE_GUARD, SetFamily
 from .errors import HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
 from .fields import FieldElement
 from .nullstellensatz import NullstellensatzCertificate, _certified
 from .poly import (
     DEFAULT_TERM_GUARD,
+    FieldForm,
     PowerSumForm,
     SparsePoly,
+    _field_form,
     _product_coefficients,
     _product_top,
     power_sum_pow,
@@ -343,8 +345,8 @@ def proof_replay(
         f = PowerSumForm.unit(n, k)
     if f.k != k:
         raise HypothesisViolated(f"form has k = {f.k}, replay needs k = {k}")
-    leading = _field_form(family.field, n, f)
-    if any(a != family.field.one for a in leading):
+    form = _field_form(family.field, n, f)
+    if any(a.value != 1 for a in form.leading):
         raise HypothesisViolated("replay requires unit leading coefficients")
     char = family.field.characteristic
     plan = replay_shrink(sizes, k, char)
@@ -365,7 +367,7 @@ def proof_replay(
     enum = None
     if witness or expand_certificate:
         try:
-            (enum,) = _value_counts(shrunk, f, (True,), guard_tuples, leading, witnesses=True)
+            (enum,) = _value_counts(shrunk, form, (True,), guard_tuples, witnesses=True)
         except SearchSpaceTooLarge:
             if expand_certificate:
                 raise
@@ -378,7 +380,7 @@ def proof_replay(
         excluded = enum.values[: N - 1]
         extra_value = enum.values[N - 1]
         point = enum.witnesses[extra_value]
-        if _contradiction_value(family.field, f, excluded, point).is_zero:
+        if _contradiction_value(form, excluded, point).is_zero:
             raise InternalInvariantBroken("chosen witness evaluates to zero")
         witness_record = {
             "point": [str(x.value) for x in point],
@@ -387,7 +389,7 @@ def proof_replay(
         }
         if expand_certificate:
             cn_certificate = _expanded_certificate(
-                shrunk, f, enum, excluded, h_element, guard_tuples, guard_terms
+                shrunk, form, enum, excluded, h_element, guard_tuples, guard_terms
             )
     return ProofReplay(
         family=family,
@@ -406,8 +408,10 @@ def proof_replay(
     )
 
 
-def _expanded_certificate(shrunk, f, enum, excluded, h_element, guard_tuples, guard_terms):
+def _expanded_certificate(shrunk, form: FieldForm, enum, excluded, h_element, guard_tuples, guard_terms):
     """Multiply out Q = prod_c (f - c) * vandermonde over the field and certify.
+    Each f - c is the mapped form's terms in graded-lex order, its constant
+    term shifted by -c and dropped where it vanishes.
 
     Q's degree and its coefficient at the product of x_i^(|A'_i| - 1) are
     read off the packed product, which is never unpacked.  That coefficient
@@ -422,14 +426,17 @@ def _expanded_certificate(shrunk, f, enum, excluded, h_element, guard_tuples, gu
     value past the excluded ones: the least of their witnesses.  Q is then
     evaluated there, exactly, and must not vanish.
     """
-    field = shrunk.field
-    n = shrunk.n
-    f_poly = f.expand().reduce(field)
+    field, n, k = form.field, form.n, form.k
+    terms = {tuple(k if i == j else 0 for i in range(n)): a for j, a in enumerate(form.leading)}
+    terms.update(form.tail.terms())
+    constant = terms.pop((0,) * n, field.zero)
     factors = [vandermonde(n, max_terms=guard_terms).reduce(field)]
-    factors += [f_poly - SparsePoly.constant(n, c) for c in excluded]
+    for c in excluded:
+        shifted = constant - c
+        factors.append(SparsePoly._trusted(n, terms if shifted.is_zero else {**terms, (0,) * n: shifted}))
     degrees = tuple(size - 1 for size in shrunk.sizes)
     degree, coefficient = _product_top(factors, degrees, guard_terms)
-    expected_degree = f.k * len(excluded) + comb(n, 2)
+    expected_degree = k * len(excluded) + comb(n, 2)
     if degree != expected_degree or expected_degree != sum(degrees):
         raise InternalInvariantBroken(
             f"contradiction polynomial has degree {degree}, expected {expected_degree}"
@@ -439,7 +446,7 @@ def _expanded_certificate(shrunk, f, enum, excluded, h_element, guard_tuples, gu
         position = [{x: i for i, x in enumerate(s)} for s in shrunk.sets]
         later = [enum.witnesses[v] for v in enum.values[len(excluded) :]]
         point = min(later, key=lambda pt: [at[x] for at, x in zip(position, pt)])
-        value = _contradiction_value(field, f, excluded, point)
+        value = _contradiction_value(form, excluded, point)
         if value.is_zero:
             raise InternalInvariantBroken(f"Q vanishes at {point}, the first tuple of a value past the excluded ones")
         return point, value
@@ -452,16 +459,16 @@ def _expanded_certificate(shrunk, f, enum, excluded, h_element, guard_tuples, gu
     return cert
 
 
-def _contradiction_value(field, f, excluded, point):
+def _contradiction_value(form: FieldForm, excluded, point):
     """The factored contradiction polynomial prod_c (f - c) * prod_{i<j} (xj - xi)
-    at one point of the field, multiplied on raw values (residues reduced
-    mod p as they go, or fractions) and wrapped once."""
-    p = field.p
-    fx = f.eval(point).value
+    at one point of the form's field, multiplied on raw values (residues
+    reduced mod p as they go, or fractions) and wrapped once."""
+    p = form.field.p
+    fx = form.eval(point).value
     xs = [x.value for x in point]
     factors = [fx - c.value for c in excluded]
     factors += [xj - xi for j, xj in enumerate(xs) for xi in xs[:j]]
     value = 1
     for d in factors:
         value = value * d if p is None else value * d % p
-    return field.element(value)
+    return form.field.element(value)

@@ -22,7 +22,7 @@ from .errors import (
     SearchSpaceTooLarge,
 )
 from .fields import FieldDescriptor, FieldElement, parse_field
-from .poly import PowerSumForm
+from .poly import FieldForm, PowerSumForm, _field_form
 
 DEFAULT_TUPLE_GUARD = 10_000_000
 
@@ -111,38 +111,6 @@ class ValueSetResult:
     witnesses: dict | None = None
 
 
-def _field_leading(field: FieldDescriptor, n: int, leading) -> tuple:
-    """The leading coefficients a_1..a_n of a form, mapped into ``field``:
-    the one check of a form against the field and the number of sets that
-    every route makes.  Refuses a count of coefficients other than n, and a
-    coefficient that does not map (a fraction in GF(p)) or maps to zero."""
-    if len(leading) != n:
-        raise ArityMismatch(f"form has {len(leading)} variables, family has {n} sets")
-    lead = []
-    for i, a in enumerate(leading, start=1):
-        try:
-            lead.append(field.element(a))
-        except (ValueError, TypeError) as exc:
-            raise HypothesisViolated(f"leading coefficient a{i} = {a!r} is not in {field}") from exc
-        if lead[-1].is_zero:
-            raise HypothesisViolated(f"leading coefficient a{i} = {a!r} vanishes in {field}")
-    return tuple(lead)
-
-
-def _field_form(field: FieldDescriptor, n: int, f: PowerSumForm) -> tuple:
-    """The form's leading coefficients mapped into ``field`` by
-    `_field_leading`, once the tail's coefficients are shown to be elements
-    of ``field`` too (a fraction is none of GF(p)): the check of a whole
-    form that every counting route makes, once per family."""
-    lead = _field_leading(field, n, f.leading)
-    for _, c in f.tail.terms():
-        try:
-            field.element(c)
-        except (ValueError, TypeError) as exc:
-            raise HypothesisViolated(f"tail coefficient {c} is not in {field}") from exc
-    return lead
-
-
 def _check_tuple_guard(sizes, guard_tuples: int) -> None:
     """Refuse a family whose tuple grid is larger than the guard."""
     space = prod(sizes)
@@ -150,15 +118,14 @@ def _check_tuple_guard(sizes, guard_tuples: int) -> None:
         raise SearchSpaceTooLarge(f"family spans {space} tuples, guard is {guard_tuples}")
 
 
-def _enumerate(family, f, leading, restricted, guard_tuples, collect_witnesses):
-    """The value set of f on ``family``; ``leading`` holds f's leading
-    coefficients as `_field_form` mapped them into the family's field, so
-    the caller has checked the form once for all its enumerations."""
+def _enumerate(family, form: FieldForm, restricted, guard_tuples, collect_witnesses):
+    """The value set on ``family`` of a form mapped into its field, which
+    the caller has checked once for all its enumerations."""
     field, n = family.field, family.n
     _check_tuple_guard(family.sizes, guard_tuples)
     # a_i * x^k once per element, not once per tuple
-    lead = [{x: a * x**f.k for x in s} for a, s in zip(leading, family.sets)]
-    tail = f.tail
+    lead = [{x: a * x**form.k for x in s} for a, s in zip(form.leading, family.sets)]
+    tail = form.tail
     tail_is_zero = tail.is_zero
     seen: dict = {}
     used: set = set()
@@ -198,8 +165,7 @@ def restricted_value_set(
     collect_witnesses: bool = False,
 ) -> ValueSetResult:
     """Values of f over tuples with pairwise distinct coordinates."""
-    leading = _field_form(family.field, family.n, f)
-    return _enumerate(family, f, leading, True, guard_tuples, collect_witnesses)
+    return _enumerate(family, _field_form(family.field, family.n, f), True, guard_tuples, collect_witnesses)
 
 
 def unrestricted_value_set(
@@ -209,8 +175,7 @@ def unrestricted_value_set(
     collect_witnesses: bool = False,
 ) -> ValueSetResult:
     """Values of f over all tuples of the family."""
-    leading = _field_form(family.field, family.n, f)
-    return _enumerate(family, f, leading, False, guard_tuples, collect_witnesses)
+    return _enumerate(family, _field_form(family.field, family.n, f), False, guard_tuples, collect_witnesses)
 
 
 @dataclass(frozen=True)

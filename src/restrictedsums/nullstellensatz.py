@@ -61,24 +61,18 @@ class NullstellensatzCertificate:
 def certify(
     instance: NullstellensatzInstance,
     guard_tuples: int = DEFAULT_TUPLE_GUARD,
-    point_fn=None,
 ) -> NullstellensatzCertificate:
     """Check hypotheses, extract the target coefficient, and search for a
-    nonvanishing point when it is nonzero.
-
-    ``point_fn`` may supply a cheaper equivalent evaluator (for example a
-    factored form of the polynomial); by default the expanded polynomial is
-    evaluated directly.
-    """
+    nonvanishing point when it is nonzero, evaluating the polynomial at the
+    points of the grid in product order."""
     P = instance.poly.reduce(instance.family.field)
-    evaluate = point_fn if point_fn is not None else P.eval
     return _certified(
         P.degree,
         P.coefficient_of(instance.degrees),
         instance.degrees,
         instance.family,
         guard_tuples,
-        lambda: _first_nonzero(product(*instance.family.sets), evaluate),
+        lambda: _first_nonzero(product(*instance.family.sets), P.eval),
     )
 
 

@@ -28,7 +28,7 @@ import re
 
 import numpy as np
 
-from .errors import ArityMismatch, ExpansionTooLarge, HypothesisViolated
+from .errors import ArityMismatch, ExpansionTooLarge, FieldMismatch, HypothesisViolated
 from .fields import FieldDescriptor, FieldElement
 
 # Cap on term count for any single expansion; override per call.
@@ -404,14 +404,10 @@ class SparsePoly:
         field = point[0].field
         for x in point:
             if x.field != field:
-                from .errors import FieldMismatch
-
                 raise FieldMismatch("evaluation point mixes fields")
         total = field.zero
         for exps, coeff in self._terms.items():
-            term = field.embed(coeff) if isinstance(coeff, int) else coeff
-            if isinstance(term, Fraction):
-                term = field.element(term)
+            term = coeff if isinstance(coeff, FieldElement) else field.element(coeff)
             for x, e in zip(point, exps):
                 if e:
                     term = term * x**e
@@ -572,8 +568,9 @@ class PowerSumForm:
 
     ``leading`` holds the nonzero coefficients a1..an as plain numbers: ints,
     or Fractions for a form over Q.  Whether they stay nonzero in a given
-    field is checked once, against the family, by every route that reads
-    the form.  ``tail`` is a SparsePoly in the same n variables.
+    field is checked once, against the family, by `_field_form`, which maps
+    the form into the field for every route.  ``tail`` is a SparsePoly in
+    the same n variables.
     """
 
     k: int
@@ -620,16 +617,63 @@ class PowerSumForm:
         return p + self.tail
 
     def eval(self, point) -> FieldElement:
+        """f at a point of one field, by `FieldForm.eval`."""
         point = tuple(point)
-        if len(point) != self.n:
-            raise ArityMismatch(f"point of length {len(point)}, expected {self.n}")
-        field = point[0].field
-        total = field.zero
-        for a, x in zip(self.leading, point):
-            total = total + (x**self.k) * field.element(a)
-        if not self.tail.is_zero:
-            total = total + self.tail.eval(point)
-        return total
+        return _field_form(point[0].field, len(point), self).eval(point)
+
+
+def _field_leading(field: FieldDescriptor, n: int, leading) -> tuple:
+    """The leading coefficients a_1..a_n of a form as nonzero elements of
+    ``field``, one per set of a family of n sets; anything else is refused."""
+    if len(leading) != n:
+        raise ArityMismatch(f"form has {len(leading)} variables, family has {n} sets")
+    lead = []
+    for i, a in enumerate(leading, start=1):
+        try:
+            lead.append(field.element(a))
+        except (ValueError, TypeError) as exc:
+            raise HypothesisViolated(f"leading coefficient a{i} = {a!r} is not in {field}") from exc
+        if lead[-1].is_zero:
+            raise HypothesisViolated(f"leading coefficient a{i} = {a!r} vanishes in {field}")
+    return tuple(lead)
+
+
+@dataclass(frozen=True)
+class FieldForm:
+    """A `PowerSumForm` mapped into one field by `_field_form`: ``leading``
+    holds a_1..a_n as nonzero elements of ``field``, ``tail`` the tail over
+    ``field`` with its vanishing terms dropped.  Every route reads a form as
+    this, and `eval` is the one exact evaluator."""
+
+    field: FieldDescriptor
+    k: int
+    leading: tuple
+    tail: SparsePoly
+
+    @property
+    def n(self) -> int:
+        return len(self.leading)
+
+    def eval(self, point) -> FieldElement:
+        """f at a point of ``field``, in exact element arithmetic."""
+        total = sum((a * x**self.k for a, x in zip(self.leading, point)), self.field.zero)
+        return total if self.tail.is_zero else total + self.tail.eval(point)
+
+
+def _field_form(field: FieldDescriptor, n: int, f: PowerSumForm) -> FieldForm:
+    """f mapped into ``field``, the one check of a form against a field and a
+    family of n sets: `_field_leading`, and every tail coefficient must be
+    an element of ``field`` (a fraction is none of GF(p))."""
+    lead = _field_leading(field, n, f.leading)
+    tail = {}
+    for e, c in f.tail.terms():
+        try:
+            c = field.element(c)
+        except (ValueError, TypeError) as exc:
+            raise HypothesisViolated(f"tail coefficient {c} is not in {field}") from exc
+        if not c.is_zero:
+            tail[e] = c
+    return FieldForm(field, f.k, lead, SparsePoly._trusted(n, tail))
 
 
 # ---------- text grammar ----------

@@ -30,14 +30,13 @@ against the exact backtracking enumerator in the test suite:
     Whatever fails these goes to the exact enumerator, which stays the
     oracle.
 
-Every route reads the form as a `PowerSumForm`: leading coefficients are
-ints, or Fractions over Q, and a form whose leading coefficient vanishes in
-the field, or with a coefficient that is no element of it, is refused by
-every route, through the one check `enumeration._field_form`.  The grid
-reads a `SetFamily`, whose sets are distinct elements of one field; the
-lattice alone takes raw (p, k, leading, tail) and builds the form itself.
-Over Q a form can be scaled by a nonzero constant without changing its
-value-set cardinality, which is what lets the integer grid hold L^k*f.
+Every route reads a `FieldForm`, the form as `poly._field_form` mapped
+and checked it once against the family's field, and reads the values of
+its mapped coefficients.  The grid reads a `SetFamily`, whose sets are
+distinct elements of one field; the lattice alone takes raw
+(p, k, leading, tail) and maps the form itself.  Over Q a form can be
+scaled by a nonzero constant without changing its value-set cardinality,
+which is what lets the integer grid hold L^k*f.
 
 Both routes drop tuples with a repeated coordinate by one mask, `_injective`:
 the per-family grid is filtered with it, and the lattice zeroes its value
@@ -60,10 +59,10 @@ from math import comb, lcm, prod
 
 import numpy as np
 
-from .enumeration import ValueSetResult, _check_tuple_guard, _enumerate, _field_form
+from .enumeration import ValueSetResult, _check_tuple_guard, _enumerate
 from .errors import HypothesisViolated, SearchSpaceTooLarge
 from .fields import FieldElement, prime_field
-from .poly import PowerSumForm, SparsePoly
+from .poly import FieldForm, PowerSumForm, SparsePoly, _field_form
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
 LATTICE_BYTE_GUARD = 1 << 30  # largest allocation, in bytes, a sweep may ask for
@@ -119,12 +118,13 @@ def random_sizes(rng: random.Random, n: int, low_fn, high: int) -> tuple:
 # ---------- route 1: the subset lattice ----------
 
 
-def _value_table(p: int, f: PowerSumForm) -> np.ndarray:
+def _value_table(form: FieldForm) -> np.ndarray:
     """uint8 grid of shape (p,)*n holding the bit 1 << f(x) for every tuple x
-    of GF(p)^n; the lattice has built GF(p), so p is prime."""
+    of GF(p)^n, for a form mapped into GF(p)."""
+    p = form.field.p
     if not 2 <= p <= MAX_LATTICE_PRIME:
         raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
-    total = _residue_values(p, np.ix_(*[np.arange(p, dtype=np.int64)] * f.n), f)
+    total = _residue_values(np.ix_(*[np.arange(p, dtype=np.int64)] * form.n), form)
     return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
 
 
@@ -134,17 +134,14 @@ def _residue_route_fits(p: int) -> bool:
     return (p - 1) ** 2 < 1 << 63
 
 
-def _integer_route_fits(f: PowerSumForm, sets) -> bool:
-    """Whether f = sum a_i u_i^k + tail, with integer coefficients, stays
-    below 2^63 in absolute value, partial sums and products included, at
-    every point of the integer sets: with M = max(|u|, 1) over the sets,
-    M^k * sum |a_i| + sum |c_e| * M^|e| < 2^63."""
-    terms = list(f.tail.terms())
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in [*f.leading, *(c for _, c in terms)]):
-        return False
+def _integer_route_fits(form: FieldForm, sets) -> bool:
+    """Whether f = sum a_i u_i^k + tail, a form over Q with integer
+    coefficients, stays below 2^63 in absolute value, partial sums and
+    products included, at every point of the integer sets: with
+    M = max(|u|, 1) over the sets, M^k * sum |a_i| + sum |c_e| * M^|e| < 2^63."""
     top = max([1] + [abs(u) for s in sets for u in s])
-    bound = top**f.k * sum(abs(a) for a in f.leading) + sum(abs(c) * top ** sum(e) for e, c in terms)
-    return bound < 1 << 63
+    bound = top**form.k * sum(abs(a.value) for a in form.leading)
+    return bound + sum(abs(c.value) * top ** sum(e) for e, c in form.tail.terms()) < 1 << 63
 
 
 def _mod(v, p: int | None):
@@ -152,20 +149,21 @@ def _mod(v, p: int | None):
     return v if p is None else v % p
 
 
-def _residue_values(p: int | None, axes, f: PowerSumForm) -> np.ndarray:
-    """int64 grid of f mod p over the open mesh ``axes`` of np.ix_: each
-    power is taken once per coordinate and broadcast.  Each product, at most
-    (p-1)^2, is reduced before it is summed.  With p None the grid holds f
-    itself, unreduced, which `_integer_route_fits` must have shown to fit
-    int64."""
+def _residue_values(axes, form: FieldForm) -> np.ndarray:
+    """int64 grid of f mod p over the open mesh ``axes`` of np.ix_, for a
+    form mapped into GF(p): each power is taken once per coordinate and
+    broadcast.  Each product, at most (p-1)^2, is reduced before it is
+    summed.  Over Q the grid holds f itself, unreduced, which
+    `_integer_route_fits` must have shown to fit int64."""
+    p = form.field.p
 
     def power(x, e):
         return x**e if p is None else _pow_mod_grid(x, e, p)
 
-    total = _mod(sum((_mod(_mod(int(a), p) * power(x, f.k), p) for a, x in zip(f.leading, axes)), np.int64(0)), p)
-    if not f.tail.is_zero:
-        for exps, c in f.tail.terms():
-            term = _mod(int(c), p)
+    total = _mod(sum((_mod(int(a.value) * power(x, form.k), p) for a, x in zip(form.leading, axes)), np.int64(0)), p)
+    if not form.tail.is_zero:
+        for exps, c in form.tail.terms():
+            term = int(c.value)
             for x, e in zip(axes, exps):
                 if e:
                     term = _mod(term * power(x, e), p)
@@ -239,15 +237,14 @@ def lattice_min_cardinality(
     popcounts fold into acc[|A_1|] at once.
     """
     n = len(leading)
-    f = PowerSumForm(k, leading, SparsePoly.zero(n) if tail is None else tail)
-    _field_form(prime_field(p), n, f)
+    form = _field_form(prime_field(p), n, PowerSumForm(k, leading, SparsePoly.zero(n) if tail is None else tail))
     nbytes = (3 * p + 3) * (1 << p) ** (n - 1)
     if nbytes > LATTICE_BYTE_GUARD:
         raise SearchSpaceTooLarge(
             f"the GF({p}), n = {n} lattice needs about {nbytes} bytes, "
             f"over the {LATTICE_BYTE_GUARD}-byte guard"
         )
-    S = _value_table(p, f)
+    S = _value_table(form)
     if restricted:
         S[~_injective(np.ix_(*[np.arange(p)] * n))] = 0
     for axis in range(n - 1, 0, -1):
@@ -297,17 +294,15 @@ def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):
 # ---------- route 2: per-family vectorized evaluation ----------
 
 
-def _value_counts(family, f, variants, guard_tuples: int, leading=None, witnesses: bool = False) -> tuple:
-    """Value-set cardinalities of the form ``f`` on a `SetFamily`, one per
-    flag of ``variants`` (True: pairwise-distinct tuples only), with the
-    enumerator's tuple guard.  The one place that picks a family's route:
-    the int64 grid of `_family_counts` where it provably fits, else the exact
-    enumerator.  Over Q the grid holds D * L^k * f(x) at u = L*x, L the lcm
-    of the elements' denominators and D that of the form's coefficients; a
-    nonzero scale keeps values apart and u_i = u_j iff x_i = x_j, so the
-    counts are unchanged.  The form is checked against the field once: here,
-    or by a caller that hands over the ``leading`` coefficients `_field_form`
-    mapped; the enumerator is handed them.
+def _value_counts(family, form: FieldForm, variants, guard_tuples: int, witnesses: bool = False) -> tuple:
+    """Value-set cardinalities on a `SetFamily` of a form mapped into its
+    field, one per flag of ``variants`` (True: pairwise-distinct tuples
+    only), with the enumerator's tuple guard.  The one place that picks a
+    family's route: the int64 grid of `_family_counts` where it provably
+    fits, else the exact enumerator.  Over Q the grid holds D * L^k * f(x)
+    at u = L*x, L the lcm of the elements' denominators and D that of the
+    form's coefficients; a nonzero scale keeps values apart and u_i = u_j
+    iff x_i = x_j, so the counts are unchanged.
 
     With ``witnesses`` each flag gets the `ValueSetResult` the enumerator
     gives with witnesses: the values sorted, the first tuple in product
@@ -316,32 +311,28 @@ def _value_counts(family, f, variants, guard_tuples: int, leading=None, witnesse
     family over Q goes to the enumerator.
     """
     field = family.field
-    if leading is None:
-        leading = _field_form(field, family.n, f)
     _check_tuple_guard(family.sizes, guard_tuples)
     if field.is_prime_field:
-        grid_form = f
+        grid_form = form
         sets = [[x.value for x in s] for s in family.sets]
         fits = _residue_route_fits(field.p)
     elif witnesses:
         fits = False
     else:
-        lead = [a.value for a in leading]
-        tail = {e: field.element(c).value for e, c in f.tail.terms()}
-        form_scale = lcm(*(c.denominator for c in [*lead, *tail.values()]))
+        form_scale = lcm(*(c.value.denominator for c in [*form.leading, *dict(form.tail.terms()).values()]))
         scale = lcm(*(x.value.denominator for s in family.sets for x in s))
         sets = [[int(x.value * scale) for x in s] for s in family.sets]
 
-        def scaled(c, power=1):  # D * c * power in integer arithmetic
-            return c.numerator * (form_scale // c.denominator) * power
+        def scaled(c, power=1):  # D * c * power, an integer, as an element
+            return field.element(c.value.numerator * (form_scale // c.value.denominator) * power)
 
-        tail = {e: scaled(c, scale ** (f.k - sum(e))) for e, c in tail.items()}
-        grid_form = PowerSumForm(f.k, [scaled(a) for a in lead], SparsePoly(f.n, tail))
+        tail = {e: scaled(c, scale ** (form.k - sum(e))) for e, c in form.tail.terms()}
+        grid_form = FieldForm(field, form.k, tuple(map(scaled, form.leading)), SparsePoly._trusted(form.n, tail))
         fits = _integer_route_fits(grid_form, sets)
     if not fits:
-        runs = [_enumerate(family, f, leading, restricted, guard_tuples, witnesses) for restricted in variants]
+        runs = [_enumerate(family, form, restricted, guard_tuples, witnesses) for restricted in variants]
         return tuple(runs) if witnesses else tuple(run.cardinality for run in runs)
-    counts = _family_counts(field.p, sets, grid_form, variants, witnesses)
+    counts = _family_counts(sets, grid_form, variants, witnesses)
     if not witnesses:
         return counts
     results = []
@@ -352,13 +343,12 @@ def _value_counts(family, f, variants, guard_tuples: int, leading=None, witnesse
     return tuple(results)
 
 
-def _family_counts(p: int | None, sets, f: PowerSumForm, variants, witnesses: bool = False) -> tuple:
+def _family_counts(sets, form: FieldForm, variants, witnesses: bool = False) -> tuple:
     """Value-set cardinality of one family for each flag of ``variants``
-    (True: pairwise-distinct tuples only), all from one evaluation of f,
-    over GF(p), or over the integers when p is None.  Its one caller,
-    `_value_counts`, has checked f against the field and the number of sets
-    and has chosen this route: each set holds distinct ints, residues mod p
-    or lcm-scaled rationals, on which f provably fits int64.
+    (True: pairwise-distinct tuples only), all from one evaluation of the
+    form, over its GF(p), or over the integers when its field is Q.  Its one
+    caller, `_value_counts`, has chosen this route: each set holds distinct
+    residues mod p or lcm-scaled rationals, on which the form fits int64.
 
     The tuple grid is cut into boxes of at most `LATTICE_BYTE_GUARD` bytes,
     slabs along the first set, so a family of any size is counted; the
@@ -376,7 +366,7 @@ def _family_counts(p: int | None, sets, f: PowerSumForm, variants, witnesses: bo
     # boxes of indices into the sets, so a witness is read off its box
     for box in _boxes([np.arange(len(c)) for c in coords], budget):
         axes = np.ix_(*map(np.take, coords, box))
-        total = _residue_values(p, axes, f)
+        total = _residue_values(axes, form)
         for j, restricted in enumerate(variants):
             if witnesses:
                 seen[j] = _first_seen(seen[j], total, _injective(axes) if restricted else None, box)

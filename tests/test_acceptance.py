@@ -42,6 +42,7 @@ from restrictedsums import (
     vandermonde,
 )
 from restrictedsums.bounds import BOUNDS
+from restrictedsums.poly import _field_form
 from restrictedsums.sweeps import _value_counts
 from permutations import Permutation
 
@@ -91,7 +92,7 @@ def unit_lattice(cache, p, n, k, tail_idx):
 def sampled_count(fam, f, restricted):
     """One sampled family's value-set cardinality, through the route chooser
     the CLI scans use."""
-    return _value_counts(fam, f, (restricted,), DEFAULT_TUPLE_GUARD)[0]
+    return _value_counts(fam, _field_form(fam.field, fam.n, f), (restricted,), DEFAULT_TUPLE_GUARD)[0]
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -136,10 +137,12 @@ def test_criterion_2_residue_class_bound_sweep(capsys, lattice_cache):
             cap = min(p, 5)
             for n in range(1, 5):
                 for k in range(1, n + 1):
+                    form = _field_form(field, n, PowerSumForm.unit(n, k))
+
                     def bound_fn(sizes):
                         if any(s > cap for s in sizes):
                             return None
-                        return BOUNDS["thm12"].for_sizes(sizes, k, (1,) * n, field)
+                        return BOUNDS["thm12"].for_sizes(sizes, form)
 
                     for tail_idx in range(TAILS_PER_CASE):
                         mc = unit_lattice(lattice_cache, p, n, k, tail_idx)
@@ -187,11 +190,12 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
                         leading = random_leading(rng, n, p)
                         tail = random_tail(rng, n, k)
                         mc = lattice_min_cardinality(p, k, leading, tail, restricted=False)
+                        form = _field_form(field, n, PowerSumForm(k, leading, tail))
 
                         def bound_u(sizes):
                             if any(s > cap for s in sizes):
                                 return None
-                            return BOUNDS["thm11u"].for_sizes(sizes, k, leading, field)
+                            return BOUNDS["thm11u"].for_sizes(sizes, form)
 
                         c, viol, _ = check_lattice_bounds(mc, p, bound_u)
                         checked += c
@@ -203,11 +207,12 @@ def test_criterion_3_per_variable_floor_bounds(capsys):
                         leading = random_leading(rng, n, p)
                         tail = random_tail(rng, n, k)
                         mc = lattice_min_cardinality(p, k, leading, tail, restricted=True)
+                        form = _field_form(field, n, PowerSumForm(k, leading, tail))
 
                         def bound_r(sizes):
                             if any(s > cap for s in sizes):
                                 return None
-                            return BOUNDS["thm11r"].for_sizes(sizes, k, leading, field)
+                            return BOUNDS["thm11r"].for_sizes(sizes, form)
 
                         c, viol, _ = check_lattice_bounds(mc, p, bound_r)
                         checked += c

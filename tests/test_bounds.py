@@ -12,7 +12,9 @@ from restrictedsums import (
     ExtendedNat,
     HypothesisViolated,
     Infeasible,
+    PowerSumForm,
     SetFamily,
+    SparsePoly,
     distinct_sum_bound,
     equal_size_bound,
     equal_size_floor_sum,
@@ -29,6 +31,7 @@ from restrictedsums import (
     unrestricted_floor_bound,
 )
 from restrictedsums.bounds import BOUNDS
+from restrictedsums.poly import _field_form
 
 
 # ---------- primitives ----------
@@ -397,13 +400,15 @@ def test_for_sizes_answers_for_a_profile_what_evaluate_answers_for_a_family():
         for family in (distinct, shared):
             for k in (1, 2, 3):
                 for leading in ((1, 1), (1, 6), (2, 3)):
-                    expected = bound.evaluate(family, k, leading)
-                    got = bound.for_sizes(family.sizes, k, leading, F, shared=family is shared)
+                    form = _field_form(F, 2, PowerSumForm(k, leading, SparsePoly.zero(2)))
+                    expected = bound.evaluate(family, form)
+                    got = bound.for_sizes(family.sizes, form, shared=family is shared)
                     assert got == expected, (token, family.sizes, k, leading)
                     # sizes alone cannot show a shared set
-                    sizes_only = bound.for_sizes(family.sizes, k, leading, F)
+                    sizes_only = bound.for_sizes(family.sizes, form)
                     assert sizes_only == (None if bound.shared_set else expected)
                     if expected is not None:
                         answered.add(token)
     assert answered == set(BOUNDS)
-    assert BOUNDS["thm12"].for_sizes((2, 1), 1, (1, 1), F) is None  # |A_2| < 2
+    unit = _field_form(F, 2, PowerSumForm.unit(2, 1))
+    assert BOUNDS["thm12"].for_sizes((2, 1), unit) is None  # |A_2| < 2

@@ -16,12 +16,10 @@ from restrictedsums import (
     ExtendedNat,
     HypothesisViolated,
     NotInvariant,
-    NullstellensatzInstance,
     PowerSumForm,
     SearchSpaceTooLarge,
     SetFamily,
     SparsePoly,
-    certify,
     coefficient_by_expansion,
     coefficient_formula,
     floor_minima,
@@ -35,8 +33,9 @@ from restrictedsums import (
 )
 from restrictedsums import coeff, enumeration, poly, sweeps
 from restrictedsums.coeff import _shifted_classes
-from restrictedsums.enumeration import DEFAULT_TUPLE_GUARD, _enumerate, _field_form
-from restrictedsums.poly import _product
+from restrictedsums.enumeration import DEFAULT_TUPLE_GUARD, _enumerate
+from restrictedsums.nullstellensatz import _certified, _first_nonzero
+from restrictedsums.poly import _field_form, _product
 from permutations import Permutation, falling_factorial
 
 
@@ -438,7 +437,14 @@ def unpacked_certificate(replay, f):
         return value
 
     Q = _product(factors)
-    cert = certify(NullstellensatzInstance(Q, degrees, shrunk), point_fn=factored)
+    cert = _certified(
+        Q.degree,
+        Q.coefficient_of(degrees),
+        degrees,
+        shrunk,
+        DEFAULT_TUPLE_GUARD,
+        lambda: _first_nonzero(itertools.product(*shrunk.sets), factored),
+    )
     assert Q.eval(cert.witness) == cert.witness_value
     return cert
 
@@ -515,10 +521,10 @@ def replay_route_cases():
 
 
 def assert_same_value_sets(family, f):
-    leading = _field_form(family.field, family.n, f)
-    got = sweeps._value_counts(family, f, (True, False), DEFAULT_TUPLE_GUARD, witnesses=True)
+    form = _field_form(family.field, family.n, f)
+    got = sweeps._value_counts(family, form, (True, False), DEFAULT_TUPLE_GUARD, witnesses=True)
     for restricted, run in zip((True, False), got):
-        want = _enumerate(family, f, leading, restricted, DEFAULT_TUPLE_GUARD, True)
+        want = _enumerate(family, form, restricted, DEFAULT_TUPLE_GUARD, True)
         assert run == want, (family, restricted)
         assert list(run.witnesses) == list(want.witnesses)
 

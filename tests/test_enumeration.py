@@ -31,6 +31,7 @@ from restrictedsums import (
     unrestricted_value_set,
 )
 from restrictedsums.bounds import BOUNDS
+from restrictedsums.poly import _field_form
 from restrictedsums.sweeps import _value_counts
 
 
@@ -204,7 +205,7 @@ def test_every_route_refuses_the_same_forms(k, leading, tail, error):
     routes = [
         lambda: restricted_value_set(fam, f),
         lambda: unrestricted_value_set(fam, f),
-        lambda: _value_counts(fam, f, (True, False), DEFAULT_TUPLE_GUARD),
+        lambda: _value_counts(fam, _field_form(GF7, fam.n, f), (True, False), DEFAULT_TUPLE_GUARD),
         lambda: proof_replay(fam, k, f=f),
     ]
     for route in routes:
@@ -218,7 +219,8 @@ def test_leading_coefficients_are_read_in_the_field_on_every_route():
     eights, ones = PowerSumForm(2, (8, 8, 8), SparsePoly.zero(3)), PowerSumForm.unit(3, 2)
     replay = proof_replay(fam, 2, f=eights, expand_certificate=True)
     assert replay.to_json_dict() == proof_replay(fam, 2, f=ones, expand_certificate=True).to_json_dict()
-    assert BOUNDS["thm12"].evaluate(fam, 2, (8, 8, 8)) == BOUNDS["thm12"].evaluate(fam, 2, (1, 1, 1)) == 4
+    thm12 = BOUNDS["thm12"]
+    assert thm12.evaluate(fam, _field_form(GF7, 3, eights)) == thm12.evaluate(fam, _field_form(GF7, 3, ones)) == 4
     assert restricted_value_set(fam, eights).values == restricted_value_set(fam, ones).values
     # over Q a fraction is a valid coefficient, and scaling the whole form
     # by a nonzero constant keeps every count
@@ -227,9 +229,10 @@ def test_leading_coefficients_are_read_in_the_field_on_every_route():
     half = PowerSumForm(2, (Fraction(1, 2), 3), parse_poly("x1 - 1", nvars=2))
     doubled = PowerSumForm(2, (1, 6), parse_poly("2*x1 - 2", nvars=2))
     counts = (restricted_value_set(fam, half).cardinality, unrestricted_value_set(fam, half).cardinality)
+    half, doubled, unit = (_field_form(QQ, 2, f) for f in (half, doubled, PowerSumForm.unit(2, 2)))
     assert _value_counts(fam, half, (True, False), DEFAULT_TUPLE_GUARD) == counts
     assert _value_counts(fam, doubled, (True, False), DEFAULT_TUPLE_GUARD) == counts
-    assert BOUNDS["thm11u"].evaluate(fam, 2, half.leading) == BOUNDS["thm11u"].evaluate(fam, 2, (1, 1))
+    assert BOUNDS["thm11u"].evaluate(fam, half) == BOUNDS["thm11u"].evaluate(fam, unit)
 
 
 def test_search_space_guard():

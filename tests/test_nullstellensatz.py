@@ -102,19 +102,6 @@ def test_search_guard():
         certify(NullstellensatzInstance(poly, (1, 1, 1), fam), guard_tuples=300)
 
 
-def test_point_fn_override():
-    fam = grid_family(7, (1, 2))
-    calls = []
-
-    def factored(point):
-        calls.append(point)
-        return point[1] - point[0]
-
-    cert = certify(NullstellensatzInstance(vandermonde(2), (0, 1), fam), point_fn=factored)
-    assert cert.nonzero and cert.witness is not None
-    assert calls  # the override was actually used
-
-
 def test_certificate_json():
     fam = grid_family(7, (1, 2))
     d = certify(NullstellensatzInstance(vandermonde(2), (0, 1), fam)).to_json_dict()

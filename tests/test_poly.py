@@ -17,17 +17,19 @@ from restrictedsums import (
     FieldElement,
     HypothesisViolated,
     PowerSumForm,
+    SetFamily,
     SparsePoly,
     format_poly,
     parse_poly,
     power_sum_pow,
     prime_field,
     rational_field,
+    restricted_value_set,
     vandermonde,
 )
 from restrictedsums import poly
 from restrictedsums.fields import FieldDescriptor
-from restrictedsums.poly import _packed_product, _product, _product_coefficients, _product_top
+from restrictedsums.poly import _field_form, _packed_product, _product, _product_coefficients, _product_top
 
 
 def inversion_sign(perm):
@@ -676,6 +678,38 @@ def test_power_sum_form_eval_three_variables():
 def test_power_sum_form_expand():
     form = PowerSumForm(2, (1, 2), parse_poly("x2 - 1", nvars=2))
     assert dict(form.expand().terms()) == {(2, 0): 1, (0, 2): 2, (0, 1): 1, (0, 0): -1}
+
+
+# (field, form, the elements of each set of its grid)
+EVALUATOR_CASES = [
+    (prime_field(2), PowerSumForm(3, (1, 3), parse_poly("x1*x2 + x2 + 1", nvars=2)), range(2)),
+    # 8 = 1 in GF(7), and the tail term 7*x1 vanishes there
+    (prime_field(7), PowerSumForm(2, (8, 3), parse_poly("7*x1 + 2*x2 - 1", nvars=2)), range(7)),
+    (prime_field(13), PowerSumForm(3, (1, 12, 5), parse_poly("2*x1*x2 - x3^2 + 4*x1 + 3", nvars=3)), range(13)),
+    (
+        QQ,
+        PowerSumForm(3, (Fraction(1, 2), Fraction(-2, 3)), SparsePoly(2, {(1, 1): Fraction(3, 4), (0, 0): 5})),
+        (0, 1, -2, Fraction(1, 2), Fraction(-5, 3)),
+    ),
+]
+
+
+@pytest.mark.parametrize("field, f, elements", EVALUATOR_CASES, ids=["gf2", "gf7", "gf13", "rational"])
+def test_one_exact_evaluator(field, f, elements):
+    # FieldForm.eval, and PowerSumForm.eval through it, is the expanded form
+    # over the field at every point of the grid; the enumerator's values are
+    # those of eval on the injective tuples
+    form = _field_form(field, f.n, f)
+    assert all(not c.is_zero for _, c in form.tail.terms())
+    expanded = f.expand().reduce(field)
+    family = SetFamily.from_elements(field, [elements] * f.n)
+    for point in itertools.product(*family.sets):
+        assert form.eval(point) == f.eval(point) == expanded.eval(point), point
+    injective = {form.eval(x) for x in itertools.product(*family.sets) if len(set(x)) == f.n}
+    assert set(restricted_value_set(family, f).values) == injective
+    if field.p == 7:
+        assert form.leading == (field.one, field.element(3))
+        assert dict(form.tail.terms()) == {(0, 1): field.element(2), (0, 0): field.element(6)}
 
 
 # ---------- parser / formatter ----------

@@ -3,7 +3,9 @@
 import ast
 import gc
 import itertools
+import json
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from math import prod
@@ -35,7 +37,9 @@ from restrictedsums import (
     restricted_value_set,
     unrestricted_value_set,
 )
-from restrictedsums import coeff, enumeration, sweeps
+from restrictedsums import cli, sweeps
+from restrictedsums.bounds import BOUNDS
+from restrictedsums.poly import _field_form
 from restrictedsums.sweeps import (
     LATTICE_BYTE_GUARD,
     _family_counts,
@@ -47,6 +51,11 @@ from restrictedsums.sweeps import (
     _value_counts,
     _value_table,
 )
+
+
+def value_table(p, form):
+    """The lattice's value table of a form, mapped into GF(p)."""
+    return _value_table(_field_form(prime_field(p), form.n, form))
 
 
 def mask_of(subset) -> int:
@@ -121,7 +130,7 @@ def test_value_table_matches_field_evaluation():
     F = prime_field(p)
     tail = random_tail(random.Random(3), 2, k)
     form = PowerSumForm(k, (2, 3), tail)
-    table = _value_table(p, form)
+    table = value_table(p, form)
     assert table.shape == (p, p) and table.dtype == np.uint8
     for x1 in range(p):
         for x2 in range(p):
@@ -131,7 +140,7 @@ def test_value_table_matches_field_evaluation():
 
 def test_value_table_guards():
     with pytest.raises(HypothesisViolated):
-        _value_table(11, PowerSumForm.unit(2, 2))  # beyond the uint8 lattice limit
+        value_table(11, PowerSumForm.unit(2, 2))  # beyond the uint8 lattice limit
     # the form is checked once, by the entry that builds it
     with pytest.raises(HypothesisViolated):
         lattice_min_cardinality(5, 2, (5, 1))  # leading coefficient dies mod 5
@@ -182,7 +191,7 @@ def family_mask(S, p, masks):
 @pytest.mark.parametrize("restricted", [True, False])
 def test_fold_masks_exhaustive_p3(restricted):
     p, k = 3, 1
-    S = fold_trailing_axes(_value_table(p, PowerSumForm.unit(2, k)), p, restricted)
+    S = fold_trailing_axes(value_table(p, PowerSumForm.unit(2, k)), p, restricted)
     assert S.shape == (3, 8)
     for m1 in range(8):
         for m2 in range(8):
@@ -201,7 +210,7 @@ def test_fold_masks_random_p5_n3(restricted):
     rng = random.Random(derive_seed("fold", p, k, restricted))
     leading = random_leading(rng, 3, p)
     tail = random_tail(rng, 3, k)
-    S = fold_trailing_axes(_value_table(p, PowerSumForm(k, leading, tail)), p, restricted)
+    S = fold_trailing_axes(value_table(p, PowerSumForm(k, leading, tail)), p, restricted)
     assert S.shape == (5, 32, 32)
     for _ in range(25):
         masks = [mask_of(random_subset(rng, p, rng.randint(1, p))) for _ in range(3)]
@@ -212,7 +221,7 @@ def test_fold_masks_random_p5_n3(restricted):
 
 def test_fold_masks_single_variable():
     p = 5
-    S = fold_trailing_axes(_value_table(p, PowerSumForm.unit(1, 2)), p, True)
+    S = fold_trailing_axes(value_table(p, PowerSumForm.unit(1, 2)), p, True)
     assert S.shape == (5,)
     # squares mod 5: {0,1,4}; subset {1,2,3} -> values {1,4,4} -> mask 0b10010
     assert family_mask(S, p, (mask_of((1, 2, 3)),)) == mask_of((1, 4))
@@ -314,12 +323,12 @@ def test_lattice_route_agrees_with_per_family_route():
     rng = random.Random(derive_seed("routes", p, k))
     leading = random_leading(rng, 2, p)
     tail = random_tail(rng, 2, k)
-    form = PowerSumForm(k, leading, tail)
+    form = _field_form(prime_field(p), 2, PowerSumForm(k, leading, tail))
     subsets = [c for s in range(1, p + 1) for c in itertools.combinations(range(p), s)]
     minima = {}
     for sets in itertools.product(subsets, repeat=2):
         sizes = tuple(len(s) for s in sets)
-        counts = _family_counts(p, sets, form, (True, False))
+        counts = _family_counts(sets, form, (True, False))
         minima[sizes] = [min(c, m) for c, m in zip(counts, minima.get(sizes, counts))]
     for j, restricted in enumerate((True, False)):
         got = lattice_min_cardinality(p, k, leading, tail, restricted)
@@ -352,7 +361,7 @@ def test_byte_guards_refuse_before_allocating():
         lattice_min_cardinality(7, 2, (1,) * 5)  # 6.4 GB of slabs
     fam = SetFamily.from_elements(prime_field(13), [range(13)] * 7)
     with pytest.raises(SearchSpaceTooLarge):  # 13^7 tuples, past the tuple guard
-        _value_counts(fam, PowerSumForm.unit(7, 2), (True,), DEFAULT_TUPLE_GUARD)
+        _value_counts(fam, _field_form(fam.field, 7, PowerSumForm.unit(7, 2)), (True,), DEFAULT_TUPLE_GUARD)
 
 
 def test_check_lattice_bounds_clean_and_tight():
@@ -423,13 +432,13 @@ def test_family_cardinality_fast_refuses_bad_forms(leading, tail):
     arity = len(leading) != 2 or tail is not None and tail.nvars != 2
     with pytest.raises(ArityMismatch if arity else HypothesisViolated):
         f = PowerSumForm(2, leading, tail if tail is not None else SparsePoly.zero(len(leading)))
-        _value_counts(GF7_PAIR, f, (True,), DEFAULT_TUPLE_GUARD)
+        _value_counts(GF7_PAIR, _field_form(GF7_PAIR.field, 2, f), (True,), DEFAULT_TUPLE_GUARD)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.0, True])
 def test_family_cardinality_fast_refuses_bad_k(k):
     with pytest.raises(HypothesisViolated):
-        _value_counts(GF7_PAIR, PowerSumForm.unit(2, k), (True,), DEFAULT_TUPLE_GUARD)
+        _value_counts(GF7_PAIR, _field_form(GF7_PAIR.field, 2, PowerSumForm.unit(2, k)), (True,), DEFAULT_TUPLE_GUARD)
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 3_037_000_493 * 3])
@@ -450,13 +459,10 @@ def test_integer_grid_refuses_values_past_int64():
     # |u| <= 2^31 - 1 with two unit leading coefficients and k = 2 fits
     # int64; one step further the shapes no longer prove it
     top = 2**31 - 1
-    form = PowerSumForm.unit(2, 2)
+    form = _field_form(rational_field(), 2, PowerSumForm.unit(2, 2))
     assert _integer_route_fits(form, [[0, top], [-top]])
     assert not _integer_route_fits(form, [[0, top + 1], [-top]])
-    assert _family_counts(None, [[0, top], [0, top]], form, (True, False)) == (1, 3)
-    # non-integer coefficients never take the integer grid
-    assert not _integer_route_fits(PowerSumForm(1, (Fraction(1, 2),), SparsePoly.zero(1)), [[0, 1]])
-    assert not _integer_route_fits(PowerSumForm(2, (1,), SparsePoly(1, {(1,): Fraction(1, 3)})), [[0, 1]])
+    assert _family_counts([[0, top], [0, top]], form, (True, False)) == (1, 3)
 
 
 # ---------- the route chooser of the CLI scans ----------
@@ -516,7 +522,7 @@ def test_value_counts_matches_exact_enumerator(monkeypatch):
         space = prod(fam.sizes)
         for variants in ((True,), (False,), (True, False), (False, True)):
             grid_calls.clear()
-            got = _value_counts(fam, f, variants, space)  # a guard of exactly the family's size
+            got = _value_counts(fam, _field_form(field, fam.n, f), variants, space)  # a guard of exactly the family's size
             assert got == tuple(exact[v] for v in variants), (field, sets, f, variants)
             assert len(grid_calls) == int(grid), (field, sets, f)
         routes.append(grid)
@@ -530,34 +536,53 @@ def test_value_counts_tuple_guard_is_the_enumerators():
         f = PowerSumForm.unit(fam.n, 2)
         space = prod(fam.sizes)
         with pytest.raises(SearchSpaceTooLarge) as ours:
-            _value_counts(fam, f, (True, False), space - 1)
+            _value_counts(fam, _field_form(fam.field, fam.n, f), (True, False), space - 1)
         with pytest.raises(SearchSpaceTooLarge) as theirs:
             restricted_value_set(fam, f, guard_tuples=space - 1)
         assert str(ours.value) == str(theirs.value) == f"family spans {space} tuples, guard is {space - 1}"
-        assert _value_counts(fam, f, (False,), space) == (unrestricted_value_set(fam, f).cardinality,)
+        form = _field_form(fam.field, fam.n, f)
+        assert _value_counts(fam, form, (False,), space) == (unrestricted_value_set(fam, f).cardinality,)
 
 
-def test_one_form_check_per_family_on_the_exact_route(monkeypatch):
-    # past the residue grid a family is enumerated once per variant, and a
-    # replay enumerates its shrunk family; each checks its form once
+def test_one_form_mapping_per_scan_k(tmp_path, capsys, monkeypatch):
+    # a scan maps its form into the field once per k, a replay once; the
+    # bounds and the route chooser read the mapped form and map nothing
     calls = []
-    real = enumeration._field_form
+    real = _field_form
 
     def counting(*args):
         calls.append(args[0])
         return real(*args)
 
-    for module in (enumeration, sweeps, coeff):
-        monkeypatch.setattr(module, "_field_form", counting)
-    big = prime_field(3_037_000_507)
-    fam = SetFamily.from_elements(big, [[0, 1, 5], [1, 2]])
-    # x^2 + y^2 on {0, 1, 5} x {1, 2}: (1, 1) is the one repeated tuple
-    assert _value_counts(fam, PowerSumForm.unit(2, 2), (True, False), 100) == (5, 6)
-    assert calls == [big]
-    calls.clear()
-    fam = SetFamily.from_elements(prime_field(13), [range(6), range(7), range(8), range(8)])
-    assert coeff.proof_replay(fam, 2, expand_certificate=True).cn_certificate.nonzero
-    assert calls == [prime_field(13)]
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "restrictedsums" and "_field_form" in vars(module):
+            monkeypatch.setattr(module, "_field_form", counting)
+    gf13 = prime_field(13)
+    scan = {
+        "field": "gf(13)",
+        "k": [2, 4],
+        "bounds": ["thm12", "thm13", "thm11u", "thm11r", "conj11"],
+        "tail": "1 - 2*x1 + x3",
+        "families": [[[0, 1, 2, 5], [1, 3, 4, 6, 7], [0, 2, 4, 8, 9, 12]], [[0, 1, 2, 3, 4]] * 3],
+    }
+    replay = {"family": {"field": "gf(13)", "sets": [list(range(6)), list(range(7)), list(range(8))]},
+              "k": 2, "expand_certificate": True}
+    for verb, cfg, mappings in (("tightness", scan, 3), ("proof-replay", replay, 1)):
+        calls.clear()
+        path = tmp_path / f"{verb}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([verb, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert calls == [gf13] * mappings, verb
+    capsys.readouterr()
+    for field, sets in ((gf13, [[0, 1], [1, 2, 3], [4, 5]]), (prime_field(3_037_000_507), [[0, 1], [1, 2, 3], [4, 5]]),
+                        (rational_field(), [[0, Fraction(1, 2)], [1, 2, 3], [4, 5]])):
+        fam = SetFamily.from_elements(field, sets)
+        form = real(field, 3, PowerSumForm(2, (1, 2, 3), parse_poly("x1 + 1", 3)))
+        calls.clear()
+        for bound in BOUNDS.values():
+            bound.evaluate(fam, form)
+        _value_counts(fam, form, (True, False), DEFAULT_TUPLE_GUARD)
+        assert calls == []
 
 
 def package_calls():
