@@ -254,8 +254,7 @@ class Bound:
     def evaluate(self, family, form) -> int | None:
         """The floor for this family and its `FieldForm`
         f = sum a_i x_i^k + ..., or None when a hypothesis fails."""
-        shared = self.shared_set and all(s == family.sets[0] for s in family.sets)
-        return self.for_sizes(family.sizes, form, shared)
+        return self.for_sizes(family.sizes, form, self.shared_set and family.shared_set)
 
     def for_sizes(self, sizes, form, shared: bool = False) -> int | None:
         """The floor for sets of these sizes and the `FieldForm`

@@ -47,9 +47,9 @@ from .poly import (
     _compositions,
     _field_form,
     _field_leading,
+    _multinomial_power,
     _product_coefficients,
     parse_poly,
-    power_sum_pow,
     vandermonde,
 )
 from .sweeps import _value_counts
@@ -503,34 +503,35 @@ def cmd_verify_coeff(args) -> int:
             vdm = vandermonde(n, max_terms=args.guard_terms)
         except ExpansionTooLarge:
             vdm = None  # every product in n variables is then skipped
+        # each sum's compositions and their labels, made once for the cells
+        # and the power of every k
+        compositions = [list(_compositions(total, n)) for total in range(sum_max + 1)]
+        labels = [[";".join(map(str, q)) for q in qs] for qs in compositions]
         for k in range(1, min(n, k_cap) + 1 if k_cap else n + 1):
-            for total in range(sum_max + 1):
-                qs = list(_compositions(total, n))
+            for total, qs in enumerate(compositions):
                 oracles = [None] * len(qs)
                 if vdm is not None:
                     # the target monomials (k*q_j + j), one row per composition
                     targets = k * np.array(qs, dtype=np.int64) + np.arange(n, dtype=np.int64)
                     try:
                         oracles = _product_coefficients(
-                            [power_sum_pow(n, k, total, max_terms=args.guard_terms), vdm],
+                            [_multinomial_power(n, k, total, qs, args.guard_terms), vdm],
                             targets,
                             max_terms=args.guard_terms,
                         )
                     except ExpansionTooLarge:
                         pass
-                for q, oracle in zip(qs, oracles):
+                for q, label, oracle in zip(qs, labels[total], oracles):
                     closed = _closed_form(q, k)
                     if oracle is None:
                         skipped += 1
-                        cells.append([n, k, ";".join(map(str, q)), total, str(closed), "", "skipped"])
+                        cells.append([n, k, label, total, str(closed), "", "skipped"])
                         continue
                     checked += 1
                     status = "ok" if closed == oracle else "mismatch"
                     if status == "mismatch":
                         mismatches += 1
-                    cells.append(
-                        [n, k, ";".join(map(str, q)), total, str(closed), str(oracle), status]
-                    )
+                    cells.append([n, k, label, total, str(closed), str(oracle), status])
     _write_table(args.out, COEFF_HEADER, cells)
     if args.jsonl:
         _write_jsonl(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 
@@ -51,6 +52,13 @@ class SetFamily:
     @property
     def sizes(self) -> tuple:
         return tuple(len(s) for s in self.sets)
+
+    @cached_property
+    def shared_set(self) -> bool:
+        """Whether every set is the same set, read once from the element
+        values (the sets are sorted and of one field)."""
+        first = [x.value for x in self.sets[0]]
+        return all([x.value for x in s] == first for s in self.sets[1:])
 
     def subfamily(self, sizes) -> "SetFamily":
         """Keep the first ``sizes[i]`` elements of each set (canonical order)."""

@@ -528,6 +528,23 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
+def _multinomial_power(n: int, k: int, N: int, compositions, max_terms: int) -> SparsePoly:
+    """(x1^k + ... + xn^k) ** N by direct multinomial generation, with the
+    term guard checked first.  ``compositions`` are those of N into n
+    parts in lexicographic order, as `_compositions` lists them, from a
+    caller that needs them too; None lists them here."""
+    if comb(N + n - 1, n - 1) > max_terms:
+        raise ExpansionTooLarge(f"(power sum)^{N} in {n} variables exceeds {max_terms} terms")
+    terms = {}
+    fN = factorial(N)
+    for parts in reversed(list(_compositions(N, n)) if compositions is None else compositions):
+        coeff = fN
+        for i in parts:
+            coeff //= factorial(i)
+        terms[tuple(k * i for i in parts)] = coeff
+    return SparsePoly._trusted(n, terms)
+
+
 def power_sum_pow(
     n: int,
     k: int,
@@ -546,16 +563,7 @@ def power_sum_pow(
     if n < 1 or k < 1 or N < 0:
         raise ValueError(f"need n >= 1, k >= 1, N >= 0; got n={n}, k={k}, N={N}")
     if method == "multinomial":
-        if comb(N + n - 1, n - 1) > max_terms:
-            raise ExpansionTooLarge(f"(power sum)^{N} in {n} variables exceeds {max_terms} terms")
-        terms = {}
-        fN = factorial(N)
-        for parts in reversed(list(_compositions(N, n))):
-            coeff = fN
-            for i in parts:
-                coeff //= factorial(i)
-            terms[tuple(k * i for i in parts)] = coeff
-        return SparsePoly._trusted(n, terms)
+        return _multinomial_power(n, k, N, None, max_terms)
     if method == "pow":
         base = SparsePoly(n, {tuple(k if i == j else 0 for i in range(n)): 1 for j in range(n)})
         return base.pow(N, max_terms=max_terms)

@@ -7,11 +7,14 @@ against the exact backtracking enumerator in the test suite:
   * the subset lattice (`lattice_min_cardinality`): for every size profile
     (s_1, ..., s_n), the minimum value-set cardinality over every family of
     subsets of GF(p) with |A_i| = s_i.  Attained values are p-bit masks; the
-    axes n..2 fold into subset axes, and the subsets of A_1 are walked depth
-    first, each slab of (2^p)^(n-1) masks going straight into the
-    per-profile minimum, so no (2^p)^n grid of masks is ever built.  Peak
-    memory is about (3p+3)*(2^p)^(n-1) bytes: 50 MB and a fraction of a
-    second for GF(7), n = 4;
+    axes n..2 fold into subset axes, and the folded slabs are cut into
+    tiles of `LATTICE_TILE_BYTES` a slab along the first subset axis.  Each
+    tile walks the subsets of A_1 depth first and reduces its own
+    per-profile minimum while it is in cache, so no (2^p)^n grid of masks
+    is ever built and the walk's memory does not grow with the slab.  Peak
+    memory is the folded slabs, p*(2^p)^(n-1) bytes, and about 2 MB more:
+    17 MB and under a tenth of a second for GF(7), n = 4.  The byte guard
+    sizes it by (3p+3)*(2^p)^(n-1) bytes, an upper bound on that peak;
   * the per-family int64 grid (`_family_counts`), reached only through
     `_value_counts`, the one function that picks a family's route.  It
     serves the CLI's `verify-bounds` and `tightness` scans, the sampled
@@ -66,6 +69,7 @@ from .poly import FieldForm, PowerSumForm, SparsePoly, _field_form
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
 LATTICE_BYTE_GUARD = 1 << 30  # largest allocation, in bytes, a sweep may ask for
+LATTICE_TILE_BYTES = 1 << 17  # bytes of a lattice tile's slab, so its walk stays in cache
 
 
 # ---------- seeded randomness ----------
@@ -208,11 +212,55 @@ def _popcount_order(p: int):
 
 def _reduce_profiles(card: np.ndarray, p: int, axes) -> np.ndarray:
     """Minimum of ``card`` over the masks of each popcount, one subset axis
-    of ``axes`` at a time; each reduced axis shrinks from 2^p to p+1."""
+    of ``axes`` at a time; each reduced axis shrinks from 2^p to p+1.
+
+    reduceat is quick only along the last, contiguous axis; across an
+    outer axis the minimum of each popcount's block of slabs is several
+    times quicker.  Reducing the last axis last keeps its pass small."""
     order, starts = _popcount_order(p)
+    groups = list(zip(starts.tolist(), starts[1:].tolist() + [1 << p]))
     for axis in axes:
-        card = np.minimum.reduceat(card.take(order, axis=axis), starts, axis=axis)
+        card = card.take(order, axis=axis)
+        if axis == card.ndim - 1:
+            card = np.minimum.reduceat(card, starts, axis=axis)
+        else:
+            head = (slice(None),) * axis
+            card = np.stack([card[head + (slice(a, b),)].min(axis=axis) for a, b in groups], axis=axis)
     return card
+
+
+def _walk_subsets(S: np.ndarray, p: int) -> np.ndarray:
+    """acc with acc[s] = the fewest attained values, at each position of a
+    slab, over the subsets A_1 of GF(p) with |A_1| = s: the minimum
+    popcount of the OR of the slabs S[x] for x in A_1.
+
+    The subsets are walked depth first, each one its parent plus a larger
+    element, so a subset's slab is its parent's slab OR S[x]; only the
+    chain of ancestor slabs is alive, in one buffer of p - 1 slabs, and
+    each slab's popcounts fold into acc[|A_1|] at once.
+    """
+    slab = S.shape[1:]
+    acc = np.full((p + 1,) + slab, np.iinfo(np.uint8).max, dtype=np.uint8)
+    acc[0] = 0  # A_1 empty: no value is attained
+    count = np.empty(slab, dtype=np.uint8)
+    # lists of views, which index without numpy's overhead
+    sources, rows = list(S), list(acc)
+    links = list(np.empty((p - 1,) + slab, dtype=np.uint8))  # the slabs of prefixes of 2.. elements
+    chain = []  # (largest element, slab) for each prefix of the current subset
+    x = 0
+    while True:
+        if x < p:
+            cur = sources[x]
+            if chain:
+                cur = np.bitwise_or(chain[-1][1], cur, out=links[len(chain) - 1])
+            chain.append((x, cur))
+            np.bitwise_count(cur, out=count)
+            np.minimum(rows[len(chain)], count, out=rows[len(chain)])
+            x += 1
+        elif chain:
+            x = chain.pop()[0] + 1
+        else:
+            return acc
 
 
 def lattice_min_cardinality(
@@ -231,10 +279,12 @@ def lattice_min_cardinality(
     a repeated coordinate, so the ORs below see only injective tuples.
 
     Axes n-1..1 fold into subset axes, leaving S[x] = the slab of masks for
-    A_1 = {x}.  The subsets of A_1 are then walked depth first, each one
-    its parent plus a larger element, so a subset's slab is its parent's slab
-    OR S[x]; only the chain of ancestor slabs is alive.  Each slab's
-    popcounts fold into acc[|A_1|] at once.
+    A_1 = {x}.  S is then cut along its first subset axis into tiles of
+    about `LATTICE_TILE_BYTES` bytes a slab; each tile runs the whole walk
+    over the subsets of A_1 (`_walk_subsets`) and has subset axes 2..n-1 of
+    its result reduced to profiles while it is still in cache.  The tiles'
+    reduced blocks are joined and axis 1 is reduced last.  The byte guard's
+    estimate, (3p+3)*(2^p)^(n-1), bounds the peak from above.
     """
     n = len(leading)
     form = _field_form(prime_field(p), n, PowerSumForm(k, leading, SparsePoly.zero(n) if tail is None else tail))
@@ -249,24 +299,14 @@ def lattice_min_cardinality(
         S[~_injective(np.ix_(*[np.arange(p)] * n))] = 0
     for axis in range(n - 1, 0, -1):
         S = _fold_axis(S, axis, p)
-    acc = np.full((p + 1,) + S.shape[1:], np.iinfo(np.uint8).max, dtype=np.uint8)
-    acc[0] = 0  # A_1 empty: no value is attained
-    # an explicit stack, since a recursive closure would be a reference cycle
-    # keeping S and acc alive until the cyclic collector runs
-    chain = []  # (largest element, slab) for each prefix of the current subset
-    x = 0
-    while True:
-        if x < p:
-            cur = chain[-1][1] | S[x, ...] if chain else S[x, ...]
-            chain.append((x, cur))
-            row = acc[len(chain), ...]  # a view, even when n = 1
-            np.minimum(row, np.bitwise_count(cur), out=row)
-            x += 1
-        elif chain:
-            x = chain.pop()[0] + 1
-        else:
-            break
-    return _reduce_profiles(acc, p, range(n - 1, 0, -1))
+    S = S.reshape(p, -1, *S.shape[2:])  # n = 1 gains a unit axis to tile
+    step = max(LATTICE_TILE_BYTES // prod(S.shape[2:]), 1)
+    blocks = [
+        _reduce_profiles(_walk_subsets(S[:, lo : lo + step], p), p, range(2, n))
+        for lo in range(0, S.shape[1], step)
+    ]
+    acc = np.concatenate(blocks, axis=1)
+    return _reduce_profiles(acc, p, (1,)) if n > 1 else acc.reshape(p + 1)
 
 
 def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):

@@ -65,6 +65,23 @@ def test_family_subfamily():
         fam.subfamily((2,))
 
 
+def test_family_shared_set():
+    F, Q = prime_field(7), rational_field()
+    cases = [
+        (F, [[0, 1, 2]], True),
+        (F, [[2, 0, 1], [1, 2, 7]], True),  # sorted, and 7 == 0 mod 7
+        (F, [[0, 1, 2]] * 3 + [[0, 1, 3]], False),  # same sizes, one element apart
+        (F, [[0, 1], [0, 1, 2]], False),  # a prefix
+        (Q, [[Fraction(1, 2), 3]] * 2, True),
+        (Q, [[Fraction(1, 2), 3], [Fraction(1, 3), 3]], False),
+    ]
+    for field, sets, shared in cases:
+        fam = SetFamily.from_elements(field, sets)
+        assert fam.shared_set is shared, sets
+        assert fam.__dict__["shared_set"] is shared  # answered once per family
+        assert fam == SetFamily.from_elements(field, sets)  # the cache is no field
+
+
 def test_family_json_round_trip():
     fam = family_from_json('{"field": "gf(7)", "sets": [[0, 1, 2], [3, 5]]}')
     assert fam.field == prime_field(7)

@@ -284,6 +284,35 @@ def test_lattice_route_equals_reference_profile_minima(p):
                 assert got[sizes] == expected, (p, n, k, leading, tail, restricted, sizes)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_lattice_tiles_equal_reference_profile_minima(p, monkeypatch):
+    # the walk runs on tiles of rows of the first subset axis: a budget of
+    # one byte gives each row its own tile, and one of three rows leaves a
+    # ragged last tile, since 3 never divides the 2^p rows
+    full_n, _ = LATTICE_REFERENCE_CASES[p]
+    walk = sweeps._walk_subsets
+    tiles = []
+    monkeypatch.setattr(sweeps, "_walk_subsets", lambda S, p: tiles.append(S.shape[1]) or walk(S, p))
+    for n in (1, 2, 3):
+        cap = p if n <= full_n else 2
+        rows = 1 if n == 1 else 1 << p
+        row_bytes = (1 << p) ** max(n - 2, 0)
+        for restricted in (True, False):
+            rng = random.Random(derive_seed("tiles", p, n, restricted))
+            k = rng.randint(1, 4)
+            leading = random_leading(rng, n, p)
+            tail = random_tail(rng, n, k)
+            expected = reference_profile_minima(p, reference_table(p, k, leading, tail), n, restricted, cap)
+            for budget, widths in ((1, [1] * rows), (3 * row_bytes, [3] * (rows // 3) + [rows % 3])):
+                monkeypatch.setattr(sweeps, "LATTICE_TILE_BYTES", budget)
+                tiles.clear()
+                got = lattice_min_cardinality(p, k, leading, tail, restricted)
+                assert tiles == (widths if n > 1 else [1])
+                assert got.dtype == np.uint8 and got.shape == (p + 1,) * n
+                for sizes, want in expected.items():
+                    assert got[sizes] == want, (p, n, restricted, budget, sizes)
+
+
 def test_reference_counts_equal_the_exact_enumerator():
     for p, n in ((3, 3), (5, 2), (7, 2)):
         rng = random.Random(derive_seed("reference", p, n))
@@ -352,6 +381,25 @@ def test_streamed_lattice_route_memory():
         gc.enable()
     assert peak - before < full_grid_bytes
     # a reference cycle would keep the folded slabs alive until a collection
+    assert after - before <= result.nbytes + 4096
+
+
+def test_tiled_lattice_route_memory():
+    # GF(7), n = 4: the folded slabs take 14 MB; each tile's walk and its
+    # reduction add about 2 MB, where the untiled walk peaked near 50 MB
+    p, n, k = 7, 4, 2
+    lattice_min_cardinality(p, k, (1,) * n)  # warm numpy's lazy caches
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = lattice_min_cardinality(p, k, (1,) * n)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak - before < 24 * 10**6
     assert after - before <= result.nbytes + 4096
 
 
