@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb, factorial
 
+import numpy as np
+
 from .bounds import floor_minima
 from .enumeration import DEFAULT_TUPLE_GUARD, SetFamily
 from .errors import HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
@@ -32,6 +34,7 @@ from .poly import (
     PowerSumForm,
     SparsePoly,
     _field_form,
+    _multinomial_power,
     _product_coefficients,
     _product_top,
     power_sum_pow,
@@ -97,6 +100,15 @@ def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> 
     n = len(q)
     factors = [power_sum_pow(n, k, sum(q), max_terms=max_terms), vandermonde(n, max_terms=max_terms)]
     return _product_coefficients(factors, [target_monomial(q, k)], max_terms)[0]
+
+
+def _expansion_oracles(n: int, k: int, N: int, compositions, vdm: SparsePoly, max_terms: int) -> list:
+    """`coefficient_by_expansion` of every q in ``compositions`` (those of N
+    into n parts, in `_compositions` order), all read off one product
+    (x1^k + ... + xn^k)^N * ``vdm``, the Vandermonde, by one lookup."""
+    targets = k * np.array(compositions, dtype=np.int64) + np.arange(n, dtype=np.int64)
+    power = _multinomial_power(n, k, N, compositions, max_terms)
+    return _product_coefficients([power, vdm], targets, max_terms)
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,17 @@ deterministic.
 
 Products, of two factors or of a whole chain, are formed on numpy columns
 (`_packed_product`).  Each exponent vector packs into one integer key, so
-adding two keys multiplies two monomials; the running product is a column
+adding two keys multiplies two monomials; one encoder, `_keys`, packs the
+factors and the target monomials alike.  The running product is a column
 of keys sorted ascending beside a column of their scalars.  A step forms
 the outer sum of the keys and the outer product of the scalars, groups
-equal keys with one stable argsort and sums them with ``np.add.reduceat``.
+equal keys with one stable argsort and sums them with ``np.add.reduceat``,
+and its product is settled once (zeros dropped, residues reduced mod p).
 Keys and scalars are int64 where they provably fit and object columns of
 exact Python values where they do not, so nothing ever wraps.  Three
-readers settle the result: `_product` unpacks it into a `SparsePoly`,
-`_product_coefficients` looks up target monomials by one searchsorted, and
-`_product_top` reads the degree and one coefficient.
+readers take the settled product: `_product` unpacks it into a
+`SparsePoly`, `_product_coefficients` looks up target monomials by one
+searchsorted, and `_product_top` reads the degree and one coefficient.
 """
 
 from __future__ import annotations
@@ -75,15 +77,6 @@ def _common_prime_field(*polys) -> FieldDescriptor | None:
     return field
 
 
-def _pack(exps, width: int) -> int:
-    """The total degree, then each exponent in its own ``width``-bit field,
-    x1 highest, so descending key order is descending graded-lex order."""
-    key = sum(exps)
-    for e in exps:
-        key = (key << width) | e
-    return key
-
-
 def _column(values) -> np.ndarray:
     """Scalars as an int64 column when each is an int of magnitude below
     2**63, else as an object column holding the values themselves."""
@@ -96,25 +89,29 @@ def _column(values) -> np.ndarray:
     return column
 
 
-def _packed(p: "SparsePoly", width: int, field, wide: bool) -> tuple:
-    """p's terms as a key column sorted ascending and a scalar column, with
-    residues in place of GF(p) elements.  Narrow keys are int64, packed for
-    all terms at once; wide ones are Python ints in an object column."""
-    exps = list(reversed(p._terms))
-    scalars = [c if field is None else c.value for c in reversed(p._terms.values())]
-    if wide:
-        keys = np.empty(len(exps), dtype=object)
-        keys[:] = [_pack(e, width) for e in exps]
-    else:
-        matrix = np.array(exps, dtype=np.int64).reshape(len(exps), p.nvars)
-        weights = np.array([1 << s for s in _shifts(p.nvars, width)], dtype=np.int64)
-        keys = (matrix.sum(axis=1) << (p.nvars * width)) + matrix @ weights
-    return keys, _column(scalars)
-
-
 def _shifts(nvars: int, width: int) -> list:
     """The offset of each variable's field in a packed key, x1 first."""
     return list(range((nvars - 1) * width, -1, -width))
+
+
+def _keys(rows, width: int, nvars: int) -> np.ndarray:
+    """The packed key of each exponent vector in ``rows``, a sequence or a
+    matrix: the degree, then each exponent in a ``width``-bit field, x1
+    highest, so ascending keys are in ascending graded-lex order.  Exponents
+    and degrees must be below 2**width.  Keys are int64 while
+    (nvars + 1) * width < 63, so every key of every partial product stays
+    below 2**62, else Python ints in an object column."""
+    dtype = np.int64 if (nvars + 1) * width < 63 else object
+    matrix = np.array(rows, dtype=dtype).reshape(len(rows), nvars)
+    weights = np.array([1 << s for s in _shifts(nvars, width)], dtype=dtype)
+    return (matrix.sum(axis=1) << (nvars * width)) + matrix @ weights
+
+
+def _packed(p: "SparsePoly", width: int, field) -> tuple:
+    """p's terms as a key column sorted ascending and a scalar column, with
+    residues in place of GF(p) elements."""
+    scalars = [c if field is None else c.value for c in reversed(p._terms.values())]
+    return _keys(list(reversed(p._terms)), width, p.nvars), _column(scalars)
 
 
 def _live(acc: tuple, field) -> tuple:
@@ -156,12 +153,13 @@ def _step_scalars(left: np.ndarray, right: np.ndarray) -> tuple:
     return left.astype(object), right.astype(object)
 
 
-def _times(acc: tuple, right: tuple, field, max_terms: int) -> tuple:
-    """One step of a chain: the live terms of acc times right, summed by key.
-    Rows of acc go in chunks of at most `_PAIR_BUDGET` pairs, each merged
-    into the sorted result so far; a result of more than ``max_terms`` keys,
-    a count that only grows within a step, raises at once."""
-    keys, scalars = _live(acc, field)
+def _times(acc: tuple, right: tuple, max_terms: int) -> tuple:
+    """One step of a chain: the settled terms of acc times right, summed by
+    key.  Rows of acc go in chunks of at most `_PAIR_BUDGET` pairs, each
+    merged into the sorted result so far; a result of more than
+    ``max_terms`` keys, a count that only grows within a step, raises at
+    once."""
+    keys, scalars = acc
     right_keys, right_scalars = right
     scalars, right_scalars = _step_scalars(scalars, right_scalars)
     out_keys, out_scalars = keys[:0], scalars[:0]
@@ -179,10 +177,10 @@ def _times(acc: tuple, right: tuple, field, max_terms: int) -> tuple:
     return out_keys, out_scalars
 
 
-def _unpacked(acc: tuple, width: int, nvars: int, field) -> dict:
-    """acc's nonzero terms keyed by exponent vectors, in descending key
-    order, with GF(p) residues wrapped as elements."""
-    keys, scalars = _live(acc, field)
+def _unpacked(live: tuple, width: int, nvars: int, field) -> dict:
+    """The settled terms ``live`` keyed by exponent vectors, in descending
+    key order, with GF(p) residues wrapped as elements."""
+    keys, scalars = live
     shifts = np.array(_shifts(nvars, width), dtype=keys.dtype)
     exps = ((keys[::-1, None] >> shifts) & ((1 << width) - 1)).tolist()
     values = scalars[::-1].tolist()
@@ -194,34 +192,31 @@ def _unpacked(acc: tuple, width: int, nvars: int, field) -> dict:
 def _packed_product(factors, max_terms: int):
     """The product of ``factors``, left to right, on packed keys.
 
-    Every factor is packed once, at a width that holds the sum of their
-    degrees; that sum bounds every exponent, so adding two keys multiplies
-    two monomials without a carry.  Keys are int64 while
-    (nvars + 1) * width < 63, which keeps every key of every partial product
-    below 2**62, else Python ints in object columns.  When every
-    coefficient lies in one GF(p) the chain multiplies plain residues.
+    Every factor is packed once by `_keys`, at a width that holds the sum
+    of their degrees; that sum bounds every exponent, so adding two keys
+    multiplies two monomials without a carry.  When every coefficient lies
+    in one GF(p) the chain multiplies plain residues.
 
     The accumulator is two columns, keys sorted ascending and their
-    scalars.  Each step multiplies the live terms of the accumulator (zeros
-    dropped, residues reduced mod p) by the next factor: the outer sum of
+    scalars.  Each step multiplies it by the next factor: the outer sum of
     the keys and the outer product of the scalars, grouped by one stable
     argsort and summed by ``np.add.reduceat``.  A step multiplies on int64
     when no sum can pass 2**63, else on object columns of exact Python
     scalars (big ints, Fractions, field elements), so a chain may go over to
     object midway; one step serves every kind of scalar.  Each step holds,
-    and guards, the terms a left fold of ``SparsePoly.mul`` would.  Returns
-    the last accumulator unreduced, with its width and field, for a reader
-    to settle.
+    and guards, the terms a left fold of ``SparsePoly.mul`` would, and its
+    product is settled once by `_live` (zeros dropped, residues reduced
+    mod p).  Returns the settled product with its width and field; a packed
+    factor is settled already.
     """
     first = factors[0]
     for other in factors[1:]:
         first._check_arity(other)
     width = sum(max(f.degree, 0) for f in factors).bit_length() or 1
     field = _common_prime_field(*factors)
-    wide = (first.nvars + 1) * width >= 63
-    acc = _packed(first, width, field, wide)
+    acc = _packed(first, width, field)
     for other in factors[1:]:
-        acc = _times(acc, _packed(other, width, field, wide), field, max_terms)
+        acc = _live(_times(acc, _packed(other, width, field), max_terms), field)
     return acc, width, field
 
 
@@ -441,7 +436,7 @@ def _product(factors, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
 def _packed_coefficients(live: tuple, width: int, field, nvars: int, targets) -> list:
     """The coefficient of each exponent vector in ``targets``, the int 0
     when absent, all looked up by one searchsorted in the sorted keys of
-    ``live``, a product's terms as `_live` settles them; GF(p) residues are
+    ``live``, a product's settled terms; GF(p) residues are
     wrapped.  A target of degree 2**width or more is above the product's
     degree and may not fit the fields, so its key could alias another
     monomial's; it reads 0."""
@@ -458,37 +453,25 @@ def _packed_coefficients(live: tuple, width: int, field, nvars: int, targets) ->
 
 
 def _packed_targets(targets, width: int, nvars: int, dtype) -> np.ndarray:
-    """The keys of the exponent vectors in ``targets``, -1 for those of
-    degree 2**width or more.  An int64 matrix of targets is checked as a
-    whole, and its narrow keys come from one matrix product: the degree
-    shifted past the fields plus the exponents times the field weights.
-    Wide keys, and targets given one by one, go through `_check_exponents`
-    and `_pack` each."""
-    if isinstance(targets, np.ndarray) and targets.dtype == np.int64:
-        if targets.ndim != 2 or targets.shape[1] != nvars:
-            raise ArityMismatch(f"target matrix of shape {targets.shape}, expected rows of length {nvars}")
-        if (targets < 0).any():
-            raise ValueError(f"exponents must be nonnegative integers, got {targets.min()}")
-        if dtype == np.int64:
-            # below 2**width each, the exponents of a row sum without a wrap
-            degree = targets.sum(axis=1)
-            past = (targets >> width).any(axis=1) | (degree >> width != 0)
-            weights = np.array([1 << s for s in _shifts(nvars, width)], dtype=np.int64)
-            return np.where(past, -1, (degree << (nvars * width)) + targets @ weights)
-        targets = targets.tolist()
-    packed = []
-    for exps in targets:
-        exps = tuple(exps)
-        _check_exponents(nvars, exps)
-        packed.append(-1 if sum(exps) >> width else _pack(exps, width))
-    return np.array(packed, dtype=dtype)
+    """`_keys` of the exponent vectors in ``targets``, a sequence or a
+    matrix checked as one, and -1 for those of degree 2**width or more.  An
+    int64 matrix is read as it is when the keys are int64, as no row of
+    exponents below 2**width then wraps; anything else as Python ints."""
+    if dtype != np.int64 or not (isinstance(targets, np.ndarray) and targets.dtype == np.int64):
+        targets = np.array(targets, dtype=object)
+    if targets.ndim != 2 or targets.shape[1] != nvars:
+        raise ArityMismatch(f"targets of shape {targets.shape}, expected rows of length {nvars}")
+    if (targets < 0).any():
+        raise ValueError(f"exponents must be nonnegative integers, got {targets.min()}")
+    past = (targets >> width != 0).any(axis=1) | (targets.sum(axis=1) >> width != 0)
+    return np.where(past, -1, _keys(np.where(past[:, None], 0, targets), width, nvars))
 
 
 def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> list:
     """``_product(factors).coefficient_of(t)`` for each t in ``targets``, read
     off the packed accumulator without unpacking it."""
     acc, width, field = _packed_product(factors, max_terms)
-    return _packed_coefficients(_live(acc, field), width, field, factors[0].nvars, targets)
+    return _packed_coefficients(acc, width, field, factors[0].nvars, targets)
 
 
 def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
@@ -496,9 +479,8 @@ def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
     read off the packed accumulator without unpacking it: the degree is the
     degree field of the highest key whose coefficient settles nonzero, -inf
     when none does."""
-    acc, width, field = _packed_product(factors, max_terms)
+    live, width, field = _packed_product(factors, max_terms)
     nvars = factors[0].nvars
-    live = _live(acc, field)
     degree = int(live[0][-1]) >> (nvars * width) if len(live[0]) else NEG_INF
     return degree, _packed_coefficients(live, width, field, nvars, [target])[0]
 

@@ -22,8 +22,9 @@ against the exact backtracking enumerator in the test suite:
     family: it takes a family's restricted and unrestricted counts from one
     int64 grid, cut into slabs along the first set past the byte guard, so
     every family the tuple guard admits is counted.  For the replay it
-    also keeps, over GF(p), the first tuple in product order that reaches
-    each value; the scans, which only count, sort their values and no more.
+    also keeps the first tuple in product order that reaches each value,
+    over GF(p) and over Q alike; the scans, which only count, sort their
+    values and no more.
     Over GF(p) the grid holds residues, whose products must fit int64, so
     it needs (p-1)^2 < 2^63.  Over Q it scales the family to
     integers u = L*x and the form to D*L^k*f, D the lcm of the denominators
@@ -58,13 +59,14 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from fractions import Fraction
 from math import comb, lcm, prod
 
 import numpy as np
 
 from .enumeration import ValueSetResult, _check_tuple_guard, _enumerate
 from .errors import HypothesisViolated, SearchSpaceTooLarge
-from .fields import FieldElement, prime_field
+from .fields import prime_field
 from .poly import FieldForm, PowerSumForm, SparsePoly, _field_form
 
 MAX_LATTICE_PRIME = 8  # value masks live in uint8
@@ -347,17 +349,15 @@ def _value_counts(family, form: FieldForm, variants, guard_tuples: int, witnesse
     With ``witnesses`` each flag gets the `ValueSetResult` the enumerator
     gives with witnesses: the values sorted, the first tuple in product
     order that reaches each, and the count of tuples examined.  The grid
-    serves it over GF(p), where a residue is read back as its element; a
-    family over Q goes to the enumerator.
+    serves it wherever it counts: a residue is read back as its element,
+    and a scaled value v as f = v / (D * L^k), in the same order.
     """
     field = family.field
     _check_tuple_guard(family.sizes, guard_tuples)
     if field.is_prime_field:
-        grid_form = form
+        grid_form, unit = form, 1
         sets = [[x.value for x in s] for s in family.sets]
         fits = _residue_route_fits(field.p)
-    elif witnesses:
-        fits = False
     else:
         form_scale = lcm(*(c.value.denominator for c in [*form.leading, *dict(form.tail.terms()).values()]))
         scale = lcm(*(x.value.denominator for s in family.sets for x in s))
@@ -368,6 +368,7 @@ def _value_counts(family, form: FieldForm, variants, guard_tuples: int, witnesse
 
         tail = {e: scaled(c, scale ** (form.k - sum(e))) for e, c in form.tail.terms()}
         grid_form = FieldForm(field, form.k, tuple(map(scaled, form.leading)), SparsePoly._trusted(form.n, tail))
+        unit = form_scale * scale**form.k
         fits = _integer_route_fits(grid_form, sets)
     if not fits:
         runs = [_enumerate(family, form, restricted, guard_tuples, witnesses) for restricted in variants]
@@ -376,8 +377,8 @@ def _value_counts(family, form: FieldForm, variants, guard_tuples: int, witnesse
     if not witnesses:
         return counts
     results = []
-    for restricted, (residues, points, examined) in zip(variants, counts):
-        values = tuple(FieldElement(field, v) for v in residues.tolist())
+    for restricted, (grid_values, points, examined) in zip(variants, counts):
+        values = tuple(field.element(Fraction(v, unit)) for v in grid_values.tolist())
         first = {v: tuple(s[i] for s, i in zip(family.sets, row)) for v, row in zip(values, points.tolist())}
         results.append(ValueSetResult(len(values), values, examined, restricted, first))
     return tuple(results)

@@ -7,11 +7,13 @@ import json
 import random
 import re
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
 from restrictedsums import (
+    DEFAULT_TUPLE_GUARD,
     BoundResult,
     ExpansionTooLarge,
     InternalInvariantBroken,
@@ -197,6 +199,34 @@ def test_verify_bounds_sweep_and_equal_sets(tmp_path):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 10  # C(5, 2) shared subsets
     assert all(r[8] == "true" for r in rows)  # equal sets satisfy dsh
+
+
+def test_verify_bounds_sweep_over_independent_sets(tmp_path):
+    # every pair (A_1, A_2) of a 2-subset and a 3-subset of GF(5), with a
+    # non-unit form and a tail; rows with equal sort keys keep the order
+    # the families were generated in, itertools.product of the subsets
+    cfg = {
+        "field": "gf(5)",
+        "k": [2, 3],
+        "bounds": ["thm11u", "thm11r"],
+        "leading": [2, 3],
+        "tail": "x1 + 1",
+        "sweep": {"sizes": [[2, 3]]},
+    }
+    code, records = scan_records(tmp_path, "verify-bounds", cfg)
+    assert code == 0
+    field = parse_field("gf(5)")
+    families = [
+        SetFamily.from_elements(field, [list(a), list(b)])
+        for a, b in itertools.product(itertools.combinations(range(5), 2), itertools.combinations(range(5), 3))
+    ]
+    assert len(families) == 100
+    for k in (2, 3):
+        form = PowerSumForm(k, (2, 3), parse_poly("x1 + 1", nvars=2))
+        for name, run in (("thm11u", unrestricted_value_set), ("thm11r", restricted_value_set)):
+            rows = [r for r in records if (r["k"], r["bound_name"]) == (k, name)]
+            assert len({r["bound_value"] for r in rows}) == 1  # so the sort kept the order
+            assert [r["actual_cardinality"] for r in rows] == [run(fam, form).cardinality for fam in families]
 
 
 def test_verify_bounds_timings_fill_elapsed(tmp_path):
@@ -489,6 +519,49 @@ def test_tightness_profiles(tmp_path, capsys):
     assert all(r[5] == "ex41" for r in rows)
     assert all(r[9] == "true" for r in rows)  # the model always attains the formula
     assert "0 violations" in capsys.readouterr().err
+
+
+def choice_space(n, k, q, r):
+    """Multiplicity vectors the sharpness model tries: min(cap, n) + 1
+    takes for each of its q + 1 root targets."""
+    return prod(min(cap, n) + 1 for cap in [k] * q + [r])
+
+
+def test_tightness_profiles_read_the_guard_and_timings(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"profiles": {"k_max": 3, "q_max": 2}})
+    plain, guarded, timed = (tmp_path / name for name in ("plain.jsonl", "guarded.jsonl", "timed.jsonl"))
+    assert cli.main(["tightness", "--config", cfg, "--jsonl", str(plain), "--out", str(tmp_path / "a.csv")]) == 0
+    assert capsys.readouterr().err.strip() == "tightness: 54 rows, 54 tight, 0 violations"
+    rows = [json.loads(line) for line in plain.read_text().splitlines()]
+    assert all(r["elapsed_ms"] == "" for r in rows)
+    # a guard of 20 refuses the profiles whose choice space passes it
+    argv = ["tightness", "--config", cfg, "--out", str(tmp_path / "b.csv"), "--guard-tuples", "20"]
+    assert cli.main(argv + ["--jsonl", str(guarded)]) == 0
+    spaces = [choice_space(r["n"], r["k"], *divmod(r["sizes"][0], r["k"])) for r in rows]
+    refused = sum(space > 20 for space in spaces)
+    assert 0 < refused < len(rows)
+    assert capsys.readouterr().err.strip() == (
+        f"tightness: 54 rows, {54 - refused} tight, {refused} skipped by the tuple guard, 0 violations"
+    )
+    for row, space, got in zip(rows, spaces, map(json.loads, guarded.read_text().splitlines())):
+        if space > 20:
+            row = {**row, "actual_cardinality": None, "tight": None}
+        assert got == row
+    # a guard no profile passes checks nothing
+    assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "1"]) == 0
+    assert capsys.readouterr().err.strip().endswith("54 skipped by the tuple guard, nothing checked")
+    # --timings fills elapsed_ms and changes nothing else
+    argv = ["tightness", "--config", cfg, "--out", str(tmp_path / "c.csv"), "--timings"]
+    assert cli.main(argv + ["--jsonl", str(timed)]) == 0
+    timed_rows = [json.loads(line) for line in timed.read_text().splitlines()]
+    assert all(r["elapsed_ms"].isdigit() for r in timed_rows)
+    assert [{**r, "elapsed_ms": ""} for r in timed_rows] == rows
+    capsys.readouterr()
+    # k = q = 8, n = 32 would try 9^8 multiplicity vectors: the default
+    # guard refuses it before enumerating
+    row = cli._ex41_row(32, 8, 8, 0, "0", DEFAULT_TUPLE_GUARD)
+    assert (row.actual_cardinality, row.tight, row.violated) == (None, None, False)
+    assert choice_space(32, 8, 8, 0) == 9**8 > DEFAULT_TUPLE_GUARD
 
 
 def test_tightness_rejects_mixed_modes(tmp_path, capsys):

@@ -545,6 +545,40 @@ def test_replay_route_matches_the_enumerator_in_slabs(monkeypatch):
             assert_same_value_sets(family, f)
 
 
+def rational_route_cases():
+    """(family, form) over Q: seeded sets of small fractions, n <= 3,
+    k <= 4, Fraction or int leading coefficients and Fraction tails."""
+    rng = random.Random("route|rational")
+    for _ in range(40):
+        n, k = rng.randint(1, 3), rng.randint(1, 4)
+        pool = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(12)})
+        sets = [rng.sample(pool, rng.randint(1, min(5, len(pool)))) for _ in range(n)]
+        leading = [rng.choice([1, -2, 3, Fraction(1, 2), Fraction(-5, 3)]) for _ in range(n)]
+        tail = {}
+        for _ in range(rng.randint(0, 2)):
+            degrees = [0] * n
+            for _ in range(rng.randrange(k)):
+                degrees[rng.randrange(n)] += 1
+            tail[tuple(degrees)] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        yield SetFamily.from_elements(rational_field(), sets), PowerSumForm(k, leading, SparsePoly(n, tail))
+
+
+def test_replay_route_over_q_takes_the_scaled_grid(monkeypatch):
+    # the witnesses come off the scaled grid, also in slabs of 1 and 7
+    # tuples, and equal the enumerator's: values, first tuples, counts
+    calls = []
+    real = sweeps._family_counts
+    monkeypatch.setattr(sweeps, "_family_counts", lambda *args: calls.append(1) or real(*args))
+    cases = list(rational_route_cases())
+    for family, f in cases:
+        assert_same_value_sets(family, f)
+    assert len(calls) == len(cases)
+    for tuples in (1, 7):
+        monkeypatch.setattr(sweeps, "LATTICE_BYTE_GUARD", 8 * 6 * tuples)
+        for family, f in cases[:10]:
+            assert_same_value_sets(family, f)
+
+
 def test_replay_counts_on_the_grid_where_it_fits(monkeypatch):
     calls = []
     real = enumeration._enumerate
@@ -557,7 +591,7 @@ def test_replay_counts_on_the_grid_where_it_fits(monkeypatch):
         monkeypatch.setattr(module, "_enumerate", counting, raising=False)
     cases = [
         (prime_field(13), [range(6), range(7), range(8), range(8)], 0),
-        (rational_field(), [[0, 1, "1/2"], [0, 1, 5, "2/3"]], 1),
+        (rational_field(), [[0, 1, "1/2"], [0, 1, 5, "2/3"]], 0),
         (prime_field(3_037_000_507), [[0, 1, 5, 9], [1, 2, 7], [3, 4, 8]], 1),
     ]
     for field, sets, enumerations in cases:

@@ -70,6 +70,9 @@ def test_gf7_add_and_div():
     assert F.element(3) + F.element(5) == F.element(1)
     assert F.element(3) / F.element(5) == F.element(2)
     assert F.element(5) * F.element(2) == F.element(3)
+    # an int on the left: 1 - 3 and 1 / 3 (3 * 5 = 15 = 1 mod 7)
+    assert 1 - F.element(3) == F.element(5)
+    assert 1 / F.element(3) == F.element(5)
 
 
 def test_rational_exact_fractions():
@@ -77,6 +80,8 @@ def test_rational_exact_fractions():
     assert Q.element("1/2") + Q.element("1/3") == Q.element("5/6")
     assert Q.element(Fraction(1, 2)).value == Fraction(1, 2)
     assert (Q.element(2) / Q.element(3)).value == Fraction(2, 3)
+    assert (1 - Q.element("1/3")).value == Fraction(2, 3)
+    assert (1 / Q.element("2/3")).value == Fraction(3, 2)
 
 
 def test_division_by_zero():
@@ -138,6 +143,9 @@ def test_extended_nat_ordering():
     assert ExtendedNat(5) == 5
     assert not INFINITY < INFINITY
     assert INFINITY >= INFINITY
+    # equal values hash alike, so a set holds each once
+    assert hash(ExtendedNat(5)) == hash(ExtendedNat(7) - 2)
+    assert {ExtendedNat(5), ExtendedNat(7) - 2, INFINITY, INFINITY - 5} == {ExtendedNat(5), INFINITY}
 
 
 def test_extended_nat_clamp():

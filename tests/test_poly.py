@@ -465,6 +465,48 @@ def test_guard_trips_in_a_later_chunk(monkeypatch):
     assert chunks == [3, 6, 9]
 
 
+# ---------- the packed-key codec ----------
+
+
+@pytest.mark.parametrize("width, dtype", [(15, np.int64), (16, object)], ids=["int64", "object"])
+def test_keys_order_rows_by_graded_lex_and_decode_back(width, dtype):
+    # (nvars + 1) * width = 60 keeps the keys int64; 64 makes them Python ints
+    nvars = 3
+    rng = random.Random(f"keys|{width}")
+    top = (1 << width) - 1
+    rows = {(0, 0, 0), (top, 0, 0), (0, 0, top), (1, top - 1, 0)}  # degree up to 2**width - 1
+    while len(rows) < 300:
+        rows.add(tuple(rng.randrange(1 << rng.randint(1, width - 2)) for _ in range(nvars)))
+    rows = sorted(rows)
+    rng.shuffle(rows)
+    for given_rows in (rows, np.array(rows, dtype=np.int64)):
+        keys = poly._keys(given_rows, width, nvars)
+        assert keys.dtype == dtype
+        # the layout: the degree on top, then x1, x2, x3 in fields of width bits
+        assert [int(key) for key in keys] == [
+            (sum(e) << 3 * width) | (e[0] << 2 * width) | (e[1] << width) | e[2] for e in rows
+        ]
+        order = np.argsort(keys, kind="stable")
+        assert [rows[i] for i in order] == sorted(rows, key=lambda e: (sum(e), e))
+        scalars = np.arange(1, len(rows) + 1, dtype=np.int64)
+        decoded = poly._unpacked((keys[order], scalars[order]), width, nvars, None)
+        want = [(rows[i], i + 1) for i in order[::-1]]
+        assert [(e, int(c)) for e, c in decoded.items()] == want
+    assert poly._keys([], width, nvars).shape == (0,)
+
+
+def test_list_targets_past_int64_read_zero():
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    factors = [x1 + x2, x1 - x2]
+    targets = [(1 << 70, 0), (2, 0), (1 << 63, 0), ((1 << 63) - 1, 1), (0, 2), (1 << 64, 1 << 64)]
+    assert _product_coefficients(factors, targets) == [0, 1, 0, 0, -1, 0]
+    assert _product_top(factors, (1 << 70, 0)) == (2, 0)
+    with pytest.raises(ArityMismatch):
+        _product_coefficients(factors, [(1, 1), (1 << 70, 0, 0)])
+    with pytest.raises(ValueError, match="nonnegative"):
+        _product_coefficients(factors, [(1 << 70, 0), (-(1 << 70), 0)])
+
+
 # ---------- reading target coefficients off the packed product ----------
 
 
