@@ -504,6 +504,7 @@ def cmd_verify_coeff(args) -> int:
     mismatches = 0
     skipped = 0
     checked = 0
+    classes = {}  # the closed form's class factors, shared by every cell
     for n in range(1, n_max + 1):
         try:
             vdm = vandermonde(n, max_terms=args.guard_terms)
@@ -522,7 +523,7 @@ def cmd_verify_coeff(args) -> int:
                     except ExpansionTooLarge:
                         pass
                 for q, label, oracle in zip(qs, labels[total], oracles):
-                    closed = _closed_form(q, k)
+                    closed = _closed_form(q, k, classes)
                     if oracle is None:
                         skipped += 1
                         cells.append([n, k, label, total, str(closed), "", "skipped"])

@@ -33,10 +33,16 @@ from .poly import (
     FieldForm,
     PowerSumForm,
     SparsePoly,
+    _column,
     _field_form,
-    _multinomial_power,
+    _keys,
+    _live,
+    _multinomial_terms,
+    _packed,
+    _packed_coefficients,
     _product_coefficients,
     _product_top,
+    _times,
     power_sum_pow,
     vandermonde,
 )
@@ -72,20 +78,37 @@ def target_monomial(q, k: int) -> tuple:
 
 def coefficient_formula(q, k: int) -> int:
     """The closed form; may be zero or negative, always an exact integer."""
-    return _closed_form(_validate_q(q, k), k)
+    return _closed_form(_validate_q(q, k), k, {})
 
 
-def _closed_form(q, k: int) -> int:
+def _class_factors(entries: tuple) -> tuple:
+    """The two factors one residue class of positions, holding the q
+    entries ``entries``, puts into the closed form: prod_{i<j} (c_j - c_i)
+    and prod_j c_j!, with c_j = entries[j] + j."""
+    numerator, denominator = 1, 1
+    shifted = [qj + j for j, qj in enumerate(entries)]
+    for j, cj in enumerate(shifted):
+        for ci in shifted[:j]:
+            numerator *= cj - ci
+        denominator *= factorial(cj)
+    return numerator, denominator
+
+
+def _closed_form(q: tuple, k: int, classes: dict) -> int:
     """The closed form of a q that `_validate_q` would pass: the unchecked
     core of `coefficient_formula`, for a caller that builds its own
-    compositions."""
+    compositions.  ``classes`` maps the q entries of a class to its
+    `_class_factors`; a caller that reads many closed forms passes one dict
+    for all of them, so each class is worked out once."""
     numerator = factorial(sum(q))
     denominator = 1
-    for shifted in _shifted_classes(q, k):
-        for j, cj in enumerate(shifted):
-            for ci in shifted[:j]:
-                numerator *= cj - ci
-            denominator *= factorial(cj)
+    for s in range(k):
+        entries = q[s::k]
+        factors = classes.get(entries)
+        if factors is None:
+            factors = classes[entries] = _class_factors(entries)
+        numerator *= factors[0]
+        denominator *= factors[1]
     result, remainder = divmod(numerator, denominator)
     if remainder:
         raise InternalInvariantBroken(
@@ -105,10 +128,16 @@ def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> 
 def _expansion_oracles(n: int, k: int, N: int, compositions, vdm: SparsePoly, max_terms: int) -> list:
     """`coefficient_by_expansion` of every q in ``compositions`` (those of N
     into n parts, in `_compositions` order), all read off one product
-    (x1^k + ... + xn^k)^N * ``vdm``, the Vandermonde, by one lookup."""
-    targets = k * np.array(compositions, dtype=np.int64) + np.arange(n, dtype=np.int64)
-    power = _multinomial_power(n, k, N, compositions, max_terms)
-    return _product_coefficients([power, vdm], targets, max_terms)
+    (x1^k + ... + xn^k)^N * ``vdm``, the Vandermonde, by one lookup.  The
+    power sum's packed columns come straight from `_multinomial_terms`,
+    whose rows are in ascending key order already; the product is the one
+    step `_packed_product` would take, at its width, and trips where it
+    would."""
+    exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
+    width = (k * N + vdm.degree).bit_length() or 1
+    power = _keys(exps, width, n), _column(coefficients)
+    live = _live(_times(power, _packed(vdm, width, None), max_terms), None)
+    return _packed_coefficients(live, width, None, n, exps + np.arange(n))
 
 
 @dataclass(frozen=True)

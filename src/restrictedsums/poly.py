@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial, inf
 import re
 
@@ -130,9 +131,10 @@ def _live(acc: tuple, field) -> tuple:
 
 def _summed(keys: np.ndarray, scalars: np.ndarray) -> tuple:
     """The terms with equal keys summed, sorted by key.  The sort is stable,
-    so equal keys are summed in the order their pairs were formed, as the
-    schoolbook product sums them, and timsort merges the sorted runs it is
-    handed (the result so far, and one run per row of a chunk)."""
+    so timsort merges the sorted runs it is handed: the result so far, and
+    one run per row of a chunk, each along the longer of the step's two
+    inputs.  The scalars are exact, so the order in which equal keys meet
+    changes no sum."""
     if not len(keys):
         return keys, scalars
     order = np.argsort(keys, kind="stable")
@@ -158,7 +160,9 @@ def _times(acc: tuple, right: tuple, max_terms: int) -> tuple:
     key.  Rows of acc go in chunks of at most `_PAIR_BUDGET` pairs, each
     merged into the sorted result so far; a result of more than
     ``max_terms`` keys, a count that only grows within a step, raises at
-    once."""
+    once.  A chunk's pairs are laid out so that each row is one sorted run
+    along the longer input, the chunk's rows of acc or right, so the sort
+    merges a few long runs rather than many short ones."""
     keys, scalars = acc
     right_keys, right_scalars = right
     scalars, right_scalars = _step_scalars(scalars, right_scalars)
@@ -166,9 +170,15 @@ def _times(acc: tuple, right: tuple, max_terms: int) -> tuple:
     rows = max(_PAIR_BUDGET // max(len(right_keys), 1), 1)
     for start in range(0, len(keys), rows):
         chunk = slice(start, start + rows)
+        if len(right_keys) < len(keys[chunk]):
+            pair_keys = keys[chunk] + right_keys[:, None]
+            pair_scalars = scalars[chunk] * right_scalars[:, None]
+        else:
+            pair_keys = keys[chunk, None] + right_keys
+            pair_scalars = scalars[chunk, None] * right_scalars
         out_keys, out_scalars = _summed(
-            np.concatenate((out_keys, (keys[chunk, None] + right_keys).ravel())),
-            np.concatenate((out_scalars, (scalars[chunk, None] * right_scalars).ravel())),
+            np.concatenate((out_keys, pair_keys.ravel())),
+            np.concatenate((out_scalars, pair_scalars.ravel())),
         )
         if len(out_keys) > max_terms:
             raise ExpansionTooLarge(
@@ -489,9 +499,26 @@ def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
 
 
 def vandermonde(n: int, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
-    """prod_{1 <= i < j <= n} (xj - xi); the empty product 1 for n == 1."""
+    """prod_{1 <= i < j <= n} (xj - xi); the empty product 1 for n == 1.
+
+    Two routes give one result.  The guard bounds the monomials that each
+    step of the chain of pair factors, headed by the constant 1, forms,
+    and each two-term factor at most doubles them.  So when 2**C(n, 2) <=
+    ``max_terms`` no step can trip, and the polynomial is written down as
+    the determinant of (x_i^(j-1)): one term sgn(s) * prod_i x_i^s(i) per
+    permutation s of 0..n-1, which spares the chain's numpy steps, each a
+    fixed cost on a tiny factor.  Otherwise the chain is multiplied, and
+    trips at the step that forms too many monomials, with its message."""
     if n < 1:
         raise ValueError(f"vandermonde needs n >= 1, got {n}")
+    if 1 << comb(n, 2) <= max_terms:
+        # descending lex order of the exponent vectors is descending graded-lex
+        # order, as every term has degree C(n, 2)
+        terms = {}
+        for s in reversed(list(permutations(range(n)))):
+            inversions = sum(a > b for i, a in enumerate(s) for b in s[i + 1 :])
+            terms[s] = -1 if inversions & 1 else 1
+        return SparsePoly._trusted(n, terms)
     factors = [SparsePoly.constant(n, 1)]
     for j in range(2, n + 1):
         for i in range(1, j):
@@ -510,21 +537,25 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _multinomial_power(n: int, k: int, N: int, compositions, max_terms: int) -> SparsePoly:
-    """(x1^k + ... + xn^k) ** N by direct multinomial generation, with the
-    term guard checked first.  ``compositions`` are those of N into n
-    parts in lexicographic order, as `_compositions` lists them, from a
-    caller that needs them too; None lists them here."""
+def _multinomial_terms(n: int, k: int, N: int, compositions, max_terms: int) -> tuple:
+    """The terms of (x1^k + ... + xn^k) ** N by direct multinomial
+    generation, with the term guard checked first: an exponent matrix
+    with one row k*q per composition q of N into n parts, in
+    lexicographic order, so ascending graded-lex order, and a column of the
+    exact coefficients N!/prod q_i!.  The matrix is int64 when k*N fits,
+    and the column when N! does, as every factorial it divides by is at
+    most N!; else they hold Python ints.
+    ``compositions`` are those of N into n parts in `_compositions` order,
+    from a caller that holds them; None lists them here."""
     if comb(N + n - 1, n - 1) > max_terms:
         raise ExpansionTooLarge(f"(power sum)^{N} in {n} variables exceeds {max_terms} terms")
-    terms = {}
-    fN = factorial(N)
-    for parts in reversed(list(_compositions(N, n)) if compositions is None else compositions):
-        coeff = fN
-        for i in parts:
-            coeff //= factorial(i)
-        terms[tuple(k * i for i in parts)] = coeff
-    return SparsePoly._trusted(n, terms)
+    if compositions is None:
+        compositions = list(_compositions(N, n))
+    parts = np.array(compositions, dtype=np.int64).reshape(-1, n)
+    factorials = [factorial(i) for i in range(N + 1)]
+    table = np.array(factorials, dtype=np.int64 if factorials[-1] < _WORD else object)
+    exps = k * (parts if k * N < _WORD else parts.astype(object))
+    return exps, table[N] // table[parts].prod(axis=1)
 
 
 def power_sum_pow(
@@ -538,14 +569,16 @@ def power_sum_pow(
     repeated squaring of the expanded power sum.  The two methods must agree;
     tests rely on that as a cross-check.
 
-    The multinomial terms are all of degree k*N, so descending graded-lex
-    order is the reverse of the compositions' lexicographic order, and
-    they are wrapped as they are.
+    The multinomial terms come from `_multinomial_terms`; they all have
+    degree k*N, so descending graded-lex order is the reverse of its rows'
+    order, and they are wrapped as they are.
     """
     if n < 1 or k < 1 or N < 0:
         raise ValueError(f"need n >= 1, k >= 1, N >= 0; got n={n}, k={k}, N={N}")
     if method == "multinomial":
-        return _multinomial_power(n, k, N, None, max_terms)
+        exps, coefficients = _multinomial_terms(n, k, N, None, max_terms)
+        terms = zip(map(tuple, exps[::-1].tolist()), coefficients[::-1].tolist())
+        return SparsePoly._trusted(n, dict(terms))
     if method == "pow":
         base = SparsePoly(n, {tuple(k if i == j else 0 for i in range(n)): 1 for j in range(n)})
         return base.pow(N, max_terms=max_terms)

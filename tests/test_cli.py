@@ -925,13 +925,21 @@ def test_verify_coeff_rows_match_the_public_functions(tmp_path, capsys):
     def product(n, k, total):
         return power_sum_pow(n, k, total).mul(vandermonde(n))
 
+    # the pair chain of vandermonde(4) peaks at 32 monomials: at a guard of
+    # 24 to 31 it trips, though its 24 terms would fit, and every n = 4 cell
+    # is skipped; at 32 it is multiplied out and the N = 0 cells are checked
     runs = [({"n_max": 5, "sum_max": 6}, None)]
-    runs += [({"n_max": 4, "sum_max": 4}, guard) for guard in (20, 48, 49, 100)]
+    runs += [({"n_max": 4, "sum_max": 4}, guard) for guard in (20, 24, 31, 32, 48, 49, 100)]
     for cfg, guard in runs:
         out = tmp_path / "coeff.csv"
         argv = ["verify-coeff", "--config", write_config(tmp_path, cfg), "--out", str(out)]
         assert cli.main(argv + ([] if guard is None else ["--guard-terms", str(guard)])) == 0
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        n4 = {(total, status) for n, _k, _q, total, _closed, _oracle, status in rows if n == "4"}
+        if guard in (24, 31):
+            assert {status for _total, status in n4} == {"skipped"}
+        if guard == 32:
+            assert ("0", "ok") in n4 and ("0", "skipped") not in n4
         cells = []
         for n, k, q, total, closed, oracle, status in rows:
             n, k, q, total = int(n), int(k), tuple(map(int, q.split(";"))), int(total)
@@ -958,11 +966,29 @@ def test_verify_coeff_rows_match_the_public_functions(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_coeff_is_exact_past_int64_multinomials(tmp_path, capsys):
+    # 21! and 22! are past 2**63, so the sums 21 and 22 divide factorials
+    # held as Python ints
+    out = tmp_path / "coeff.csv"
+    cfg = write_config(tmp_path, {"n_max": 2, "sum_max": 22})
+    assert cli.main(["verify-coeff", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 23 + 2 * sum(total + 1 for total in range(23))
+    for _n, k, q, _total, closed, oracle, status in rows:
+        q, k = tuple(map(int, q.split(";"))), int(k)
+        want = str(coefficient_formula(q, k))
+        assert (closed, oracle, status) == (want, want, "ok"), (q, k)
+        assert oracle == str(coefficient_by_expansion(q, k))
+    for k in (1, 2):
+        assert power_sum_pow(2, k, 22) == power_sum_pow(2, k, 22, method="pow")
+    assert capsys.readouterr().err.strip() == "verify-coeff: 575 identities checked, 0 mismatches, 0 skipped"
+
+
 def test_verify_coeff_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     from restrictedsums import coeff as coeff_module
 
     real = coeff_module._closed_form
-    monkeypatch.setattr(cli, "_closed_form", lambda q, k: real(q, k) + 1)
+    monkeypatch.setattr(cli, "_closed_form", lambda q, k, classes: real(q, k, classes) + 1)
     cfg = write_config(tmp_path, {"n_max": 2, "sum_max": 1})
     code = cli.main(["verify-coeff", "--config", cfg, "--out", str(tmp_path / "c.csv")])
     assert code == 2

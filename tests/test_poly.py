@@ -4,6 +4,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -144,6 +145,36 @@ def test_vandermonde_small_explicit():
     assert v3.term_count() == 6
 
 
+def pair_chain(n):
+    """The factors of vandermonde(n) as a chain: the constant 1, then
+    (xj - xi) for j = 2..n and i < j."""
+    x = [SparsePoly.variable(n, i) for i in range(1, n + 1)]
+    return [SparsePoly.constant(n, 1)] + [x[j] - x[i] for j in range(n) for i in range(j)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_written_down_vandermonde_is_its_pair_chain(n):
+    # 2**C(7, 2) = 2**21 is under the default guard, so each n is written down
+    written = [(e, type(c), c) for e, c in vandermonde(n).terms()]
+    assert written == [(e, type(c), c) for e, c in _product(pair_chain(n)).terms()]
+
+
+def test_vandermonde_trips_where_its_pair_chain_does():
+    # the guard of either route trips exactly where the chain's does, with
+    # its message, up to 2**C(n, 2) + 1 where vandermonde writes it down
+    for n in range(1, 6):
+        chain = pair_chain(n)
+        for max_terms in range(2 ** comb(n, 2) + 2):
+            try:
+                want = _product(chain, max_terms)
+            except ExpansionTooLarge as error:
+                with pytest.raises(ExpansionTooLarge) as got:
+                    vandermonde(n, max_terms)
+                assert str(got.value) == str(error), (n, max_terms)
+            else:
+                assert vandermonde(n, max_terms) == want, (n, max_terms)
+
+
 def test_vandermonde_vanishes_on_repeated_coordinates():
     F = prime_field(7)
     v = vandermonde(3)
@@ -189,6 +220,17 @@ def test_power_sum_pow_terms_come_in_grlex_order():
     with pytest.raises(ExpansionTooLarge, match=r"^\(power sum\)\^6 in 5 variables exceeds 209 terms$"):
         power_sum_pow(5, 1, 6, max_terms=209)  # C(10, 4) = 210 terms
     assert power_sum_pow(5, 1, 6, max_terms=210).term_count() == 210
+
+
+def test_power_sum_pow_past_int64_multinomials():
+    # 20! < 2**63 < 21!: from N = 21 the multinomials divide factorials that
+    # are Python ints; 45!/(15!)**3 is itself past 2**63, and so are the
+    # exponents k*N = 2**63 of the last power
+    for n, k, N in ((2, 1, 20), (2, 1, 21), (2, 1, 22), (2, 2, 22), (3, 1, 45), (2, 2**62, 2)):
+        terms = [(e, type(c), c) for e, c in power_sum_pow(n, k, N).terms()]
+        assert terms == [(e, type(c), c) for e, c in power_sum_pow(n, k, N, method="pow").terms()]
+    top = power_sum_pow(3, 1, 45).coefficient_of((15, 15, 15))
+    assert top == factorial(45) // factorial(15) ** 3 > 2**63
 
 
 # ---------- mul against the schoolbook tuple-key product ----------
@@ -360,6 +402,41 @@ def test_product_matches_schoolbook_fold(kind, max_exp):
         budget = BUDGETS[i % len(BUDGETS)]
         assert_same_chain(factors, DEFAULT_TERM_GUARD, budget)
         assert_same_chain(factors, rng.randint(0, 60), budget)
+
+
+# scalars of the chains whose steps run along either input: int64 columns,
+# Python ints past 2**63 in object columns, Fractions and GF(13) elements
+ORIENTED_SCALARS = {
+    "int64": SCALARS["int"],
+    "bigint": lambda c, d: c << 70,
+    "fraction": SCALARS["fraction"],
+    "gf13": SCALARS["gf13"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ORIENTED_SCALARS))
+@pytest.mark.parametrize("budget", [None, 1, 3])
+def test_product_steps_run_along_the_longer_input(kind, budget):
+    # A chunk's pairs run along the right factor when it is at least as long
+    # as the chunk's rows of the running product, else along those rows: at
+    # the default budget a short right factor is shorter than the whole
+    # running product, at a budget of 3 a one-term factor is shorter than a
+    # chunk of 3 rows, and at a budget of 1 no factor is.  Exponents up to
+    # max(4, size) make many pairs share a key.
+    rng = random.Random(f"oriented|{kind}|{budget}")
+    scalar = ORIENTED_SCALARS[kind]
+    for sizes in ((12, 1, 2, 3), (2, 15, 1, 9), (1, 1, 20), (30, 5), (3, 3, 3, 1), (8, 8)):
+        for _ in range(4):
+            nvars = rng.randint(1, 3)
+            factors = []
+            for size in sizes:
+                terms = {}
+                while len(terms) < size:
+                    exps = tuple(rng.randint(0, max(4, size)) for _ in range(nvars))
+                    terms[exps] = scalar(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                factors.append(SparsePoly(nvars, terms))
+            for max_terms in (DEFAULT_TERM_GUARD, rng.randint(0, 40), rng.randint(0, 120)):
+                assert_same_chain(factors, max_terms, budget)
 
 
 def test_product_chain_edge_cases():
