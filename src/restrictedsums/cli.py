@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .bounds import BOUNDS, roots_model_cardinality
-from .coeff import _closed_form, _expansion_oracles, proof_replay
+from .coeff import _coefficient_sweep, proof_replay
 from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     MultiplicityProfile,
@@ -31,7 +31,6 @@ from .enumeration import (
 )
 from .errors import (
     ConfigError,
-    ExpansionTooLarge,
     HypothesisViolated,
     Infeasible,
     InternalInvariantBroken,
@@ -43,11 +42,9 @@ from .poly import (
     DEFAULT_TERM_GUARD,
     PowerSumForm,
     SparsePoly,
-    _compositions,
     _field_form,
     _field_leading,
     parse_poly,
-    vandermonde,
 )
 from .sweeps import _value_counts
 
@@ -309,7 +306,7 @@ def _parse_tail(cfg: dict, n: int, k_min: int) -> SparsePoly:
 
 def _parse_field(cfg: dict):
     try:
-        return parse_field(cfg["field"])
+        return parse_field(cfg.get("field"))
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -501,38 +498,21 @@ def cmd_verify_coeff(args) -> int:
     sum_max = _require_int(cfg, "sum_max", 0)
     k_cap = _require_int(cfg, "k_max", 1) if "k_max" in cfg else None
     cells = []
-    mismatches = 0
-    skipped = 0
-    checked = 0
-    classes = {}  # the closed form's class factors, shared by every cell
-    for n in range(1, n_max + 1):
-        try:
-            vdm = vandermonde(n, max_terms=args.guard_terms)
-        except ExpansionTooLarge:
-            vdm = None  # every product in n variables is then skipped
-        # each sum's compositions and their labels, made once for the cells
-        # and the power of every k
-        compositions = [list(_compositions(total, n)) for total in range(sum_max + 1)]
-        labels = [[";".join(map(str, q)) for q in qs] for qs in compositions]
-        for k in range(1, min(n, k_cap) + 1 if k_cap else n + 1):
-            for total, qs in enumerate(compositions):
-                oracles = [None] * len(qs)
-                if vdm is not None:
-                    try:
-                        oracles = _expansion_oracles(n, k, total, qs, vdm, args.guard_terms)
-                    except ExpansionTooLarge:
-                        pass
-                for q, label, oracle in zip(qs, labels[total], oracles):
-                    closed = _closed_form(q, k, classes)
-                    if oracle is None:
-                        skipped += 1
-                        cells.append([n, k, label, total, str(closed), "", "skipped"])
-                        continue
-                    checked += 1
-                    status = "ok" if closed == oracle else "mismatch"
-                    if status == "mismatch":
-                        mismatches += 1
-                    cells.append([n, k, label, total, str(closed), str(oracle), status])
+    mismatches = skipped = checked = 0
+    labels = {}  # each (n, N)'s composition labels, made once for every k
+    for n, k, total, qs, closed_forms, oracles in _coefficient_sweep(n_max, sum_max, k_cap, args.guard_terms):
+        if (n, total) not in labels:
+            labels[n, total] = [";".join(map(str, q)) for q in qs]
+        for label, closed, oracle in zip(labels[n, total], closed_forms, oracles):
+            if oracle is None:
+                skipped += 1
+                cells.append([n, k, label, total, str(closed), "", "skipped"])
+                continue
+            checked += 1
+            status = "ok" if closed == oracle else "mismatch"
+            if status == "mismatch":
+                mismatches += 1
+            cells.append([n, k, label, total, str(closed), str(oracle), status])
     _write_table(args.out, COEFF_HEADER, cells)
     if args.jsonl:
         _write_jsonl(

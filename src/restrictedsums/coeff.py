@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb, factorial
 
-import numpy as np
-
 from .bounds import floor_minima
 from .enumeration import DEFAULT_TUPLE_GUARD, SetFamily
-from .errors import HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
+from .errors import ExpansionTooLarge, HypothesisViolated, InternalInvariantBroken, SearchSpaceTooLarge
 from .fields import FieldElement
 from .nullstellensatz import NullstellensatzCertificate, _certified
 from .poly import (
@@ -33,16 +31,11 @@ from .poly import (
     FieldForm,
     PowerSumForm,
     SparsePoly,
-    _column,
+    _compositions,
+    _expansion_oracles,
     _field_form,
-    _keys,
-    _live,
-    _multinomial_terms,
-    _packed,
-    _packed_coefficients,
     _product_coefficients,
     _product_top,
-    _times,
     power_sum_pow,
     vandermonde,
 )
@@ -125,19 +118,29 @@ def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> 
     return _product_coefficients(factors, [target_monomial(q, k)], max_terms)[0]
 
 
-def _expansion_oracles(n: int, k: int, N: int, compositions, vdm: SparsePoly, max_terms: int) -> list:
-    """`coefficient_by_expansion` of every q in ``compositions`` (those of N
-    into n parts, in `_compositions` order), all read off one product
-    (x1^k + ... + xn^k)^N * ``vdm``, the Vandermonde, by one lookup.  The
-    power sum's packed columns come straight from `_multinomial_terms`,
-    whose rows are in ascending key order already; the product is the one
-    step `_packed_product` would take, at its width, and trips where it
-    would."""
-    exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
-    width = (k * N + vdm.degree).bit_length() or 1
-    power = _keys(exps, width, n), _column(coefficients)
-    live = _live(_times(power, _packed(vdm, width, None), max_terms), None)
-    return _packed_coefficients(live, width, None, n, exps + np.arange(n))
+def _coefficient_sweep(n_max: int, sum_max: int, k_max: int | None, max_terms: int):
+    """The identity over n <= ``n_max``, k <= min(n, ``k_max`` or n) and
+    N <= ``sum_max``, nested in that order: yields (n, k, N, compositions of
+    N into n parts, their closed forms from one class-factor table, their
+    `_expansion_oracles`), the oracles all None where the Vandermonde or the
+    product trips ``max_terms``."""
+    classes = {}
+    for n in range(1, n_max + 1):
+        try:
+            vdm = vandermonde(n, max_terms=max_terms)
+        except ExpansionTooLarge:
+            vdm = None  # every product in n variables is then skipped
+        # each sum's compositions, listed once for the power of every k
+        compositions = [list(_compositions(N, n)) for N in range(sum_max + 1)]
+        for k in range(1, min(n, k_max or n) + 1):
+            for N, qs in enumerate(compositions):
+                oracles = [None] * len(qs)
+                if vdm is not None:
+                    try:
+                        oracles = _expansion_oracles(n, k, N, qs, vdm, max_terms)
+                    except ExpansionTooLarge:
+                        pass
+                yield n, k, N, qs, [_closed_form(q, k, classes) for q in qs], oracles
 
 
 @dataclass(frozen=True)

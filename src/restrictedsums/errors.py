@@ -38,10 +38,6 @@ class InternalInvariantBroken(RestrictedSumsError):
     counterexample and must be surfaced, never swallowed."""
 
 
-class NotInvariant(RestrictedSumsError):
-    """The subset is not closed under the permutation."""
-
-
 class SearchSpaceTooLarge(RestrictedSumsError):
     """An enumeration would exceed the configured tuple guard."""
 

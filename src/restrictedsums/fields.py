@@ -140,7 +140,10 @@ class FieldDescriptor:
                 raise TypeError(f"cannot coerce {value!r} into {self}")
             return FieldElement(self, value % self.p)
         if isinstance(value, str):
-            value = Fraction(value)
+            try:
+                value = Fraction(value)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"{value!r} has a zero denominator") from exc
         if isinstance(value, int) and not isinstance(value, bool):
             value = Fraction(value)
         if not isinstance(value, Fraction):

@@ -15,10 +15,10 @@ the outer sum of the keys and the outer product of the scalars, groups
 equal keys with one stable argsort and sums them with ``np.add.reduceat``,
 and its product is settled once (zeros dropped, residues reduced mod p).
 Keys and scalars are int64 where they provably fit and object columns of
-exact Python values where they do not, so nothing ever wraps.  Three
-readers take the settled product: `_product` unpacks it into a
-`SparsePoly`, `_product_coefficients` looks up target monomials by one
-searchsorted, and `_product_top` reads the degree and one coefficient.
+exact Python values where they do not, so nothing ever wraps.  Readers
+take the settled product: `_product` unpacks it, `_product_coefficients`
+looks up targets by one searchsorted, `_product_top` reads the degree and
+one coefficient, and `_expansion_oracles` serves `verify-coeff`.
 """
 
 from __future__ import annotations
@@ -199,6 +199,11 @@ def _unpacked(live: tuple, width: int, nvars: int, field) -> dict:
     return dict(zip(map(tuple, exps), values))
 
 
+def _width(degree: int) -> int:
+    """The key field width of a product of degree ``degree``."""
+    return degree.bit_length() or 1
+
+
 def _packed_product(factors, max_terms: int):
     """The product of ``factors``, left to right, on packed keys.
 
@@ -222,7 +227,7 @@ def _packed_product(factors, max_terms: int):
     first = factors[0]
     for other in factors[1:]:
         first._check_arity(other)
-    width = sum(max(f.degree, 0) for f in factors).bit_length() or 1
+    width = _width(sum(max(f.degree, 0) for f in factors))
     field = _common_prime_field(*factors)
     acc = _packed(first, width, field)
     for other in factors[1:]:
@@ -493,6 +498,20 @@ def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
     nvars = factors[0].nvars
     degree = int(live[0][-1]) >> (nvars * width) if len(live[0]) else NEG_INF
     return degree, _packed_coefficients(live, width, field, nvars, [target])[0]
+
+
+def _expansion_oracles(n: int, k: int, N: int, compositions, vdm: SparsePoly, max_terms: int) -> list:
+    """`_product_coefficients` of (x1^k + ... + xn^k)^N * ``vdm``, the
+    Vandermonde, at k*q + (0, 1, ..., n - 1) for each q in ``compositions``
+    (of N into n parts, in `_compositions` order), by one lookup.  The power
+    sum's columns come straight from `_multinomial_terms`, in ascending key
+    order already; the product is the one step `_packed_product` would take,
+    at its width, and trips where it would."""
+    exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
+    width = _width(k * N + vdm.degree)
+    power = _keys(exps, width, n), _column(coefficients)
+    live = _live(_times(power, _packed(vdm, width, None), max_terms), None)
+    return _packed_coefficients(live, width, None, n, exps + np.arange(n))
 
 
 # ---------- classical constructions ----------

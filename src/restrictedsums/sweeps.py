@@ -84,13 +84,13 @@ def derive_seed(*parts) -> int:
 
 
 def random_tail(rng: random.Random, n: int, k: int, max_terms: int = 3) -> SparsePoly:
-    """A small integer polynomial of total degree < k in n variables."""
+    """A small integer polynomial of total degree < k in n variables.  Each
+    term's exponent vector is uniform over those of degree < k: stars and
+    bars, n bars among k - 1 + n places, the gaps before them its exponents."""
     terms: dict = {}
     for _ in range(rng.randint(0, max_terms)):
-        while True:
-            exps = tuple(rng.randint(0, k - 1) for _ in range(n))
-            if sum(exps) < k:
-                break
+        bars = sorted(rng.sample(range(k - 1 + n), n))
+        exps = tuple(b - a - 1 for a, b in zip([-1, *bars], bars))
         coeff = rng.choice([1, -1]) * rng.randint(1, 3)
         terms[exps] = terms.get(exps, 0) + coeff
     return SparsePoly(n, terms)

@@ -3,7 +3,9 @@ determinant checks of the coefficient closed form."""
 
 from typing import Iterable
 
-from restrictedsums import NotInvariant
+
+class NotInvariant(Exception):
+    """The subset is not closed under the permutation."""
 
 
 class Permutation:

@@ -345,6 +345,20 @@ def test_vanishing_leading_coefficient_is_named_as_every_route_names_it(tmp_path
     assert capsys.readouterr().err == "config error: leading coefficient a1 = 7 vanishes in gf(7)\n"
 
 
+def test_zero_denominator_is_a_config_error(tmp_path, capsys):
+    scan = {"field": "rational", "k": 1, "bounds": ["thm12"], "families": [[["1/0", 1], [2, 3]]]}
+    replay = {"family": {"field": "rational", "sets": [["1/0", 1]]}, "k": 1}
+    for verb, cfg in [("verify-bounds", scan), ("tightness", scan), ("proof-replay", replay)]:
+        assert cli.main([verb, "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == "config error: '1/0' has a zero denominator\n"
+
+
+def test_tightness_scan_without_a_field_is_a_config_error(tmp_path, capsys):
+    cfg = {"k": 2, "bounds": ["thm12"], "families": [[[0, 1], [1, 2]]]}
+    assert cli.main(["tightness", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "config error: field string expected, got None\n"
+
+
 def test_generation_config_errors(tmp_path, capsys):
     huge_sweep = {
         "field": "gf(13)",
@@ -988,7 +1002,7 @@ def test_verify_coeff_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     from restrictedsums import coeff as coeff_module
 
     real = coeff_module._closed_form
-    monkeypatch.setattr(cli, "_closed_form", lambda q, k, classes: real(q, k, classes) + 1)
+    monkeypatch.setattr(coeff_module, "_closed_form", lambda q, k, classes: real(q, k, classes) + 1)
     cfg = write_config(tmp_path, {"n_max": 2, "sum_max": 1})
     code = cli.main(["verify-coeff", "--config", cfg, "--out", str(tmp_path / "c.csv")])
     assert code == 2

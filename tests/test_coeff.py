@@ -16,7 +16,6 @@ from restrictedsums import (
     ExpansionTooLarge,
     ExtendedNat,
     HypothesisViolated,
-    NotInvariant,
     PowerSumForm,
     SearchSpaceTooLarge,
     SetFamily,
@@ -38,7 +37,7 @@ from restrictedsums.coeff import _shifted_classes
 from restrictedsums.enumeration import DEFAULT_TUPLE_GUARD, _enumerate
 from restrictedsums.nullstellensatz import _certified, _first_nonzero
 from restrictedsums.poly import _field_form, _product
-from permutations import Permutation, falling_factorial
+from permutations import NotInvariant, Permutation, falling_factorial
 
 
 def inversion_parity_sign(images):
@@ -277,10 +276,10 @@ def test_expansion_oracles_read_the_public_product():
                 want = poly._product_coefficients([power, vdm], targets, max_terms)
             except ExpansionTooLarge as error:
                 with pytest.raises(ExpansionTooLarge) as raised:
-                    coeff._expansion_oracles(n, k, N, compositions, vdm, max_terms)
+                    poly._expansion_oracles(n, k, N, compositions, vdm, max_terms)
                 assert str(raised.value) == str(error), (n, k, N, max_terms)
             else:
-                got = coeff._expansion_oracles(n, k, N, compositions, vdm, max_terms)
+                got = poly._expansion_oracles(n, k, N, compositions, vdm, max_terms)
                 assert [(type(c), c) for c in got] == [(type(c), c) for c in want], (n, k, N, max_terms)
         if N == 45:
             assert got == [coefficient_formula(q, k) for q in compositions]

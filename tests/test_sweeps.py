@@ -107,6 +107,17 @@ def test_random_tail_respects_degree_and_arity():
     assert random_tail(random.Random(5), 3, 3) == random_tail(random.Random(5), 3, 3)
 
 
+def test_random_tail_reaches_every_exponent_vector_below_k():
+    # stars and bars draws each of the C(k - 1 + n, n) vectors of degree < k
+    rng = random.Random(11)
+    for n, k in [(1, 1), (1, 4), (2, 3), (3, 2), (3, 4)]:
+        seen = set()
+        for _ in range(400):
+            seen.update(e for e, _c in random_tail(rng, n, k, max_terms=5).terms())
+        want = {e for e in itertools.product(range(k), repeat=n) if sum(e) < k}
+        assert seen == want, (n, k)
+
+
 def test_random_leading_and_subset_and_sizes():
     rng = random.Random(0)
     lead = random_leading(rng, 5, 7)
