@@ -25,7 +25,7 @@ from .enumeration import (
     DEFAULT_TUPLE_GUARD,
     MultiplicityProfile,
     SetFamily,
-    _check_tuple_guard,
+    _check_vector_guard,
     family_from_json,
     multiplicity_value_set,
 )
@@ -463,16 +463,15 @@ def _profile_rows(spec, args) -> list:
     ]
 
 
-def _ex41_row(n: int, k: int, q: int, r: int, seed_str: str, guard_tuples=None, timings=False) -> ReportRow:
+def _ex41_row(n: int, k: int, q: int, r: int, seed_str: str, guard_tuples: int, timings=False) -> ReportRow:
     """The sharpness model's formula against its enumerated value set, left
-    uncounted when its choice space, prod(min(cap, n) + 1) over the caps of
-    its root targets, passes ``guard_tuples``."""
+    uncounted when its multiplicity vectors outnumber ``guard_tuples``."""
     value = roots_model_cardinality(n, k, q, r).value
     start = time.monotonic()
     try:
-        if guard_tuples is not None:
-            _check_tuple_guard([min(cap, n) + 1 for cap in [k] * q + [r]], guard_tuples)
-        actual = multiplicity_value_set(MultiplicityProfile(k=k, q=q, r=r, n=n)).cardinality
+        profile = MultiplicityProfile(k=k, q=q, r=r, n=n)
+        _check_vector_guard(profile, guard_tuples)
+        actual = multiplicity_value_set(profile).cardinality
     except SearchSpaceTooLarge:
         actual = None
     return ReportRow(
@@ -530,9 +529,11 @@ def cmd_example41(args) -> int:
     cfg = _load_config(args.config, required={"n", "k", "q", "r"}, optional=set())
     n, k, q, r = (_require_int(cfg, key, 0) for key in ("n", "k", "q", "r"))
     try:
-        row = _ex41_row(n, k, q, r, str(args.seed))
+        profile = MultiplicityProfile(k=k, q=q, r=r, n=n)
     except (HypothesisViolated, Infeasible) as exc:
         raise ConfigError(str(exc)) from exc
+    _check_vector_guard(profile, args.guard_tuples)
+    row = _ex41_row(n, k, q, r, str(args.seed), args.guard_tuples)
     _emit_rows(args, [row])
     print(f"example41: formula {row.bound_value}, enumerated {row.actual_cardinality}", file=sys.stderr)
     return 2 if row.violated else 0
@@ -599,7 +600,7 @@ _OPTIONS = {
     "--guard-tuples": {
         "type": int,
         "default": DEFAULT_TUPLE_GUARD,
-        "help": "enumeration guard: max tuples per family",
+        "help": "enumeration guard: max tuples per family, or multiplicity vectors per profile",
     },
     "--guard-terms": {
         "type": int,
@@ -632,7 +633,7 @@ _VERBS = {
     "example41": (
         cmd_example41,
         "check the sharpness model formula on one profile",
-        ("--seed",),
+        ("--seed", "--guard-tuples"),
     ),
     "proof-replay": (
         cmd_proof_replay,

@@ -71,43 +71,47 @@ def target_monomial(q, k: int) -> tuple:
 
 def coefficient_formula(q, k: int) -> int:
     """The closed form; may be zero or negative, always an exact integer."""
-    return _closed_form(_validate_q(q, k), k, {})
+    return _closed_forms([_validate_q(q, k)], k)[0]
 
 
-def _class_factors(entries: tuple) -> tuple:
-    """The two factors one residue class of positions, holding the q
-    entries ``entries``, puts into the closed form: prod_{i<j} (c_j - c_i)
-    and prod_j c_j!, with c_j = entries[j] + j."""
-    numerator, denominator = 1, 1
-    shifted = [qj + j for j, qj in enumerate(entries)]
-    for j, cj in enumerate(shifted):
-        for ci in shifted[:j]:
-            numerator *= cj - ci
-        denominator *= factorial(cj)
-    return numerator, denominator
+def _closed_forms(compositions, k: int) -> list:
+    """The closed form of each q in ``compositions``, tuples that
+    `_validate_q` would pass, all of one length n and one sum N: the
+    unchecked core of `coefficient_formula`, by one depth-first walk.
 
-
-def _closed_form(q: tuple, k: int, classes: dict) -> int:
-    """The closed form of a q that `_validate_q` would pass: the unchecked
-    core of `coefficient_formula`, for a caller that builds its own
-    compositions.  ``classes`` maps the q entries of a class to its
-    `_class_factors`; a caller that reads many closed forms passes one dict
-    for all of them, so each class is worked out once."""
-    numerator = factorial(sum(q))
-    denominator = 1
-    for s in range(k):
-        entries = q[s::k]
-        factors = classes.get(entries)
-        if factors is None:
-            factors = classes[entries] = _class_factors(entries)
-        numerator *= factors[0]
-        denominator *= factors[1]
-    result, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InternalInvariantBroken(
-            f"closed form is not an integer: {numerator}/{denominator}"
-        )
-    return result
+    The prefix of q up to position i carries N! times each residue class's
+    running prod (c_j - c_i), over the shifted entries the prefix puts in
+    the class, and the running prod c_j!.  Position i adds c = q_i + i // k
+    to class i mod k.  Consecutive q share the prefix they agree on, so in
+    `_compositions` order the walk works out each prefix once."""
+    forms = []
+    if not compositions:
+        return forms
+    n, N = len(compositions[0]), sum(compositions[0])
+    numerators = [factorial(N)] + [0] * n
+    denominators = [1] * (n + 1)
+    shifted = [0] * n
+    last = (None,) * n
+    for q in compositions:
+        i = 0
+        while i < n and q[i] == last[i]:
+            i += 1
+        for j in range(i, n):
+            c = q[j] + j // k
+            numerator = numerators[j]
+            for earlier in shifted[j % k : j : k]:
+                numerator *= c - earlier
+            shifted[j] = c
+            numerators[j + 1] = numerator
+            denominators[j + 1] = denominators[j] * factorial(c)
+        form, remainder = divmod(numerators[n], denominators[n])
+        if remainder:
+            raise InternalInvariantBroken(
+                f"closed form is not an integer: {numerators[n]}/{denominators[n]}"
+            )
+        forms.append(form)
+        last = q
+    return forms
 
 
 def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> int:
@@ -121,26 +125,36 @@ def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> 
 def _coefficient_sweep(n_max: int, sum_max: int, k_max: int | None, max_terms: int):
     """The identity over n <= ``n_max``, k <= min(n, ``k_max`` or n) and
     N <= ``sum_max``, nested in that order: yields (n, k, N, compositions of
-    N into n parts, their closed forms from one class-factor table, their
-    `_expansion_oracles`), the oracles all None where the Vandermonde or the
-    product trips ``max_terms``."""
-    classes = {}
+    N into n parts, their `_closed_forms`, their `_expansion_oracles`), the
+    oracles all None where the Vandermonde or the product trips
+    ``max_terms``.  Consecutive N share one batch of oracles while its term
+    pairs, compositions times Vandermonde terms, number at most
+    ``max_terms``; an N past that goes alone."""
     for n in range(1, n_max + 1):
         try:
             vdm = vandermonde(n, max_terms=max_terms)
         except ExpansionTooLarge:
             vdm = None  # every product in n variables is then skipped
-        # each sum's compositions, listed once for the power of every k
-        compositions = [list(_compositions(N, n)) for N in range(sum_max + 1)]
+        terms = 0 if vdm is None else vdm.term_count()
+        # each sum's compositions, listed and batched once for the power of every k
+        batches, pairs = [], 0
+        for N in range(sum_max + 1):
+            qs = list(_compositions(N, n))
+            if not batches or pairs + len(qs) * terms > max_terms:
+                batches.append([])
+                pairs = 0
+            batches[-1].append((N, qs))
+            pairs += len(qs) * terms
         for k in range(1, min(n, k_max or n) + 1):
-            for N, qs in enumerate(compositions):
-                oracles = [None] * len(qs)
+            for batch in batches:
+                oracles = [[None] * len(qs) for _N, qs in batch]
                 if vdm is not None:
                     try:
-                        oracles = _expansion_oracles(n, k, N, qs, vdm, max_terms)
+                        oracles = _expansion_oracles(n, k, batch, vdm, max_terms)
                     except ExpansionTooLarge:
                         pass
-                yield n, k, N, qs, [_closed_form(q, k, classes) for q in qs], oracles
+                for (N, qs), cells in zip(batch, oracles):
+                    yield n, k, N, qs, _closed_forms(qs, k), cells
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def family_from_json(source) -> SetFamily:
         raise ConfigError('family JSON needs "field" and "sets"')
     try:
         field = parse_field(source["field"])
-    except (ValueError, NotPrime) as exc:
+    except (ValueError, TypeError, NotPrime) as exc:
         raise ConfigError(str(exc)) from exc
     sets = source["sets"]
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
@@ -214,6 +214,28 @@ class MultiplicityProfile:
     @property
     def size(self) -> int:
         return self.k * self.q + self.r
+
+    @property
+    def vectors(self) -> int:
+        """The multiplicity vectors `multiplicity_value_set` visits, those
+        within the caps that sum to n, counted exactly by a DP over the caps:
+        after each cap, ways[t] counts the vectors of the caps so far that
+        sum to t, and a cap c turns it into the sum of ways[t - c .. t]."""
+        ways = [1] + [0] * self.n
+        for cap in [self.k] * self.q + [self.r]:
+            running = [0]
+            for w in ways:
+                running.append(running[-1] + w)
+            ways = [running[t + 1] - running[max(t - cap, 0)] for t in range(self.n + 1)]
+        return ways[self.n]
+
+
+def _check_vector_guard(profile: MultiplicityProfile, guard_tuples: int) -> None:
+    """Refuse a sharpness-model profile with more multiplicity vectors than
+    the guard."""
+    vectors = profile.vectors
+    if vectors > guard_tuples:
+        raise SearchSpaceTooLarge(f"profile spans {vectors} multiplicity vectors, guard is {guard_tuples}")
 
 
 def multiplicity_value_set(profile: MultiplicityProfile) -> ValueSetResult:

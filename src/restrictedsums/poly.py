@@ -17,15 +17,18 @@ and its product is settled once (zeros dropped, residues reduced mod p).
 Keys and scalars are int64 where they provably fit and object columns of
 exact Python values where they do not, so nothing ever wraps.  Readers
 take the settled product: `_product` unpacks it, `_product_coefficients`
-looks up targets by one searchsorted, `_product_top` reads the degree and
-one coefficient, and `_expansion_oracles` serves `verify-coeff`.
+looks up targets by one searchsorted, and `_product_top` reads the degree
+and one coefficient.  `_expansion_oracles` serves `verify-coeff` from the
+same keys: it multiplies a batch of power sums (x1^k + ... + xn^k)^N by
+the Vandermonde, forms every term pair, and sums only the pairs that
+land on a target monomial instead of settling the whole product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from math import comb, factorial, inf
 import re
 
@@ -39,8 +42,9 @@ DEFAULT_TERM_GUARD = 5_000_000
 
 NEG_INF = -inf
 
-# A chain step multiplies the rows of its left factor in chunks of at most
-# this many term pairs, so its temporaries stay small whatever its size.
+# A chain step, and a batch of `_expansion_oracles`, multiplies the rows of
+# its left factor in chunks of at most this many term pairs, so its
+# temporaries stay small whatever its size.
 _PAIR_BUDGET = 1 << 18
 
 _WORD = 1 << 63  # int64 holds magnitudes below this
@@ -500,18 +504,52 @@ def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
     return degree, _packed_coefficients(live, width, field, nvars, [target])[0]
 
 
-def _expansion_oracles(n: int, k: int, N: int, compositions, vdm: SparsePoly, max_terms: int) -> list:
-    """`_product_coefficients` of (x1^k + ... + xn^k)^N * ``vdm``, the
-    Vandermonde, at k*q + (0, 1, ..., n - 1) for each q in ``compositions``
-    (of N into n parts, in `_compositions` order), by one lookup.  The power
-    sum's columns come straight from `_multinomial_terms`, in ascending key
-    order already; the product is the one step `_packed_product` would take,
-    at its width, and trips where it would."""
-    exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
-    width = _width(k * N + vdm.degree)
-    power = _keys(exps, width, n), _column(coefficients)
-    live = _live(_times(power, _packed(vdm, width, None), max_terms), None)
-    return _packed_coefficients(live, width, None, n, exps + np.arange(n))
+def _expansion_oracles(n: int, k: int, batch, vdm: SparsePoly, max_terms: int) -> list:
+    """For each (N, compositions) in ``batch``, ascending sums with their
+    compositions into n parts in `_compositions` order: the
+    `_product_coefficients` of (x1^k + ... + xn^k)^N * ``vdm``, the
+    Vandermonde, at k*q + (0, 1, ..., n - 1) for each q in compositions.
+
+    A batch whose term pairs, power terms times Vandermonde terms, number
+    at most ``max_terms`` cannot trip the guard, as it forms no more
+    distinct monomials than pairs.  Its powers, each of degree k*N, are
+    packed as one column at the width of the largest N, so no two N share
+    a key, beside one packing of the Vandermonde.  Every pair is formed, in
+    chunks of at most `_PAIR_BUDGET`, and one searchsorted finds the target
+    each one lands on; the pairs that land on a target are added into its
+    total, on int64 where `_step_scalars` allows it (a target, like a key
+    of a chain step, sums at most one pair per term of either factor), and
+    the others are dropped.
+
+    A batch past ``max_terms`` must be one N, multiplied by the step
+    `_packed_product` would take, at its width, which trips where that
+    step would, with its message.  The power sum's columns come straight
+    from `_multinomial_terms`, in ascending key order already."""
+    pairs = vdm.term_count() * sum(len(compositions) for _N, compositions in batch)
+    if pairs > max_terms:
+        ((N, compositions),) = batch  # a larger batch is the caller's error
+        exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
+        width = _width(k * N + vdm.degree)
+        power = _keys(exps, width, n), _column(coefficients)
+        live = _live(_times(power, _packed(vdm, width, None), max_terms), None)
+        return [_packed_coefficients(live, width, None, n, exps + np.arange(n))]
+    width = _width(k * batch[-1][0] + vdm.degree)
+    columns = [_multinomial_terms(n, k, N, compositions, max_terms) for N, compositions in batch]
+    keys = _keys(np.concatenate([exps for exps, _ in columns]), width, n)
+    vdm_keys, vdm_scalars = _packed(vdm, width, None)
+    scalars, vdm_scalars = _step_scalars(np.concatenate([c for _, c in columns]), vdm_scalars)
+    targets = keys + _keys([range(n)], width, n)
+    totals = np.zeros(len(targets), dtype=scalars.dtype)
+    rows = max(_PAIR_BUDGET // len(vdm_keys), 1)
+    for start in range(0, len(keys), rows):
+        chunk = slice(start, start + rows)
+        pair_keys = (keys[chunk, None] + vdm_keys).ravel()
+        at = np.minimum(np.searchsorted(targets, pair_keys), len(targets) - 1)
+        hit = targets[at] == pair_keys
+        pair_scalars = (scalars[chunk, None] * vdm_scalars).ravel()
+        np.add.at(totals, at[hit], pair_scalars[hit])
+    values = iter(totals.tolist())
+    return [list(islice(values, len(compositions))) for _N, compositions in batch]
 
 
 # ---------- classical constructions ----------

@@ -2,12 +2,12 @@
 
 import argparse
 import functools
+import hashlib
 import itertools
 import json
 import random
 import re
 from fractions import Fraction
-from math import prod
 from pathlib import Path
 
 import pytest
@@ -359,6 +359,13 @@ def test_tightness_scan_without_a_field_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: field string expected, got None\n"
 
 
+def test_replay_family_field_that_is_no_string_is_a_config_error(tmp_path, capsys):
+    for field in (None, 7):
+        cfg = {"family": {"field": field, "sets": [[0, 1]]}, "k": 1}
+        assert cli.main(["proof-replay", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == f"config error: field string expected, got {field}\n"
+
+
 def test_generation_config_errors(tmp_path, capsys):
     huge_sweep = {
         "field": "gf(13)",
@@ -461,7 +468,7 @@ SHARED_OPTIONS = {"--config", "--out", "--jsonl"}
         ("verify-bounds", {"--seed", "--guard-tuples", "--timings"}),
         ("tightness", {"--seed", "--guard-tuples", "--timings"}),
         ("verify-coeff", {"--guard-terms"}),
-        ("example41", {"--seed"}),
+        ("example41", {"--seed", "--guard-tuples"}),
         ("proof-replay", {"--guard-tuples", "--guard-terms"}),
     ],
 )
@@ -535,10 +542,11 @@ def test_tightness_profiles(tmp_path, capsys):
     assert "0 violations" in capsys.readouterr().err
 
 
-def choice_space(n, k, q, r):
-    """Multiplicity vectors the sharpness model tries: min(cap, n) + 1
-    takes for each of its q + 1 root targets."""
-    return prod(min(cap, n) + 1 for cap in [k] * q + [r])
+def vector_count(n, k, q, r):
+    """Multiplicity vectors the sharpness model visits: one take of at most
+    its cap for each of its q + 1 root targets, summing to n."""
+    caps = [k] * q + [r]
+    return sum(sum(takes) == n for takes in itertools.product(*(range(min(cap, n) + 1) for cap in caps)))
 
 
 def test_tightness_profiles_read_the_guard_and_timings(tmp_path, capsys):
@@ -548,21 +556,21 @@ def test_tightness_profiles_read_the_guard_and_timings(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "tightness: 54 rows, 54 tight, 0 violations"
     rows = [json.loads(line) for line in plain.read_text().splitlines()]
     assert all(r["elapsed_ms"] == "" for r in rows)
-    # a guard of 20 refuses the profiles whose choice space passes it
-    argv = ["tightness", "--config", cfg, "--out", str(tmp_path / "b.csv"), "--guard-tuples", "20"]
+    # a guard of 4 refuses the profiles with more multiplicity vectors
+    argv = ["tightness", "--config", cfg, "--out", str(tmp_path / "b.csv"), "--guard-tuples", "4"]
     assert cli.main(argv + ["--jsonl", str(guarded)]) == 0
-    spaces = [choice_space(r["n"], r["k"], *divmod(r["sizes"][0], r["k"])) for r in rows]
-    refused = sum(space > 20 for space in spaces)
+    counts = [vector_count(r["n"], r["k"], *divmod(r["sizes"][0], r["k"])) for r in rows]
+    refused = sum(count > 4 for count in counts)
     assert 0 < refused < len(rows)
     assert capsys.readouterr().err.strip() == (
         f"tightness: 54 rows, {54 - refused} tight, {refused} skipped by the tuple guard, 0 violations"
     )
-    for row, space, got in zip(rows, spaces, map(json.loads, guarded.read_text().splitlines())):
-        if space > 20:
+    for row, count, got in zip(rows, counts, map(json.loads, guarded.read_text().splitlines())):
+        if count > 4:
             row = {**row, "actual_cardinality": None, "tight": None}
         assert got == row
-    # a guard no profile passes checks nothing
-    assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "1"]) == 0
+    # a guard no profile passes checks nothing: each has a vector
+    assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "0"]) == 0
     assert capsys.readouterr().err.strip().endswith("54 skipped by the tuple guard, nothing checked")
     # --timings fills elapsed_ms and changes nothing else
     argv = ["tightness", "--config", cfg, "--out", str(tmp_path / "c.csv"), "--timings"]
@@ -571,11 +579,13 @@ def test_tightness_profiles_read_the_guard_and_timings(tmp_path, capsys):
     assert all(r["elapsed_ms"].isdigit() for r in timed_rows)
     assert [{**r, "elapsed_ms": ""} for r in timed_rows] == rows
     capsys.readouterr()
-    # k = q = 8, n = 32 would try 9^8 multiplicity vectors: the default
-    # guard refuses it before enumerating
-    row = cli._ex41_row(32, 8, 8, 0, "0", DEFAULT_TUPLE_GUARD)
+    # k = q = 10, n = 50 would visit about 1.02e9 multiplicity vectors: the
+    # default guard refuses it before enumerating.  k = q = 8, n = 8 visits
+    # 6,435 of the 9^8 vectors of its caps, so it is counted.
+    row = cli._ex41_row(50, 10, 10, 0, "0", DEFAULT_TUPLE_GUARD)
     assert (row.actual_cardinality, row.tight, row.violated) == (None, None, False)
-    assert choice_space(32, 8, 8, 0) == 9**8 > DEFAULT_TUPLE_GUARD
+    row = cli._ex41_row(8, 8, 8, 0, "0", DEFAULT_TUPLE_GUARD)
+    assert (row.actual_cardinality, row.tight) == (row.bound_value, True)
 
 
 def test_tightness_rejects_mixed_modes(tmp_path, capsys):
@@ -980,6 +990,38 @@ def test_verify_coeff_rows_match_the_public_functions(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_coeff_reports_are_pinned(tmp_path, capsys):
+    # sha256 of the CSV and of the summary line on {5, 6}, at the default
+    # guard and at three guards that skip some cells: however the oracles
+    # and closed forms are computed, the reports may not change by a byte
+    pinned = {
+        None: (
+            "e0327a5178d8e3beac554d62578c52464e2344f827942c89def68580b3590d1b",
+            "32700e8d3bb999e438ce5905820bc91fe32bde4baae35180612d29c4b25364ba",
+        ),
+        20: (
+            "ed8ef5278e30ff029e8ff375f226e937bd6487709ee82eda309c25881443bd04",
+            "baa24bfede498ad835f351ba1cf437af64767d15bd21a987ff8f3ccf41f151e3",
+        ),
+        100: (
+            "a942f059913e6890527d190708c51ff62efa9cf081234f5def8e5a4f77826bbb",
+            "520cb73227f21f4a3bf0e9121cc8d62df4bbcc6a14e28e81895d90b214c6bad0",
+        ),
+        1000: (
+            "902f03ade91561addb5e1d929102baa91baa58c86f1722f69444a351aac86623",
+            "7c1ed1ed0e0ab9268e17328a31d20d943005d53326cc4156452040188fdae808",
+        ),
+    }
+    cfg = write_config(tmp_path, {"n_max": 5, "sum_max": 6})
+    out = tmp_path / "coeff.csv"
+    for guard, (csv_digest, summary_digest) in pinned.items():
+        argv = ["verify-coeff", "--config", cfg, "--out", str(out)]
+        assert cli.main(argv + ([] if guard is None else ["--guard-terms", str(guard)])) == 0
+        summary = capsys.readouterr().err.strip()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest, guard
+        assert hashlib.sha256(summary.encode()).hexdigest() == summary_digest, (guard, summary)
+
+
 def test_verify_coeff_is_exact_past_int64_multinomials(tmp_path, capsys):
     # 21! and 22! are past 2**63, so the sums 21 and 22 divide factorials
     # held as Python ints
@@ -1001,8 +1043,8 @@ def test_verify_coeff_is_exact_past_int64_multinomials(tmp_path, capsys):
 def test_verify_coeff_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     from restrictedsums import coeff as coeff_module
 
-    real = coeff_module._closed_form
-    monkeypatch.setattr(coeff_module, "_closed_form", lambda q, k, classes: real(q, k, classes) + 1)
+    real = coeff_module._closed_forms
+    monkeypatch.setattr(coeff_module, "_closed_forms", lambda qs, k: [form + 1 for form in real(qs, k)])
     cfg = write_config(tmp_path, {"n_max": 2, "sum_max": 1})
     code = cli.main(["verify-coeff", "--config", cfg, "--out", str(tmp_path / "c.csv")])
     assert code == 2
@@ -1041,6 +1083,25 @@ def test_example41_errors(tmp_path, capsys):
     assert run({"n": 2, "k": 2}) == 1
     # r >= k
     assert run({"n": 2, "k": 2, "q": 2, "r": 2}) == 1
+    capsys.readouterr()
+
+
+def test_example41_refuses_a_profile_past_the_guard(tmp_path, capsys):
+    def run(cfg, *guard):
+        return cli.main(["example41", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "e.csv"), *guard])
+
+    # about 1.02e9 multiplicity vectors: refused before any is visited
+    assert run({"n": 50, "k": 10, "q": 10, "r": 0}) == 1
+    assert capsys.readouterr().err == (
+        f"error: profile spans 1018872811 multiplicity vectors, guard is {DEFAULT_TUPLE_GUARD}\n"
+    )
+    # 6,435 vectors, though its caps allow 9^8 takes
+    small = {"n": 8, "k": 8, "q": 8, "r": 0}
+    assert run(small) == 0
+    assert capsys.readouterr().err == "example41: formula 57, enumerated 57\n"
+    assert run(small, "--guard-tuples", "6434") == 1
+    assert capsys.readouterr().err == "error: profile spans 6435 multiplicity vectors, guard is 6434\n"
+    assert run(small, "--guard-tuples", "6435") == 0
     capsys.readouterr()
 
 

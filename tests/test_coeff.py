@@ -243,46 +243,90 @@ def test_single_class_case_is_plain_multinomial_with_vandermonde():
         assert coefficient_formula(q, 1) == coefficient_by_expansion(q, 1)
 
 
-def test_closed_forms_share_one_table_of_class_factors():
-    # one dict serves every cell, holding each class's factors by its q entries
-    classes = {}
-    met = set()
+def test_closed_form_walk_shares_prefixes_in_any_order():
+    # the walk carries each prefix's factors on to the next q; whatever
+    # order or subset of the compositions it walks, each q gets its own form
+    rng = random.Random(5)
     for n in range(1, 5):
         for k in range(1, n + 1):
-            for q in itertools.product(range(4), repeat=n):
-                assert coeff._closed_form(q, k, classes) == coefficient_formula(q, k), (q, k)
-                met.update(q[s::k] for s in range(k))
-    assert set(classes) == met
+            for total in range(6):
+                qs = list(poly._compositions(total, n))
+                for walk in (qs, qs[::-1], rng.sample(qs, len(qs)), qs[1::2], qs + qs[:1]):
+                    assert coeff._closed_forms(walk, k) == [coefficient_formula(q, k) for q in walk], (k, walk)
+
+
+def test_closed_form_walk_equals_the_formula_on_every_composition():
+    # the literal formula of the module docstring, class by class
+    def literal(q, k):
+        numerator, denominator = factorial(sum(q)), 1
+        for shifted in _shifted_classes(q, k):
+            for j, cj in enumerate(shifted):
+                denominator *= factorial(cj)
+                for ci in shifted[:j]:
+                    numerator *= cj - ci
+        assert numerator % denominator == 0
+        return numerator // denominator
+
+    for n in range(1, 7):
+        for total in range(9):
+            qs = list(poly._compositions(total, n))
+            for k in range(1, n + 1):
+                got = coeff._closed_forms(qs, k)
+                assert got == [coefficient_formula(q, k) for q in qs], (n, total, k)
+                assert got == [literal(q, k) for q in qs], (n, total, k)
 
 
 def test_expansion_oracles_read_the_public_product():
-    # the oracle packs the power sum's columns itself; it reads what
-    # coefficient_by_expansion reads off the product, and trips where that
-    # product does, with its message.  (x1 + x2 + x3)^45 has multinomials
-    # past 2**63, and 22! is past it, so their columns hold Python ints.
-    cases = [
-        (3, 2, 3, range(40)),
-        (4, 2, 2, range(130)),
-        (2, 1, 22, range(30)),
-        (3, 1, 45, [poly.DEFAULT_TERM_GUARD]),
-    ]
-    for n, k, N, guards in cases:
-        compositions = list(poly._compositions(N, n))
+    # a batch of consecutive sums reads, sum by sum, what
+    # coefficient_by_expansion reads off the product; a sum past the guard
+    # goes alone and trips where that product does, with its message.
+    # (x1 + x2 + x3)^45 has multinomials past 2**63, and 21! and 22! are
+    # past it, so their columns hold Python ints, in a batch with int64 ones.
+    def public(n, k, total, compositions, vdm, max_terms):
         targets = [target_monomial(q, k) for q in compositions]
+        try:
+            power = power_sum_pow(n, k, total, max_terms=max_terms)
+            return poly._product_coefficients([power, vdm], targets, max_terms)
+        except ExpansionTooLarge as error:
+            return error
+
+    def check(n, k, batch, vdm, max_terms, want):
+        if any(isinstance(want[total], ExpansionTooLarge) for total, _ in batch):
+            assert len(batch) == 1
+            with pytest.raises(ExpansionTooLarge) as raised:
+                poly._expansion_oracles(n, k, batch, vdm, max_terms)
+            assert str(raised.value) == str(want[batch[0][0]]), (n, k, batch[0][0], max_terms)
+            return
+        got = poly._expansion_oracles(n, k, batch, vdm, max_terms)
+        assert len(got) == len(batch)
+        for (total, _), cells in zip(batch, got):
+            assert [(type(c), c) for c in cells] == [(type(c), c) for c in want[total]], (n, k, total, max_terms)
+
+    guards = (0, 1, 2, 6, 20, 24, 100, 130, 1000, 5000, poly.DEFAULT_TERM_GUARD)
+    for n in range(1, 6):
         vdm = vandermonde(n)
-        for max_terms in guards:
-            try:
-                power = power_sum_pow(n, k, N, max_terms=max_terms)
-                want = poly._product_coefficients([power, vdm], targets, max_terms)
-            except ExpansionTooLarge as error:
-                with pytest.raises(ExpansionTooLarge) as raised:
-                    poly._expansion_oracles(n, k, N, compositions, vdm, max_terms)
-                assert str(raised.value) == str(error), (n, k, N, max_terms)
-            else:
-                got = poly._expansion_oracles(n, k, N, compositions, vdm, max_terms)
-                assert [(type(c), c) for c in got] == [(type(c), c) for c in want], (n, k, N, max_terms)
-        if N == 45:
-            assert got == [coefficient_formula(q, k) for q in compositions]
+        sums = [(total, list(poly._compositions(total, n))) for total in range(9)]
+        for k in range(1, n + 1):
+            for max_terms in guards:
+                want = {total: public(n, k, total, qs, vdm, max_terms) for total, qs in sums}
+                for total, qs in sums:
+                    check(n, k, [(total, qs)], vdm, max_terms, want)
+                # every run of sums from 0 that the guard admits as one batch
+                for end in range(2, len(sums) + 1):
+                    if vdm.term_count() * sum(len(qs) for _, qs in sums[:end]) > max_terms:
+                        with pytest.raises(ValueError):
+                            poly._expansion_oracles(n, k, sums[:end], vdm, max_terms)
+                        break
+                    check(n, k, sums[:end], vdm, max_terms, want)
+    for n, k, sums in [(2, 1, range(19, 23)), (3, 1, [45])]:
+        vdm = vandermonde(n)
+        batch = [(total, list(poly._compositions(total, n))) for total in sums]
+        want = {total: public(n, k, total, qs, vdm, poly.DEFAULT_TERM_GUARD) for total, qs in batch}
+        check(n, k, batch, vdm, poly.DEFAULT_TERM_GUARD, want)
+        for total, qs in batch:
+            check(n, k, [(total, qs)], vdm, poly.DEFAULT_TERM_GUARD, want)
+            assert want[total] == [coefficient_formula(q, k) for q in qs]
+    assert {type(c) for c in want[45]} == {int}
 
 
 def test_certificate_serializes_big_integers_as_strings():

@@ -292,10 +292,10 @@ def test_multiplicity_matches_roots_model_formula():
                 m = k * q + r
                 for n in range(1, m + 1):
                     profile = MultiplicityProfile(k=k, q=q, r=r, n=n)
-                    assert (
-                        multiplicity_value_set(profile).cardinality
-                        == roots_model_cardinality(n, k, q, r).value
-                    ), (n, k, q, r)
+                    got = multiplicity_value_set(profile)
+                    assert got.cardinality == roots_model_cardinality(n, k, q, r).value, (n, k, q, r)
+                    # the guard's count is the number of vectors visited
+                    assert got.tuples_examined == profile.vectors, (n, k, q, r)
 
 
 def test_multiplicity_guards():
