@@ -455,7 +455,7 @@ def _profile_rows(spec, args) -> list:
     k_max = _require_int(spec, "k_max", 1)
     q_max = _require_int(spec, "q_max", 0)
     return [
-        _ex41_row(n, k, q, r, str(args.seed), args.guard_tuples, args.timings)
+        _ex41_row(MultiplicityProfile(k=k, q=q, r=r, n=n), str(args.seed), args.guard_tuples, args.timings)
         for k in range(1, k_max + 1)
         for q in range(q_max + 1)
         for r in range(k)
@@ -463,13 +463,13 @@ def _profile_rows(spec, args) -> list:
     ]
 
 
-def _ex41_row(n: int, k: int, q: int, r: int, seed_str: str, guard_tuples: int, timings=False) -> ReportRow:
+def _ex41_row(profile: MultiplicityProfile, seed_str: str, guard_tuples: int, timings=False) -> ReportRow:
     """The sharpness model's formula against its enumerated value set, left
     uncounted when its multiplicity vectors outnumber ``guard_tuples``."""
+    n, k, q, r = profile.n, profile.k, profile.q, profile.r
     value = roots_model_cardinality(n, k, q, r).value
     start = time.monotonic()
     try:
-        profile = MultiplicityProfile(k=k, q=q, r=r, n=n)
         _check_vector_guard(profile, guard_tuples)
         actual = multiplicity_value_set(profile).cardinality
     except SearchSpaceTooLarge:
@@ -533,7 +533,7 @@ def cmd_example41(args) -> int:
     except (HypothesisViolated, Infeasible) as exc:
         raise ConfigError(str(exc)) from exc
     _check_vector_guard(profile, args.guard_tuples)
-    row = _ex41_row(n, k, q, r, str(args.seed), args.guard_tuples)
+    row = _ex41_row(profile, str(args.seed), args.guard_tuples)
     _emit_rows(args, [row])
     print(f"example41: formula {row.bound_value}, enumerated {row.actual_cardinality}", file=sys.stderr)
     return 2 if row.violated else 0

@@ -35,7 +35,6 @@ from .poly import (
     _expansion_oracles,
     _field_form,
     _product_coefficients,
-    _product_top,
     power_sum_pow,
     vandermonde,
 )
@@ -119,7 +118,7 @@ def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> 
     q = _validate_q(q, k)
     n = len(q)
     factors = [power_sum_pow(n, k, sum(q), max_terms=max_terms), vandermonde(n, max_terms=max_terms)]
-    return _product_coefficients(factors, [target_monomial(q, k)], max_terms)[0]
+    return _product_coefficients(factors, [target_monomial(q, k)], max_terms)[1][0]
 
 
 def _coefficient_sweep(n_max: int, sum_max: int, k_max: int | None, max_terms: int):
@@ -127,34 +126,18 @@ def _coefficient_sweep(n_max: int, sum_max: int, k_max: int | None, max_terms: i
     N <= ``sum_max``, nested in that order: yields (n, k, N, compositions of
     N into n parts, their `_closed_forms`, their `_expansion_oracles`), the
     oracles all None where the Vandermonde or the product trips
-    ``max_terms``.  Consecutive N share one batch of oracles while its term
-    pairs, compositions times Vandermonde terms, number at most
-    ``max_terms``; an N past that goes alone."""
+    ``max_terms``."""
     for n in range(1, n_max + 1):
         try:
             vdm = vandermonde(n, max_terms=max_terms)
         except ExpansionTooLarge:
             vdm = None  # every product in n variables is then skipped
-        terms = 0 if vdm is None else vdm.term_count()
-        # each sum's compositions, listed and batched once for the power of every k
-        batches, pairs = [], 0
-        for N in range(sum_max + 1):
-            qs = list(_compositions(N, n))
-            if not batches or pairs + len(qs) * terms > max_terms:
-                batches.append([])
-                pairs = 0
-            batches[-1].append((N, qs))
-            pairs += len(qs) * terms
+        # each sum's compositions, listed once for the power of every k
+        sums = [(N, list(_compositions(N, n))) for N in range(sum_max + 1)]
         for k in range(1, min(n, k_max or n) + 1):
-            for batch in batches:
-                oracles = [[None] * len(qs) for _N, qs in batch]
-                if vdm is not None:
-                    try:
-                        oracles = _expansion_oracles(n, k, batch, vdm, max_terms)
-                    except ExpansionTooLarge:
-                        pass
-                for (N, qs), cells in zip(batch, oracles):
-                    yield n, k, N, qs, _closed_forms(qs, k), cells
+            oracles = [None] * len(sums) if vdm is None else _expansion_oracles(n, k, sums, vdm, max_terms)
+            for (N, qs), cells in zip(sums, oracles):
+                yield n, k, N, qs, _closed_forms(qs, k), [None] * len(qs) if cells is None else cells
 
 
 @dataclass(frozen=True)
@@ -493,7 +476,7 @@ def _expanded_certificate(shrunk, form: FieldForm, enum, excluded, h_element, gu
         shifted = constant - c
         factors.append(SparsePoly._trusted(n, terms if shifted.is_zero else {**terms, (0,) * n: shifted}))
     degrees = tuple(size - 1 for size in shrunk.sizes)
-    degree, coefficient = _product_top(factors, degrees, guard_terms)
+    degree, (coefficient,) = _product_coefficients(factors, [degrees], guard_terms)
     expected_degree = k * len(excluded) + comb(n, 2)
     if degree != expected_degree or expected_degree != sum(degrees):
         raise InternalInvariantBroken(

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from .errors import (
     ArityMismatch,
@@ -215,19 +215,24 @@ class MultiplicityProfile:
     def size(self) -> int:
         return self.k * self.q + self.r
 
-    @property
+    @cached_property
     def vectors(self) -> int:
         """The multiplicity vectors `multiplicity_value_set` visits, those
-        within the caps that sum to n, counted exactly by a DP over the caps:
-        after each cap, ways[t] counts the vectors of the caps so far that
-        sum to t, and a cap c turns it into the sum of ways[t - c .. t]."""
-        ways = [1] + [0] * self.n
-        for cap in [self.k] * self.q + [self.r]:
-            running = [0]
-            for w in ways:
-                running.append(running[-1] + w)
-            ways = [running[t + 1] - running[max(t - cap, 0)] for t in range(self.n + 1)]
-        return ways[self.n]
+        within the caps that sum to n, counted exactly in closed form.
+        Inclusion-exclusion over the j targets of cap k forced past it, in
+        C(q, j) ways, leaves m = n - j(k + 1) roots.  With y <= min(r, m) of
+        them at target q + 1, the rest spread over the q targets in
+        C(m - y + q - 1, q - 1) ways, which sum over y, by the hockey stick,
+        to C(m + q, q) - C(m - min(r, m) + q - 1, q).  With q = 0 the n <= r
+        roots all go to target 1."""
+        k, q, r, n = self.k, self.q, self.r, self.n
+        if q == 0:
+            return int(n <= r)
+        total = 0
+        for j in range(min(q, n // (k + 1)) + 1):
+            m = n - j * (k + 1)
+            total += (-1) ** j * comb(q, j) * (comb(m + q, q) - comb(m - min(r, m) + q - 1, q))
+        return total
 
 
 def _check_vector_guard(profile: MultiplicityProfile, guard_tuples: int) -> None:

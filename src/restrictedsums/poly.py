@@ -15,20 +15,21 @@ the outer sum of the keys and the outer product of the scalars, groups
 equal keys with one stable argsort and sums them with ``np.add.reduceat``,
 and its product is settled once (zeros dropped, residues reduced mod p).
 Keys and scalars are int64 where they provably fit and object columns of
-exact Python values where they do not, so nothing ever wraps.  Readers
-take the settled product: `_product` unpacks it, `_product_coefficients`
-looks up targets by one searchsorted, and `_product_top` reads the degree
-and one coefficient.  `_expansion_oracles` serves `verify-coeff` from the
-same keys: it multiplies a batch of power sums (x1^k + ... + xn^k)^N by
-the Vandermonde, forms every term pair, and sums only the pairs that
-land on a target monomial instead of settling the whole product.
+exact Python values where they do not, so nothing ever wraps.  A settled
+product is read two ways: `_product` unpacks it, and
+`_product_coefficients` reads its degree and looks up targets by one
+searchsorted.  `_expansion_oracles` serves `verify-coeff` and alone
+decides which sums N share a product: a batch whose term pairs stay
+within the guard sums only the pairs of its power sums and the
+Vandermonde that land on a target; an N past the guard goes through
+`_product_coefficients`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import chain, islice, permutations
 from math import comb, factorial, inf
 import re
 
@@ -87,7 +88,7 @@ def _column(values) -> np.ndarray:
     2**63, else as an object column holding the values themselves."""
     if isinstance(values, np.ndarray) and values.dtype == np.int64:
         return values
-    if all(type(c) is int for c in values) and max(map(abs, values), default=0) < _WORD:
+    if set(map(type, values)) <= {int} and max(map(abs, values), default=0) < _WORD:
         return np.array(values, dtype=np.int64)
     column = np.empty(len(values), dtype=object)
     column[:] = values
@@ -99,6 +100,14 @@ def _shifts(nvars: int, width: int) -> list:
     return list(range((nvars - 1) * width, -1, -width))
 
 
+def _matrix(rows, nvars: int, dtype) -> np.ndarray:
+    """``rows``, a matrix or a sequence of exponent vectors of ``nvars``
+    entries, as a ``dtype`` matrix; a sequence is read flat, in one pass."""
+    if isinstance(rows, np.ndarray):
+        return np.asarray(rows, dtype=dtype).reshape(len(rows), nvars)
+    return np.fromiter(chain.from_iterable(rows), dtype, len(rows) * nvars).reshape(len(rows), nvars)
+
+
 def _keys(rows, width: int, nvars: int) -> np.ndarray:
     """The packed key of each exponent vector in ``rows``, a sequence or a
     matrix: the degree, then each exponent in a ``width``-bit field, x1
@@ -107,7 +116,7 @@ def _keys(rows, width: int, nvars: int) -> np.ndarray:
     (nvars + 1) * width < 63, so every key of every partial product stays
     below 2**62, else Python ints in an object column."""
     dtype = np.int64 if (nvars + 1) * width < 63 else object
-    matrix = np.array(rows, dtype=dtype).reshape(len(rows), nvars)
+    matrix = _matrix(rows, nvars, dtype)
     weights = np.array([1 << s for s in _shifts(nvars, width)], dtype=dtype)
     return (matrix.sum(axis=1) << (nvars * width)) + matrix @ weights
 
@@ -452,25 +461,6 @@ def _product(factors, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
     return SparsePoly._trusted(nvars, _unpacked(acc, width, nvars, field))
 
 
-def _packed_coefficients(live: tuple, width: int, field, nvars: int, targets) -> list:
-    """The coefficient of each exponent vector in ``targets``, the int 0
-    when absent, all looked up by one searchsorted in the sorted keys of
-    ``live``, a product's settled terms; GF(p) residues are
-    wrapped.  A target of degree 2**width or more is above the product's
-    degree and may not fit the fields, so its key could alias another
-    monomial's; it reads 0."""
-    keys, scalars = live
-    packed = _packed_targets(targets, width, nvars, keys.dtype)
-    if not len(keys):
-        return [0] * len(packed)
-    at = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
-    found = (keys[at] == packed).tolist()
-    return [
-        (c if field is None else FieldElement(field, c)) if hit else 0
-        for c, hit in zip(scalars[at].tolist(), found)
-    ]
-
-
 def _packed_targets(targets, width: int, nvars: int, dtype) -> np.ndarray:
     """`_keys` of the exponent vectors in ``targets``, a sequence or a
     matrix checked as one, and -1 for those of degree 2**width or more.  An
@@ -486,70 +476,79 @@ def _packed_targets(targets, width: int, nvars: int, dtype) -> np.ndarray:
     return np.where(past, -1, _keys(np.where(past[:, None], 0, targets), width, nvars))
 
 
-def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> list:
-    """``_product(factors).coefficient_of(t)`` for each t in ``targets``, read
-    off the packed accumulator without unpacking it."""
-    acc, width, field = _packed_product(factors, max_terms)
-    return _packed_coefficients(acc, width, field, factors[0].nvars, targets)
-
-
-def _product_top(factors, target, max_terms: int = DEFAULT_TERM_GUARD):
-    """``(P.degree, P.coefficient_of(target))`` for P = ``_product(factors)``,
-    read off the packed accumulator without unpacking it: the degree is the
-    degree field of the highest key whose coefficient settles nonzero, -inf
-    when none does."""
-    live, width, field = _packed_product(factors, max_terms)
+def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> tuple:
+    """``(P.degree, [P.coefficient_of(t) for t in targets])`` for P =
+    ``_product(factors)``, read off the settled packed product: the degree
+    field of the highest key (-inf for none), and one searchsorted for the
+    targets.  A target of degree 2**width or more is above the product's
+    degree and may not fit the fields, so its key could alias another
+    monomial's; it reads 0."""
+    (keys, scalars), width, field = _packed_product(factors, max_terms)
     nvars = factors[0].nvars
-    degree = int(live[0][-1]) >> (nvars * width) if len(live[0]) else NEG_INF
-    return degree, _packed_coefficients(live, width, field, nvars, [target])[0]
+    packed = _packed_targets(targets, width, nvars, keys.dtype)
+    if not len(keys):
+        return NEG_INF, [0] * len(packed)
+    at = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
+    found = (keys[at] == packed).tolist()
+    return int(keys[-1]) >> (nvars * width), [
+        (c if field is None else FieldElement(field, c)) if hit else 0
+        for c, hit in zip(scalars[at].tolist(), found)
+    ]
 
 
-def _expansion_oracles(n: int, k: int, batch, vdm: SparsePoly, max_terms: int) -> list:
-    """For each (N, compositions) in ``batch``, ascending sums with their
-    compositions into n parts in `_compositions` order: the
-    `_product_coefficients` of (x1^k + ... + xn^k)^N * ``vdm``, the
-    Vandermonde, at k*q + (0, 1, ..., n - 1) for each q in compositions.
+def _expansion_oracles(n: int, k: int, sums, vdm: SparsePoly, max_terms: int) -> list:
+    """For each (N, compositions) in ``sums``, ascending sums with their
+    compositions into n parts in `_compositions` order: the coefficients
+    of (x1^k + ... + xn^k)^N * ``vdm``, the Vandermonde, at
+    k*q + (0, 1, ..., n - 1) for each q, as `_product_coefficients` reads
+    them, or None where that product trips ``max_terms``.
 
-    A batch whose term pairs, power terms times Vandermonde terms, number
-    at most ``max_terms`` cannot trip the guard, as it forms no more
-    distinct monomials than pairs.  Its powers, each of degree k*N, are
-    packed as one column at the width of the largest N, so no two N share
-    a key, beside one packing of the Vandermonde.  Every pair is formed, in
-    chunks of at most `_PAIR_BUDGET`, and one searchsorted finds the target
-    each one lands on; the pairs that land on a target are added into its
-    total, on int64 where `_step_scalars` allows it (a target, like a key
-    of a chain step, sums at most one pair per term of either factor), and
-    the others are dropped.
-
-    A batch past ``max_terms`` must be one N, multiplied by the step
-    `_packed_product` would take, at its width, which trips where that
-    step would, with its message.  The power sum's columns come straight
-    from `_multinomial_terms`, in ascending key order already."""
-    pairs = vdm.term_count() * sum(len(compositions) for _N, compositions in batch)
-    if pairs > max_terms:
-        ((N, compositions),) = batch  # a larger batch is the caller's error
-        exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
-        width = _width(k * N + vdm.degree)
-        power = _keys(exps, width, n), _column(coefficients)
-        live = _live(_times(power, _packed(vdm, width, None), max_terms), None)
-        return [_packed_coefficients(live, width, None, n, exps + np.arange(n))]
-    width = _width(k * batch[-1][0] + vdm.degree)
-    columns = [_multinomial_terms(n, k, N, compositions, max_terms) for N, compositions in batch]
-    keys = _keys(np.concatenate([exps for exps, _ in columns]), width, n)
-    vdm_keys, vdm_scalars = _packed(vdm, width, None)
-    scalars, vdm_scalars = _step_scalars(np.concatenate([c for _, c in columns]), vdm_scalars)
-    targets = keys + _keys([range(n)], width, n)
-    totals = np.zeros(len(targets), dtype=scalars.dtype)
-    rows = max(_PAIR_BUDGET // len(vdm_keys), 1)
-    for start in range(0, len(keys), rows):
-        chunk = slice(start, start + rows)
-        pair_keys = (keys[chunk, None] + vdm_keys).ravel()
-        at = np.minimum(np.searchsorted(targets, pair_keys), len(targets) - 1)
-        hit = targets[at] == pair_keys
-        pair_scalars = (scalars[chunk, None] * vdm_scalars).ravel()
-        np.add.at(totals, at[hit], pair_scalars[hit])
-    values = iter(totals.tolist())
-    return [list(islice(values, len(compositions))) for _N, compositions in batch]
+    Consecutive N form one batch while their term pairs, power terms times
+    Vandermonde terms, number at most ``max_terms``; such a batch cannot
+    trip, as it forms no more distinct monomials than pairs.  Its
+    `_multinomial_terms`, each of degree k*N, are packed as one column at
+    the width of the largest N, so no two N share a key.  Every pair is
+    formed, in `_PAIR_BUDGET` chunks; one searchsorted finds the target
+    each lands on, and those that land are added into its total, on int64
+    where `_step_scalars` allows it.  An N whose own pairs pass
+    ``max_terms`` goes alone through `_product_coefficients`."""
+    terms = vdm.term_count()
+    batches = []  # [pairs, sums] of each batch
+    for N, compositions in sums:
+        pairs = len(compositions) * terms
+        if not batches or batches[-1][0] + pairs > max_terms:
+            batches.append([0, []])
+        batches[-1][0] += pairs
+        batches[-1][1].append((N, compositions))
+    oracles = []
+    for pairs, batch in batches:
+        if pairs > max_terms:
+            ((N, compositions),) = batch
+            try:
+                exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
+                power = _multinomial_poly(n, exps, coefficients)
+                oracles.append(_product_coefficients([power, vdm], exps + np.arange(n), max_terms)[1])
+            except ExpansionTooLarge:
+                oracles.append(None)
+            continue
+        width = _width(k * batch[-1][0] + vdm.degree)
+        columns = [_multinomial_terms(n, k, N, compositions, max_terms) for N, compositions in batch]
+        keys = _keys(np.concatenate([exps for exps, _ in columns]), width, n)
+        vdm_keys, vdm_scalars = _packed(vdm, width, None)
+        scalars, vdm_scalars = _step_scalars(np.concatenate([c for _, c in columns]), vdm_scalars)
+        targets = keys + _keys([range(n)], width, n)
+        totals = np.zeros(len(targets), dtype=scalars.dtype)
+        rows = max(_PAIR_BUDGET // len(vdm_keys), 1)
+        for start in range(0, len(keys), rows):
+            chunk = slice(start, start + rows)
+            pair_keys = (keys[chunk, None] + vdm_keys).ravel()
+            at = np.minimum(np.searchsorted(targets, pair_keys), len(targets) - 1)
+            hit = targets[at] == pair_keys
+            pair_scalars = (scalars[chunk, None] * vdm_scalars).ravel()
+            np.add.at(totals, at[hit], pair_scalars[hit])
+        values = iter(totals.tolist())
+        oracles += [list(islice(values, len(compositions))) for _N, compositions in batch]
+    return oracles
 
 
 # ---------- classical constructions ----------
@@ -608,11 +607,18 @@ def _multinomial_terms(n: int, k: int, N: int, compositions, max_terms: int) -> 
         raise ExpansionTooLarge(f"(power sum)^{N} in {n} variables exceeds {max_terms} terms")
     if compositions is None:
         compositions = list(_compositions(N, n))
-    parts = np.array(compositions, dtype=np.int64).reshape(-1, n)
+    parts = _matrix(compositions, n, np.int64)
     factorials = [factorial(i) for i in range(N + 1)]
     table = np.array(factorials, dtype=np.int64 if factorials[-1] < _WORD else object)
     exps = k * (parts if k * N < _WORD else parts.astype(object))
     return exps, table[N] // table[parts].prod(axis=1)
+
+
+def _multinomial_poly(n: int, exps, coefficients) -> SparsePoly:
+    """`_multinomial_terms` wrapped as they are: all of degree k*N, their
+    rows reversed are in descending graded-lex order."""
+    terms = zip(zip(*exps[::-1].T.tolist()), coefficients[::-1].tolist())
+    return SparsePoly._trusted(n, dict(terms))
 
 
 def power_sum_pow(
@@ -624,18 +630,11 @@ def power_sum_pow(
 ) -> SparsePoly:
     """(x1^k + ... + xn^k) ** N, by direct multinomial generation or by
     repeated squaring of the expanded power sum.  The two methods must agree;
-    tests rely on that as a cross-check.
-
-    The multinomial terms come from `_multinomial_terms`; they all have
-    degree k*N, so descending graded-lex order is the reverse of its rows'
-    order, and they are wrapped as they are.
-    """
+    tests rely on that as a cross-check."""
     if n < 1 or k < 1 or N < 0:
         raise ValueError(f"need n >= 1, k >= 1, N >= 0; got n={n}, k={k}, N={N}")
     if method == "multinomial":
-        exps, coefficients = _multinomial_terms(n, k, N, None, max_terms)
-        terms = zip(map(tuple, exps[::-1].tolist()), coefficients[::-1].tolist())
-        return SparsePoly._trusted(n, dict(terms))
+        return _multinomial_poly(n, *_multinomial_terms(n, k, N, None, max_terms))
     if method == "pow":
         base = SparsePoly(n, {tuple(k if i == j else 0 for i in range(n)): 1 for j in range(n)})
         return base.pow(N, max_terms=max_terms)

@@ -17,6 +17,7 @@ from restrictedsums import (
     BoundResult,
     ExpansionTooLarge,
     InternalInvariantBroken,
+    MultiplicityProfile,
     PowerSumForm,
     SetFamily,
     SparsePoly,
@@ -582,9 +583,9 @@ def test_tightness_profiles_read_the_guard_and_timings(tmp_path, capsys):
     # k = q = 10, n = 50 would visit about 1.02e9 multiplicity vectors: the
     # default guard refuses it before enumerating.  k = q = 8, n = 8 visits
     # 6,435 of the 9^8 vectors of its caps, so it is counted.
-    row = cli._ex41_row(50, 10, 10, 0, "0", DEFAULT_TUPLE_GUARD)
+    row = cli._ex41_row(MultiplicityProfile(k=10, q=10, r=0, n=50), "0", DEFAULT_TUPLE_GUARD)
     assert (row.actual_cardinality, row.tight, row.violated) == (None, None, False)
-    row = cli._ex41_row(8, 8, 8, 0, "0", DEFAULT_TUPLE_GUARD)
+    row = cli._ex41_row(MultiplicityProfile(k=8, q=8, r=0, n=8), "0", DEFAULT_TUPLE_GUARD)
     assert (row.actual_cardinality, row.tight) == (row.bound_value, True)
 
 
@@ -1105,6 +1106,41 @@ def test_example41_refuses_a_profile_past_the_guard(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_example41_refuses_a_huge_profile_at_once(tmp_path, capsys):
+    # 100 roots at each of 400 targets, 10,000 chosen: a count of 730
+    # digits, refused from its closed form before any vector is visited
+    cfg = write_config(tmp_path, {"n": 10000, "k": 100, "q": 400, "r": 0})
+    assert cli.main(["example41", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 1
+    err = capsys.readouterr().err
+    match = re.fullmatch(rf"error: profile spans (\d+) multiplicity vectors, guard is {DEFAULT_TUPLE_GUARD}\n", err)
+    count = match.group(1)
+    assert (len(count), count[:20], count[-20:]) == (730, "16459158828477142034", "72229531272591427836")
+    assert hashlib.sha256(count.encode()).hexdigest() == (
+        "f003baea47b2f30e88fcbf0b598d1a2acbc6c9e1a16c7f31c0541666053fc508"
+    )
+
+
+def test_example41_counts_the_vectors_once(tmp_path, monkeypatch, capsys):
+    from restrictedsums import enumeration
+
+    calls = []
+    vectors = enumeration.MultiplicityProfile.vectors.func
+
+    def counted(profile):
+        calls.append(profile)
+        return vectors(profile)
+
+    counted_property = functools.cached_property(counted)
+    counted_property.__set_name__(enumeration.MultiplicityProfile, "vectors")
+    monkeypatch.setattr(enumeration.MultiplicityProfile, "vectors", counted_property)
+    cfg = write_config(tmp_path, {"n": 8, "k": 8, "q": 8, "r": 0})
+    assert cli.main(["example41", "--config", cfg, "--out", str(tmp_path / "e.csv")]) == 0
+    assert len(calls) == 1
+    assert cli.main(["example41", "--config", cfg, "--guard-tuples", "6434"]) == 1
+    assert len(calls) == 2
+    capsys.readouterr()
+
+
 def test_example41_broken_invariant_exits_2(tmp_path, monkeypatch, capsys):
     def broken(n, k, q, r):
         raise InternalInvariantBroken("main term not divisible by k")
@@ -1191,6 +1227,75 @@ def test_proof_replay_expanded_certificate(tmp_path, capsys):
     assert cert["nonzero"] is True
     assert cert["witness"] is not None
     capsys.readouterr()
+
+
+# sha256 of the --out JSON, None where the replay stops, and of the stderr
+# line of expanded replays, at the default guard and four --guard-terms:
+# however the contradiction polynomial is multiplied and read, the replay
+# and every guard trip keep their bytes
+REPLAY_PINS = {
+    "gf13-k1": (
+        {"family": {"field": "gf(13)", "sets": [list(range(s)) for s in (5, 6, 7, 8)]}, "k": 1},
+        {
+            None: (
+                "9a2a91b2b9ddfdc764ce0ae06698471aba8342fbc1162c6e568ca262b104fdd3",
+                "013cd7944b7e4e4f0c4429ab78cfe64356ee8814ba4feb6695ffc540c2ff76d0",
+            ),
+            10: (None, "40226eac4623c36f9c25b96df8e7ca5fb0fb0b47cc0b6cecf5c7121512cdf629"),
+            50: (None, "40f1b8b8fcf8280670ceaa56d2b95062c35001ccdbc71ac8d782bd7ddf74f8d7"),
+            200: (None, "355d2cc7ae53361df903efade8ed4d7510b643084a9bbd3e1dca7266f9beff97"),
+            1000: (None, "d68d09513b044f9e986fa5cb3c63055f8b904a1bc57d4b0320f48d45f72147b2"),
+        },
+    ),
+    "gf11-k2": (
+        {"family": {"field": "gf(11)", "sets": [[0, 1, 2, 3, 4]] * 3}, "k": 2},
+        {
+            10: (None, "2df512d7d50ccb8a5c6e8ed66ebf3c77eb1b7358a6ac07c0c0e4791bf763b149"),
+            50: (None, "b0abf138d47185d8fd3fba72cc325fee82453750e036c71233be90bbe43a2866"),
+            **dict.fromkeys(
+                (None, 200, 1000),
+                (
+                    "3faf12e622b81bcfcd86710f46cb76f1cce780d683da2bade8c656304bac2f7c",
+                    "0332a662bad385258eb17ff9e03de8d8603602ebcfaccd653ed9c09dcf1bcdb1",
+                ),
+            ),
+        },
+    ),
+    "rational-tail": (
+        {
+            "family": {"field": "rational", "sets": [[0, 1, "1/2"], [0, 1, 5, "-2/3"], [-1, 2, 4, 7, "3/4"]]},
+            "k": 2,
+            "tail": "x1 - 2*x3 + 1",
+        },
+        {
+            10: (None, "43d11be05b92d66125755570c71baa9c80167e67f5b498c8bff776856e73ca57"),
+            50: (None, "cf6e31d5b1d979bf35c927c880469c839e6cf4f900d54aba10db8555cc5f079c"),
+            **dict.fromkeys(
+                (None, 200, 1000),
+                (
+                    "f74488794d8003204bc7511b10309b37b42a2e032bb7ba1a93b20a5434ddd5b8",
+                    "6c4ad18d0908d047aeec9a2fbc330d89fbbd3f72776b44b63b2f0f4a57f4462a",
+                ),
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REPLAY_PINS)
+def test_proof_replay_expanded_reports_are_pinned(tmp_path, capsys, name):
+    family, pinned = REPLAY_PINS[name]
+    cfg = write_config(tmp_path, {**family, "expand_certificate": True})
+    for guard, (out_digest, err_digest) in pinned.items():
+        out = tmp_path / f"replay-{guard}.json"
+        argv = ["proof-replay", "--config", cfg, "--out", str(out)]
+        code = cli.main(argv + ([] if guard is None else ["--guard-terms", str(guard)]))
+        err = capsys.readouterr().err.strip()
+        assert code == (1 if out_digest is None else 0), (guard, err)
+        assert (hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else None) == out_digest, guard
+        assert hashlib.sha256(err.encode()).hexdigest() == err_digest, (guard, err)
+        if out_digest is None:
+            assert err.startswith(f"error: product exceeds {guard} terms ("), err
 
 
 def test_proof_replay_past_the_tuple_guard(tmp_path, capsys):

@@ -277,30 +277,26 @@ def test_closed_form_walk_equals_the_formula_on_every_composition():
 
 
 def test_expansion_oracles_read_the_public_product():
-    # a batch of consecutive sums reads, sum by sum, what
-    # coefficient_by_expansion reads off the product; a sum past the guard
-    # goes alone and trips where that product does, with its message.
-    # (x1 + x2 + x3)^45 has multinomials past 2**63, and 21! and 22! are
-    # past it, so their columns hold Python ints, in a batch with int64 ones.
+    # each sum of a run reads what coefficient_by_expansion reads off the
+    # product, or None where that product trips the guard, whichever sums
+    # the run puts in one batch.  (x1 + x2 + x3)^45 has multinomials past
+    # 2**63, and 21! and 22! are past it, so their columns hold Python
+    # ints, in a batch with int64 ones.
     def public(n, k, total, compositions, vdm, max_terms):
         targets = [target_monomial(q, k) for q in compositions]
         try:
             power = power_sum_pow(n, k, total, max_terms=max_terms)
-            return poly._product_coefficients([power, vdm], targets, max_terms)
-        except ExpansionTooLarge as error:
-            return error
+            cells = poly._product_coefficients([power, vdm], targets, max_terms)[1]
+        except ExpansionTooLarge:
+            return None
+        return [(type(c), c) for c in cells]
 
-    def check(n, k, batch, vdm, max_terms, want):
-        if any(isinstance(want[total], ExpansionTooLarge) for total, _ in batch):
-            assert len(batch) == 1
-            with pytest.raises(ExpansionTooLarge) as raised:
-                poly._expansion_oracles(n, k, batch, vdm, max_terms)
-            assert str(raised.value) == str(want[batch[0][0]]), (n, k, batch[0][0], max_terms)
-            return
-        got = poly._expansion_oracles(n, k, batch, vdm, max_terms)
-        assert len(got) == len(batch)
-        for (total, _), cells in zip(batch, got):
-            assert [(type(c), c) for c in cells] == [(type(c), c) for c in want[total]], (n, k, total, max_terms)
+    def check(n, k, sums, vdm, max_terms, want):
+        got = poly._expansion_oracles(n, k, sums, vdm, max_terms)
+        assert len(got) == len(sums)
+        for (total, _), cells in zip(sums, got):
+            typed = None if cells is None else [(type(c), c) for c in cells]
+            assert typed == want[total], (n, k, total, max_terms)
 
     guards = (0, 1, 2, 6, 20, 24, 100, 130, 1000, 5000, poly.DEFAULT_TERM_GUARD)
     for n in range(1, 6):
@@ -309,24 +305,19 @@ def test_expansion_oracles_read_the_public_product():
         for k in range(1, n + 1):
             for max_terms in guards:
                 want = {total: public(n, k, total, qs, vdm, max_terms) for total, qs in sums}
-                for total, qs in sums:
-                    check(n, k, [(total, qs)], vdm, max_terms, want)
-                # every run of sums from 0 that the guard admits as one batch
-                for end in range(2, len(sums) + 1):
-                    if vdm.term_count() * sum(len(qs) for _, qs in sums[:end]) > max_terms:
-                        with pytest.raises(ValueError):
-                            poly._expansion_oracles(n, k, sums[:end], vdm, max_terms)
-                        break
-                    check(n, k, sums[:end], vdm, max_terms, want)
-    for n, k, sums in [(2, 1, range(19, 23)), (3, 1, [45])]:
+                # each sum alone, and the run from each sum on, which the
+                # guard cuts into batches at different sums
+                for start in range(len(sums)):
+                    check(n, k, sums[start : start + 1], vdm, max_terms, want)
+                    check(n, k, sums[start:], vdm, max_terms, want)
+    for n, k, totals in [(2, 1, range(19, 23)), (3, 1, [45])]:
         vdm = vandermonde(n)
-        batch = [(total, list(poly._compositions(total, n))) for total in sums]
-        want = {total: public(n, k, total, qs, vdm, poly.DEFAULT_TERM_GUARD) for total, qs in batch}
-        check(n, k, batch, vdm, poly.DEFAULT_TERM_GUARD, want)
-        for total, qs in batch:
+        sums = [(total, list(poly._compositions(total, n))) for total in totals]
+        want = {total: public(n, k, total, qs, vdm, poly.DEFAULT_TERM_GUARD) for total, qs in sums}
+        check(n, k, sums, vdm, poly.DEFAULT_TERM_GUARD, want)
+        for total, qs in sums:
             check(n, k, [(total, qs)], vdm, poly.DEFAULT_TERM_GUARD, want)
-            assert want[total] == [coefficient_formula(q, k) for q in qs]
-    assert {type(c) for c in want[45]} == {int}
+            assert want[total] == [(int, coefficient_formula(q, k)) for q in qs]
 
 
 def test_certificate_serializes_big_integers_as_strings():

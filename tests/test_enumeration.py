@@ -298,6 +298,19 @@ def test_multiplicity_matches_roots_model_formula():
                     assert got.tuples_examined == profile.vectors, (n, k, q, r)
 
 
+def test_multiplicity_vectors_are_the_generating_function_coefficient():
+    # the closed form against the coefficient of x^n in
+    # (1 + x + ... + x^k)^q * (1 + x + ... + x^r), multiplied out
+    for k in range(1, 9):
+        for q in range(8):
+            for r in range(k):
+                series = [1]
+                for cap in [k] * q + [r]:
+                    series = [sum(series[max(t - cap, 0) : t + 1]) for t in range(len(series) + cap)]
+                for n in range(1, k * q + r + 1):
+                    assert MultiplicityProfile(k=k, q=q, r=r, n=n).vectors == series[n], (n, k, q, r)
+
+
 def test_multiplicity_guards():
     with pytest.raises(Infeasible):
         MultiplicityProfile(k=2, q=1, r=1, n=4)

@@ -31,7 +31,7 @@ def test_every_export_is_used_outside_the_package():
 
 
 PACKAGE_DIR = ROOT / "src" / "restrictedsums"
-PACKED_KEY_HELPERS = {"_keys", "_column", "_packed", "_live", "_times", "_packed_coefficients", "_multinomial_terms"}
+PACKED_KEY_HELPERS = {"_matrix", "_keys", "_column", "_packed", "_live", "_times", "_multinomial_terms"}
 
 
 def imports(path) -> list:

@@ -30,7 +30,7 @@ from restrictedsums import (
 )
 from restrictedsums import poly
 from restrictedsums.fields import FieldDescriptor
-from restrictedsums.poly import _field_form, _packed_product, _product, _product_coefficients, _product_top
+from restrictedsums.poly import _field_form, _packed_product, _product, _product_coefficients
 
 
 def inversion_sign(perm):
@@ -576,8 +576,7 @@ def test_list_targets_past_int64_read_zero():
     x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
     factors = [x1 + x2, x1 - x2]
     targets = [(1 << 70, 0), (2, 0), (1 << 63, 0), ((1 << 63) - 1, 1), (0, 2), (1 << 64, 1 << 64)]
-    assert _product_coefficients(factors, targets) == [0, 1, 0, 0, -1, 0]
-    assert _product_top(factors, (1 << 70, 0)) == (2, 0)
+    assert _product_coefficients(factors, targets) == (2, [0, 1, 0, 0, -1, 0])
     with pytest.raises(ArityMismatch):
         _product_coefficients(factors, [(1, 1), (1 << 70, 0, 0)])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -607,7 +606,7 @@ def test_product_coefficients_match_coefficient_of(kind):
         # packed, these carry into x1's field and match a present monomial
         # there; only the degree field tells the two apart
         targets += [(e[0] - 1, e[1] + (1 << width), e[2]) for e, _ in product.terms() if e[0] % 2]
-        got = _product_coefficients(factors, targets)
+        got = _product_coefficients(factors, targets)[1]
         want = [product.coefficient_of(t) for t in targets]
         assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
 
@@ -625,11 +624,12 @@ def test_product_coefficients_take_a_target_matrix():
             targets += [(0, 0, 1 << width), (1 << width, 0, 0), (0, (1 << width) - 1, 1 << width)]
             targets += [(e[0] - 1, e[1] + (1 << width), e[2]) for e in targets if e[0] % 2]
             targets += [(1 << 62, 1 << 62, 0)]  # a row whose degree wraps int64
-            want = _product_coefficients(factors, targets)
-            got = _product_coefficients(factors, np.array(targets, dtype=np.int64))
+            want_degree, want = _product_coefficients(factors, targets)
+            got_degree, got = _product_coefficients(factors, np.array(targets, dtype=np.int64))
+            assert got_degree == want_degree
             assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
     x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
-    assert _product_coefficients([x1 + x2, x1 - x2], np.zeros((0, 2), dtype=np.int64)) == []
+    assert _product_coefficients([x1 + x2, x1 - x2], np.zeros((0, 2), dtype=np.int64)) == (2, [])
     with pytest.raises(ArityMismatch):
         _product_coefficients([x1 + x2, x1 - x2], np.array([[1, 1, 0]]))
     with pytest.raises(ArityMismatch):
@@ -639,7 +639,7 @@ def test_product_coefficients_take_a_target_matrix():
     # keys past 63 bits are packed one by one, from the matrix too
     tall = SparsePoly.monomial(2, (1 << 21, 0))
     targets = [(1 << 21, 1), ((1 << 21) + 1, 0), (1, 1)]
-    assert _product_coefficients([tall, x1 + x2], np.array(targets)) == [1, 1, 0]
+    assert _product_coefficients([tall, x1 + x2], np.array(targets)) == ((1 << 21) + 1, [1, 1, 0])
 
 
 def test_product_coefficients_types():
@@ -647,19 +647,20 @@ def test_product_coefficients_types():
     a, b = (x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)
     # x1^2 - x2^2 over GF(13): a present term is a GF(13) element, an absent
     # or cancelled one the int 0
-    got = _product_coefficients([a, b], [(2, 0), (0, 2), (1, 1), (0, 0), (9, 9)])
+    degree, got = _product_coefficients([a, b], [(2, 0), (0, 2), (1, 1), (0, 0), (9, 9)])
+    assert degree == 2
     assert got == [GF13.element(1), GF13.element(12), 0, 0, 0]
     assert [type(c) for c in got] == [FieldElement, FieldElement, int, int, int]
-    assert _product_coefficients([x1 + x2, x1 - x2], [(2, 0), (1, 1)]) == [1, 0]
+    assert _product_coefficients([x1 + x2, x1 - x2], [(2, 0), (1, 1)]) == (2, [1, 0])
     half = (x1 + x2).reduce(QQ) * QQ.element(Fraction(1, 2))
-    assert _product_coefficients([half, half], [(1, 1), (3, 0)]) == [QQ.element(Fraction(1, 2)), 0]
+    assert _product_coefficients([half, half], [(1, 1), (3, 0)]) == (2, [QQ.element(Fraction(1, 2)), 0])
     with pytest.raises(ArityMismatch):
         _product_coefficients([a, b], [(1, 1, 0)])
     with pytest.raises(ValueError):
         _product_coefficients([a, b], [(-1, 3)])
 
 
-# ---------- reading the degree and one coefficient off the packed product ----------
+# ---------- reading the degree off the packed product ----------
 
 
 def assert_same_top(factors, target, max_terms=DEFAULT_TERM_GUARD):
@@ -667,9 +668,9 @@ def assert_same_top(factors, target, max_terms=DEFAULT_TERM_GUARD):
         product = _product(factors, max_terms)
     except ExpansionTooLarge as exc:
         with pytest.raises(ExpansionTooLarge, match=f"^{re.escape(str(exc))}$"):
-            _product_top(factors, target, max_terms)
+            _product_coefficients(factors, [target], max_terms)
         return
-    degree, coefficient = _product_top(factors, target, max_terms)
+    degree, (coefficient,) = _product_coefficients(factors, [target], max_terms)
     assert (type(degree), degree) == (type(product.degree), product.degree)
     want = product.coefficient_of(target)
     assert (type(coefficient), coefficient) == (type(want), want)
@@ -695,27 +696,26 @@ def test_product_top_edge_cases():
     # 13*x1^3 + x1^2 over Z times x1 over GF(13): the top term dies mod 13
     # and the degree drops from 3 to 2
     drop = [13 * x1**2 + x1, x1.reduce(GF13)]
-    assert _product_top(drop, (2, 0)) == (2, GF13.element(1))
-    assert _product_top(drop, (3, 0)) == (2, 0)
+    assert _product_coefficients(drop, [(2, 0), (3, 0)]) == (2, [GF13.element(1), 0])
     # products that settle to zero: a zero factor, and one that dies mod 13
-    assert _product_top([x1 + x2, SparsePoly.zero(2)], (0, 0)) == (float("-inf"), 0)
-    assert _product_top([13 * x1, x2.reduce(GF13)], (1, 1)) == (float("-inf"), 0)
+    assert _product_coefficients([x1 + x2, SparsePoly.zero(2)], [(0, 0)]) == (float("-inf"), [0])
+    assert _product_coefficients([13 * x1, x2.reduce(GF13)], [(1, 1)]) == (float("-inf"), [0])
     # x1^2 - x2^2 over GF(13): the mixed monomial is absent
-    degree, coefficient = _product_top([(x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)], (1, 1))
+    degree, (coefficient,) = _product_coefficients([(x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)], [(1, 1)])
     assert (degree, type(coefficient), coefficient) == (2, int, 0)
     half = (x1 + x2).reduce(QQ) * QQ.element(Fraction(1, 2))
-    assert _product_top([half, half], (1, 1)) == (2, QQ.element(Fraction(1, 2)))
+    assert _product_coefficients([half, half], [(1, 1)]) == (2, [QQ.element(Fraction(1, 2))])
     # the guard trips at the same step, with the same message, as _product's
     s = (x1 + x2).reduce(GF2)
     cancelling = [s, s, (x1 + 3 * x2 + 1).reduce(GF2)]
     with pytest.raises(ExpansionTooLarge, match=r"^product exceeds 5 terms \(2 x 3 inputs\)$"):
-        _product_top(cancelling, (1, 1), max_terms=5)
+        _product_coefficients(cancelling, [(1, 1)], max_terms=5)
     for factors in (drop, cancelling):
         for target in ((0, 0), (1, 1), (2, 0), (3, 0)):
             for max_terms in range(8):
                 assert_same_top(factors, target, max_terms)
     with pytest.raises(ArityMismatch):
-        _product_top(drop, (1, 1, 0))
+        _product_coefficients(drop, [(1, 1, 0)])
 
 
 # ---------- evaluation ----------
