@@ -2,11 +2,12 @@
 
 Every function here is pure integer arithmetic: it takes set sizes (never the
 sets themselves) plus the field characteristic as an :class:`ExtendedNat`,
-checks the hypotheses of the bound it implements, and returns a
-:class:`BoundResult` whose ``value`` is the clamped lower bound.
+refuses integer arguments outside the hypotheses of the bound it implements,
+and returns a :class:`BoundResult` whose ``value`` is the clamped lower bound.
 
-:data:`BOUNDS` adds, per token, the conditions sizes cannot show (unit leading
-coefficients, k = 1, one shared set); size and k hypotheses live only here.
+Each token's :data:`BOUNDS` entry names its size and k hypotheses once, as
+keys of :data:`HYPOTHESES` that every floor refuses through, and adds the
+conditions sizes cannot show (unit leading coefficients, one shared set).
 
 Report tokens (the ``name`` field) are short stable identifiers used in CSV
 output and configs:
@@ -26,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
-from .errors import HypothesisViolated, Infeasible, InternalInvariantBroken
+from .enumeration import MultiplicityProfile
+from .errors import HypothesisViolated, InternalInvariantBroken
 from .fields import ExtendedNat
 
 
@@ -50,13 +52,44 @@ class BoundResult:
     detail: dict | None = dataclass_field(default=None, compare=False)
 
 
-def _check_sizes(sizes) -> tuple:
-    sizes = tuple(sizes)
+def _staircase(sizes, k):
+    for i, s in enumerate(sizes, start=1):
+        if s < i:
+            return f"set {i} has size {s} < {i}"
+    return None
+
+
+# Each size or k hypothesis of a floor, by name: a function of (sizes, k)
+# giving the reason it fails, or None when it holds.
+HYPOTHESES = {
+    "staircase": _staircase,  # |A_i| >= i
+    "nonempty": lambda sizes, k: f"set {sizes.index(0) + 1} is empty" if 0 in sizes else None,
+    "increasing": lambda sizes, k: (
+        None if all(a < b for a, b in zip((0,) + sizes, sizes)) else f"need 0 < |A_1| < ... < |A_n|, got {sizes}"
+    ),
+    "equal": lambda sizes, k: None if len(set(sizes)) == 1 else f"sizes must be equal, got {sizes}",
+    "k <= n": lambda sizes, k: None if k <= len(sizes) else f"need k <= n = {len(sizes)}, got k = {k}",
+    "k >= n": lambda sizes, k: None if k >= len(sizes) else f"need k >= n = {len(sizes)}, got k = {k}",
+    "k = 1": lambda sizes, k: None if k == 1 else f"need k = 1, got k = {k}",
+}
+
+
+def _require(token: str, sizes, k: int, n: int | None = None) -> tuple:
+    """The sizes as a tuple if k >= 1, n and each of one or more sizes >= 0
+    are ints (not bools) and each name in ``BOUNDS[token].needs`` holds,
+    else `HypothesisViolated`.  Given n, ``sizes`` is one size m of n sets."""
+    if type(k) is not int or k < 1 or not (n is None or type(n) is int):
+        raise HypothesisViolated(f"need integers k >= 1 and n, got k = {k!r}, n = {n!r}")
+    sizes = tuple(sizes) if n is None else (sizes,) * n
     if not sizes:
         raise HypothesisViolated("need at least one set")
     for s in sizes:
-        if not isinstance(s, int) or isinstance(s, bool) or s < 0:
+        if type(s) is not int or s < 0:
             raise HypothesisViolated(f"sizes must be nonnegative integers, got {sizes}")
+    for name in BOUNDS[token].needs:
+        reason = HYPOTHESES[name](sizes, k)
+        if reason is not None:
+            raise HypothesisViolated(reason)
     return sizes
 
 
@@ -64,15 +97,10 @@ def floor_minima(sizes, k: int) -> tuple:
     """q[i] = min over j in {i, i+k, ...} intersected with [i, n] of
     floor((sizes[j] - j) / k), with 1-based positions.
 
-    Requires k <= n and sizes[i] >= i; every entry is then >= 0.
+    Requires thm12's k <= n and sizes[i] >= i; every entry is then >= 0.
     """
-    sizes = _check_sizes(sizes)
+    sizes = _require("thm12", sizes, k)
     n = len(sizes)
-    if not 1 <= k <= n:
-        raise HypothesisViolated(f"need 1 <= k <= n = {n}, got k = {k}")
-    for i, s in enumerate(sizes, start=1):
-        if s < i:
-            raise HypothesisViolated(f"set {i} has size {s} < {i}")
     out = []
     for i in range(1, n + 1):
         out.append(min((sizes[j - 1] - j) // k for j in range(i, n + 1, k)))
@@ -112,10 +140,9 @@ def equal_size_floor_sum(m: int, n: int, k: int) -> int:
     The division is exact because n*(m-n) == {n}_k * {m-n}_k (mod k).
     Note the correction term multiplies the residue of m, not of n; the
     n-residue variant overshoots and is refuted by the sharpness model
-    (see tests).
+    (see tests).  Requires thm12's hypotheses, k <= n <= m.
     """
-    if not 1 <= k <= n <= m:
-        raise HypothesisViolated(f"need 1 <= k <= n <= m, got k={k}, n={n}, m={m}")
+    _require("thm12", m, k, n)
     return _equal_size_sum(m, n, k)
 
 
@@ -123,12 +150,9 @@ def equal_size_bound(m: int, n: int, k: int, char: ExtendedNat) -> BoundResult:
     """Equal-size specialization: all n sets have size m >= n.  [token thm13]
 
     Valid for every k >= 1 (for k > n the per-variable floor bound supplies
-    the same closed form), so only m >= n >= 1 and k >= 1 are required.
+    the same closed form), so only m >= n >= 1 is required.
     """
-    if n < 1 or m < n:
-        raise HypothesisViolated(f"need m >= n >= 1, got m={m}, n={n}")
-    if k < 1:
-        raise HypothesisViolated(f"need k >= 1, got k={k}")
+    _require("thm13", m, k, n)
     main = _equal_size_sum(m, n, k)
     return BoundResult("thm13", char.clamp(main + 1), detail={"main_term": main})
 
@@ -137,12 +161,7 @@ def unrestricted_floor_bound(sizes, k: int, char: ExtendedNat) -> BoundResult:
     """min(p(F), 1 + sum floor((sizes[i] - 1) / k)), unrestricted tuples,
     arbitrary nonzero leading coefficients.  [token thm11u]
     """
-    sizes = _check_sizes(sizes)
-    if k < 1:
-        raise HypothesisViolated(f"need k >= 1, got k={k}")
-    for i, s in enumerate(sizes, start=1):
-        if s < 1:
-            raise HypothesisViolated(f"set {i} is empty")
+    sizes = _require("thm11u", sizes, k)
     total = sum((s - 1) // k for s in sizes)
     return BoundResult("thm11u", char.clamp(total + 1))
 
@@ -151,13 +170,7 @@ def restricted_floor_bound(sizes, k: int, char: ExtendedNat) -> BoundResult:
     """min(p(F), 1 + sum floor((sizes[i] - i) / k)) for injective tuples;
     needs k >= n and sizes[i] >= i.  [token thm11r]
     """
-    sizes = _check_sizes(sizes)
-    n = len(sizes)
-    if k < n:
-        raise HypothesisViolated(f"need k >= n = {n}, got k = {k}")
-    for i, s in enumerate(sizes, start=1):
-        if s < i:
-            raise HypothesisViolated(f"set {i} has size {s} < {i}")
+    sizes = _require("thm11r", sizes, k)
     total = sum((s - i) // k for i, s in enumerate(sizes, start=1))
     return BoundResult("thm11r", char.clamp(total + 1))
 
@@ -173,10 +186,7 @@ def single_set_conjecture_bound(
     ``negated_pair`` encodes the bracket.  Flag-only: callers must record
     violations, never hard-assert them.  [token conj11]
     """
-    if not 1 <= k <= n:
-        raise HypothesisViolated(f"need n >= k >= 1, got n={n}, k={k}")
-    if m < n:
-        raise HypothesisViolated(f"need m >= n, got m={m}, n={n}")
+    _require("conj11", m, k, n)
     first = char - iverson(negated_pair and n == 2)
     value = first.clamp(_main_term(m, n, k) + 1)
     return BoundResult("conj11", value, conjectural=True)
@@ -189,9 +199,7 @@ def increasing_sizes_bound(sizes, char: ExtendedNat) -> BoundResult:
     Without the strict increase, residue_class_bound(sizes, 1, char) gives
     the same sum of minima.
     """
-    sizes = _check_sizes(sizes)
-    if sizes[0] < 1 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise HypothesisViolated(f"sizes must be strictly increasing and positive: {sizes}")
+    sizes = _require("anr", sizes, 1)
     total = sum(s - i for i, s in enumerate(sizes, start=1))
     return BoundResult("anr", char.clamp(total + 1))
 
@@ -200,8 +208,7 @@ def distinct_sum_bound(m: int, n: int, char: ExtendedNat) -> BoundResult:
     """Sums of n distinct elements of one set of size m:
     min(p, n*(m-n) + 1).  [token dsh]
     """
-    if not 1 <= n <= m:
-        raise HypothesisViolated(f"need 1 <= n <= m, got n={n}, m={m}")
+    _require("dsh", m, 1, n)
     return BoundResult("dsh", char.clamp(n * (m - n) + 1))
 
 
@@ -220,11 +227,7 @@ def roots_model_cardinality(n: int, k: int, q: int, r: int) -> BoundResult:
     value q+1 with multiplicity r; choosing n distinct roots then yields
     exactly this many sums (enumeration cross-checks it).  [token ex41]
     """
-    if k < 1 or q < 0 or not 0 <= r < k:
-        raise HypothesisViolated(f"need k >= 1, q >= 0, 0 <= r < k; got k={k}, q={q}, r={r}")
-    m = k * q + r
-    if not 1 <= n <= m:
-        raise Infeasible(f"need 1 <= n <= k*q + r = {m}, got n = {n}")
+    m = MultiplicityProfile(k=k, q=q, r=r, n=n).size
     value = _main_term(m, n, k) + r * iverson(least_residue(n, k) > r) + 1
     return BoundResult("ex41", value, detail={"size": m})
 
@@ -232,23 +235,16 @@ def roots_model_cardinality(n: int, k: int, q: int, r: int) -> BoundResult:
 # ---------- the registry of family-scan tokens ----------
 
 
-def _common_size(sizes) -> int:
-    """The one size all sets share."""
-    if len(set(sizes)) != 1:
-        raise HypothesisViolated(f"sizes must be equal, got {tuple(sizes)}")
-    return sizes[0]
-
-
 @dataclass(frozen=True)
 class Bound:
-    """One report token: its floor, the value set it bounds, and the
-    conditions on the family and form that a size-only floor cannot check."""
+    """One report token: its floor, its size and k hypotheses by name, the
+    value set it bounds, and the conditions that sizes cannot show."""
 
     floor: Callable[..., BoundResult]  # (sizes, k, char, negated_pair)
+    needs: tuple  # keys of HYPOTHESES
     restricted: bool = True  # bounds injective tuples; False: all tuples
     conjectural: bool = False  # violations are recorded, never asserted
     unit: bool = False  # every leading coefficient is 1 in the field
-    linear: bool = False  # k == 1
     shared_set: bool = False  # every set is the same set
 
     def evaluate(self, family, form) -> int | None:
@@ -262,30 +258,31 @@ class Bound:
         cannot show that the sets coincide, so a shared-set token answers
         None unless ``shared`` says they do."""
         lead = form.leading
-        if self.unit and any(a.value != 1 for a in lead) or self.linear and form.k != 1:
+        if self.unit and any(a.value != 1 for a in lead) or self.shared_set and not shared:
             return None
-        if self.shared_set and not shared:
+        if any(HYPOTHESES[name](sizes, form.k) is not None for name in self.needs):
             return None
         negated_pair = len(lead) == 2 and (lead[0] + lead[1]).is_zero
-        try:
-            return self.floor(sizes, form.k, form.field.characteristic, negated_pair).value
-        except HypothesisViolated:
-            return None
+        return self.floor(sizes, form.k, form.field.characteristic, negated_pair).value
 
 
 # The floors are looked up by name at call time, so patching a module-level
 # floor also changes the registry.
 BOUNDS = {
-    "thm12": Bound(lambda s, k, c, neg: residue_class_bound(s, k, c), unit=True),
-    "thm13": Bound(lambda s, k, c, neg: equal_size_bound(_common_size(s), len(s), k, c), unit=True),
-    "thm11u": Bound(lambda s, k, c, neg: unrestricted_floor_bound(s, k, c), restricted=False),
-    "thm11r": Bound(lambda s, k, c, neg: restricted_floor_bound(s, k, c)),
-    "anr": Bound(lambda s, k, c, neg: increasing_sizes_bound(s, c), unit=True, linear=True),
+    "thm12": Bound(lambda s, k, c, neg: residue_class_bound(s, k, c), ("staircase", "k <= n"), unit=True),
+    "thm13": Bound(lambda s, k, c, neg: equal_size_bound(s[0], len(s), k, c), ("equal", "staircase"), unit=True),
+    "thm11u": Bound(lambda s, k, c, neg: unrestricted_floor_bound(s, k, c), ("nonempty",), restricted=False),
+    "thm11r": Bound(lambda s, k, c, neg: restricted_floor_bound(s, k, c), ("staircase", "k >= n")),
+    "anr": Bound(lambda s, k, c, neg: increasing_sizes_bound(s, c), ("increasing", "k = 1"), unit=True),
     "dsh": Bound(
-        lambda s, k, c, neg: distinct_sum_bound(s[0], len(s), c), unit=True, linear=True, shared_set=True
+        lambda s, k, c, neg: distinct_sum_bound(s[0], len(s), c),
+        ("equal", "staircase", "k = 1"),
+        unit=True,
+        shared_set=True,
     ),
     "conj11": Bound(
         lambda s, k, c, neg: single_set_conjecture_bound(s[0], len(s), k, c, neg),
+        ("equal", "staircase", "k <= n"),
         conjectural=True,
         shared_set=True,
     ),

@@ -202,14 +202,12 @@ class MultiplicityProfile:
     n: int
 
     def __post_init__(self):
+        if any(type(v) is not int for v in (self.k, self.q, self.r, self.n)):
+            raise HypothesisViolated(f"k, q, r and n must be integers (not bools), got {self}")
         if self.k < 1 or self.q < 0 or not 0 <= self.r < self.k:
-            raise HypothesisViolated(
-                f"need k >= 1, q >= 0, 0 <= r < k; got k={self.k}, q={self.q}, r={self.r}"
-            )
-        if not 1 <= self.n <= self.k * self.q + self.r:
-            raise Infeasible(
-                f"cannot choose {self.n} distinct roots from {self.k * self.q + self.r}"
-            )
+            raise HypothesisViolated(f"need k >= 1, q >= 0, 0 <= r < k; got {self}")
+        if not 1 <= self.n <= self.size:
+            raise Infeasible(f"cannot choose {self.n} distinct roots from {self.size}")
 
     @property
     def size(self) -> int:

@@ -1,6 +1,7 @@
 """Closed-form bounds: frozen examples, identities, and sharpness checks."""
 
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from restrictedsums import (
     ExtendedNat,
     HypothesisViolated,
     Infeasible,
+    MultiplicityProfile,
     PowerSumForm,
     SetFamily,
     SparsePoly,
@@ -24,13 +26,14 @@ from restrictedsums import (
     iverson,
     least_residue,
     prime_field,
+    rational_field,
     residue_class_bound,
     restricted_floor_bound,
     roots_model_cardinality,
     single_set_conjecture_bound,
     unrestricted_floor_bound,
 )
-from restrictedsums.bounds import BOUNDS
+from restrictedsums.bounds import BOUNDS, HYPOTHESES
 from restrictedsums.poly import _field_form
 
 
@@ -342,6 +345,14 @@ def test_roots_model_guards():
         roots_model_cardinality(2, 2, 2, 2)  # r must be < k
     with pytest.raises(HypothesisViolated):
         roots_model_cardinality(2, 0, 2, 0)
+    # one check, the model's own, refuses a float or bool field for both
+    for name in ("k", "q", "r", "n"):
+        for bad in (2.0, True):
+            args = {"k": 2, "q": 2, "r": 1, "n": 2, name: bad}
+            with pytest.raises(HypothesisViolated):
+                MultiplicityProfile(**args)
+            with pytest.raises(HypothesisViolated):
+                roots_model_cardinality(**args)
 
 
 def test_roots_model_attains_equal_size_bound():
@@ -387,8 +398,45 @@ def test_residue_of_n_variant_is_refuted_by_the_model():
 def test_readme_bounds_table_lists_the_registry_in_order():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("## The bounds", 1)[1].split("\n## ", 1)[0]
-    tokens = re.findall(r"^\| `(\w+)`", section, flags=re.MULTILINE)
-    assert tokens == list(BOUNDS)
+    rows = re.findall(r"^\| `(\w+)`.*\| ([^|]*) \|$", section, flags=re.MULTILINE)
+    assert [token for token, _ in rows] == list(BOUNDS)
+    for token, hypotheses in rows:
+        bound = BOUNDS[token]
+        names = tuple(name for name in re.findall(r"`([^`]+)`", hypotheses) if name in HYPOTHESES)
+        assert names == bound.needs, token
+        assert ("distinct `xi`" in hypotheses) == bound.restricted, token
+        assert ("unit `ai`" in hypotheses) == bound.unit, token
+        assert ("one shared set" in hypotheses) == bound.shared_set, token
+        assert ("conjectural" in hypotheses) == bound.conjectural, token
+
+
+# each public floor with integer arguments that meet its hypotheses
+FLOOR_CALLS = [
+    (floor_minima, ((5, 5), 2)),
+    (residue_class_bound, ((5, 5), 2, INFINITY)),
+    (equal_size_floor_sum, (5, 2, 2)),
+    (equal_size_bound, (5, 2, 2, INFINITY)),
+    (unrestricted_floor_bound, ((5, 5), 2, INFINITY)),
+    (restricted_floor_bound, ((5, 5), 2, INFINITY)),
+    (single_set_conjecture_bound, (5, 2, 2, INFINITY)),
+    (increasing_sizes_bound, ((2, 5), INFINITY)),
+    (distinct_sum_bound, (5, 2, INFINITY)),
+    (erdos_heilbronn_bound, (5, INFINITY)),
+]
+
+
+@pytest.mark.parametrize("floor, args", FLOOR_CALLS, ids=[floor.__name__ for floor, _ in FLOOR_CALLS])
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+def test_every_public_floor_refuses_a_non_int_argument(floor, args, bad):
+    floor(*args)  # the integer arguments meet the hypotheses
+    for i, arg in enumerate(args):
+        if isinstance(arg, tuple):
+            variants = [arg[:j] + (bad,) + arg[j + 1 :] for j in range(len(arg))]
+        else:
+            variants = [] if arg is INFINITY else [bad]
+        for variant in variants:
+            with pytest.raises(HypothesisViolated):
+                floor(*args[:i], variant, *args[i + 1 :])
 
 
 def test_for_sizes_answers_for_a_profile_what_evaluate_answers_for_a_family():
@@ -412,3 +460,54 @@ def test_for_sizes_answers_for_a_profile_what_evaluate_answers_for_a_family():
     assert answered == set(BOUNDS)
     unit = _field_form(F, 2, PowerSumForm.unit(2, 1))
     assert BOUNDS["thm12"].for_sizes((2, 1), unit) is None  # |A_2| < 2
+
+
+def readme_hypotheses(token, sizes, k, unit, shared) -> bool:
+    """The hypotheses column of the README's bounds table, spelled out."""
+    n = len(sizes)
+    staircase = all(s >= i for i, s in enumerate(sizes, start=1))
+    one_set = shared and len(set(sizes)) == 1
+    return {
+        "thm12": unit and k <= n and staircase,
+        "thm13": unit and len(set(sizes)) == 1 and staircase,
+        "thm11u": all(s >= 1 for s in sizes),
+        "thm11r": k >= n and staircase,
+        "anr": k == 1 and unit and all(a < b for a, b in zip((0,) + sizes, sizes)),
+        "dsh": k == 1 and unit and one_set and staircase,
+        "conj11": k <= n and one_set and staircase,
+    }[token]
+
+
+def public_floor(token, sizes, k, char, negated_pair) -> int:
+    n, m = len(sizes), sizes[0]
+    return {
+        "thm12": lambda: residue_class_bound(sizes, k, char),
+        "thm13": lambda: equal_size_bound(m, n, k, char),
+        "thm11u": lambda: unrestricted_floor_bound(sizes, k, char),
+        "thm11r": lambda: restricted_floor_bound(sizes, k, char),
+        "anr": lambda: increasing_sizes_bound(sizes, char),
+        "dsh": lambda: distinct_sum_bound(m, n, char),
+        "conj11": lambda: single_set_conjecture_bound(m, n, k, char, negated_pair),
+    }[token]().value
+
+
+@pytest.mark.parametrize("field", [prime_field(7), rational_field()], ids=["gf7", "rational"])
+def test_for_sizes_is_none_exactly_where_the_readme_hypotheses_fail(field):
+    """Every token, n <= 3, sizes 0..5, k 1..4, unit and non-unit leading
+    coefficients (a1 = -a2 among them), and one shared set where the sizes
+    are equal: the sets of one shared set cannot differ in size."""
+    for n in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            for leading in ((1,) * n, (1,) * (n - 1) + (-1,), (2,) * n):
+                form = _field_form(field, n, PowerSumForm(k, leading, SparsePoly.zero(n)))
+                unit = all(a.value == 1 for a in form.leading)
+                negated_pair = n == 2 and (form.leading[0] + form.leading[1]).is_zero
+                for sizes in product(range(6), repeat=n):
+                    for shared in (False, True) if len(set(sizes)) == 1 else (False,):
+                        for token, bound in BOUNDS.items():
+                            got = bound.for_sizes(sizes, form, shared)
+                            if not readme_hypotheses(token, sizes, k, unit, shared):
+                                assert got is None, (token, sizes, k, leading, shared)
+                            else:
+                                floor = public_floor(token, sizes, k, field.characteristic, negated_pair)
+                                assert got == floor, (token, sizes, k, leading, shared)
