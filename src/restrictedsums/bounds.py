@@ -34,8 +34,8 @@ from .fields import ExtendedNat
 
 def least_residue(a: int, k: int) -> int:
     """The least nonnegative residue of a mod k (so least_residue(-1, 5) == 4)."""
-    if k < 1:
-        raise ValueError(f"modulus must be positive, got {k}")
+    if type(a) is not int or type(k) is not int or k < 1:
+        raise ValueError(f"need an integer a and a positive integer modulus k, got a = {a!r}, k = {k!r}")
     return a % k
 
 

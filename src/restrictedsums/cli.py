@@ -1,6 +1,9 @@
 """Experiment runner: verification sweeps, tightness scans, coefficient
 identity checks, and proof replays, with deterministic CSV/JSON reports.
 
+Each verb reads its summary line and exit code off its report rows: a
+row judges itself against its bound, a `verify-coeff` cell has its status.
+
 Exit codes: 0 all assertions hold; 1 usage or configuration error;
 2 theorem assertion violated; 3 conjecture violation observed (recorded,
 artifacts saved).  2 wins over 3 when both occur.
@@ -9,6 +12,7 @@ artifacts saved).  2 wins over 3 when both occur.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import itertools
@@ -16,7 +20,8 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field as dataclass_field
 from math import comb, prod
 
 from .bounds import BOUNDS, roots_model_cardinality
@@ -26,6 +31,7 @@ from .enumeration import (
     MultiplicityProfile,
     SetFamily,
     _check_vector_guard,
+    _config_field,
     family_from_json,
     multiplicity_value_set,
 )
@@ -37,7 +43,6 @@ from .errors import (
     RestrictedSumsError,
     SearchSpaceTooLarge,
 )
-from .fields import parse_field
 from .poly import (
     DEFAULT_TERM_GUARD,
     PowerSumForm,
@@ -88,13 +93,23 @@ class ReportRow:
     k: int
     sizes: tuple
     bound_name: str
-    bound_value: int | None
-    actual_cardinality: int | None
-    hypotheses_ok: bool
-    tight: bool | None
+    bound_value: int | None  # None when a hypothesis of the bound fails
+    actual_cardinality: int | None  # None when the count hit a guard
     seed: str
     elapsed_ms: str = ""
-    violated: bool = False  # conjecture rows only; carried in JSONL, drives exit 3
+    hypotheses_ok: bool = dataclass_field(init=False)
+    tight: bool | None = dataclass_field(init=False)
+    violated: bool = dataclass_field(init=False)  # carried in JSONL; decides the exit code
+
+    def __post_init__(self):
+        # the row's verdict, read off its bound and its count: below a floor
+        # violates it, and ex41's formula is an exact count, so any miss does
+        self.hypotheses_ok = self.bound_value is not None
+        counted = self.hypotheses_ok and self.actual_cardinality is not None
+        self.tight = self.actual_cardinality == self.bound_value if counted else None
+        self.violated = counted and not self.tight and (
+            self.bound_name == "ex41" or self.actual_cardinality < self.bound_value
+        )
 
     def sort_key(self):
         return (
@@ -115,16 +130,23 @@ class ReportRow:
         return record
 
 
+def _exit_code(rows) -> int:
+    """2 if a theorem row is violated, else 3 if a conjecture row is, else 0."""
+    conjectural = {r.bound_name in BOUNDS and BOUNDS[r.bound_name].conjectural for r in rows if r.violated}
+    return 2 if False in conjectural else 3 if conjectural else 0
+
+
+def _open_report(path: str | None):
+    """The report file, or stdout (left open) when no path."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout)
+
+
 def _write_table(path: str | None, header: list, rows: list) -> None:
     """CSV with a fixed header and LF line endings; stdout when no path."""
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
+    with _open_report(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    finally:
-        if path:
-            out.close()
 
 
 def _write_jsonl(path: str, dicts: list) -> None:
@@ -144,6 +166,20 @@ def _emit_rows(args, rows: list) -> None:
 # ---------- config plumbing ----------
 
 
+def _check_keys(obj, name: str, required: set, optional: set) -> dict:
+    """``obj`` if it is a JSON object whose keys are all in ``required`` or
+    ``optional`` and include every key of ``required``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(obj) - required - optional
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise ConfigError(f"missing {name} keys: {sorted(missing)}")
+    return obj
+
+
 def _load_config(path: str, required: set, optional: set) -> dict:
     try:
         with open(path) as handle:
@@ -152,15 +188,7 @@ def _load_config(path: str, required: set, optional: set) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - required - optional
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = required - set(cfg)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    return cfg
+    return _check_keys(cfg, "config", required, optional)
 
 
 def _require_int(cfg: dict, key: str, minimum: int) -> int:
@@ -227,13 +255,8 @@ def _generate_families(field, cfg: dict, rng: random.Random) -> list:
     if not field.is_prime_field:
         raise ConfigError(f'"{source}" generation needs a prime field; list families explicitly')
     p = field.p
-    spec = cfg[source]
-    if not isinstance(spec, dict):
-        raise ConfigError(f'"{source}" must be an object')
-    allowed = {"sizes", "equal_sets"} | ({"count"} if source == "sample" else set())
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ConfigError(f'unknown "{source}" keys: {sorted(unknown)}')
+    optional = {"sizes", "equal_sets"} | ({"count"} if source == "sample" else set())
+    spec = _check_keys(cfg[source], f'"{source}"', set(), optional)
     equal_sets = spec.get("equal_sets", False)
     if not isinstance(equal_sets, bool):
         raise ConfigError('"equal_sets" must be a boolean')
@@ -243,32 +266,23 @@ def _generate_families(field, cfg: dict, rng: random.Random) -> list:
             raise ConfigError(f"size vector {list(v)} exceeds the field size {p}")
         if equal_sets and len(set(v)) != 1:
             raise ConfigError(f'"equal_sets" needs equal sizes, got {list(v)}')
-    families = []
+    # the sizes of the sets drawn for each vector: one set, repeated, for equal sets
+    drawn = [v[:1] if equal_sets else v for v in vectors]
     if source == "sweep":
-        total = sum(
-            comb(p, v[0]) if equal_sets else prod(comb(p, s) for s in v) for v in vectors
-        )
+        total = sum(prod(comb(p, s) for s in sizes) for sizes in drawn)
         if total > 100_000:
             raise ConfigError(f'sweep spans {total} families; use "sample" instead')
-        for v in vectors:
-            if equal_sets:
-                for subset in itertools.combinations(range(p), v[0]):
-                    families.append(
-                        SetFamily.from_elements(field, [list(subset)] * len(v))
-                    )
-                continue
-            pools = [list(itertools.combinations(range(p), s)) for s in v]
-            for sets in itertools.product(*pools):
-                families.append(SetFamily.from_elements(field, [list(s) for s in sets]))
-        return families
-    count = _require_int(spec, "count", 1)
-    for v in vectors:
-        for _ in range(count):
-            if equal_sets:
-                sets = [sorted(rng.sample(range(p), v[0]))] * len(v)
-            else:
-                sets = [sorted(rng.sample(range(p), s)) for s in v]
-            families.append(SetFamily.from_elements(field, sets))
+    else:
+        count = _require_int(spec, "count", 1)
+    families = []
+    for v, sizes in zip(vectors, drawn):
+        if source == "sweep":
+            draws = itertools.product(*(itertools.combinations(range(p), s) for s in sizes))
+        else:
+            draws = ([rng.sample(range(p), s) for s in sizes] for _ in range(count))
+        for sets in draws:
+            sets = [sorted(s) for s in sets]
+            families.append(SetFamily.from_elements(field, sets * len(v) if equal_sets else sets))
     return families
 
 
@@ -304,19 +318,12 @@ def _parse_tail(cfg: dict, n: int, k_min: int) -> SparsePoly:
     return tail
 
 
-def _parse_field(cfg: dict):
-    try:
-        return parse_field(cfg.get("field"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 # ---------- family-scan rows (verify-bounds and tightness) ----------
 
 
-def _scan_families(args, cfg, allowed_bounds) -> tuple:
-    """Shared engine: returns (rows, theorem_violation, conjecture_violation)."""
-    field = _parse_field(cfg)
+def _scan_families(args, cfg, allowed_bounds) -> list:
+    """Shared engine: one row per (k, family, bound)."""
+    field = _config_field(cfg.get("field"))
     bounds = cfg.get("bounds")
     if (
         not isinstance(bounds, list)
@@ -339,8 +346,6 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
     variants = [flag for flag in (True, False) if any(BOUNDS[b].restricted == flag for b in bounds)]
 
     rows = []
-    theorem_bad = False
-    conjecture_bad = False
     for k in ks:
         form = _field_form(field, n, PowerSumForm(k, leading, tail))
         for fam in families:
@@ -351,19 +356,6 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
                 counts = {}  # guard violations are recorded per-row, never fatal
             elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
             for name in bounds:
-                bound = BOUNDS[name]
-                value = bound.evaluate(fam, form)
-                actual = counts.get(bound.restricted)
-                tight = None
-                violated = False
-                if value is not None and actual is not None:
-                    tight = actual == value
-                    if actual < value:
-                        violated = True
-                        if bound.conjectural:
-                            conjecture_bad = True
-                        else:
-                            theorem_bad = True
                 rows.append(
                     ReportRow(
                         field=str(field),
@@ -372,16 +364,13 @@ def _scan_families(args, cfg, allowed_bounds) -> tuple:
                         k=k,
                         sizes=fam.sizes,
                         bound_name=name,
-                        bound_value=value,
-                        actual_cardinality=actual,
-                        hypotheses_ok=value is not None,
-                        tight=tight,
+                        bound_value=BOUNDS[name].evaluate(fam, form),
+                        actual_cardinality=counts.get(BOUNDS[name].restricted),
                         seed=seed_str,
                         elapsed_ms=elapsed,
-                        violated=violated,
                     )
                 )
-    return rows, theorem_bad, conjecture_bad
+    return rows
 
 
 # ---------- commands ----------
@@ -404,10 +393,11 @@ def cmd_verify_bounds(args) -> int:
         required={"field", "k", "bounds"},
         optional={"families", "sweep", "sample", "leading", "tail"},
     )
-    rows, theorem_bad, _ = _scan_families(args, cfg, THEOREM_BOUNDS)
+    rows = _scan_families(args, cfg, THEOREM_BOUNDS)
     _emit_rows(args, rows)
     checked = _checked(rows)
-    if theorem_bad:
+    code = _exit_code(rows)
+    if code:
         verdict = "VIOLATIONS FOUND"
     else:
         verdict = "all bounds hold" if checked else "nothing checked"
@@ -415,7 +405,7 @@ def cmd_verify_bounds(args) -> int:
         f"verify-bounds: {len(rows)} rows, {checked} checked, {_skip_note(rows)}{verdict}",
         file=sys.stderr,
     )
-    return 2 if theorem_bad else 0
+    return code
 
 
 def cmd_tightness(args) -> int:
@@ -426,12 +416,10 @@ def cmd_tightness(args) -> int:
     )
     if ("profiles" in cfg) == any(key in cfg for key in ("field", "k", "bounds")):
         raise ConfigError('give either "profiles" or a family scan (field/k/bounds/...), not both')
-    theorem_bad = conjecture_bad = False
     if "profiles" in cfg:
         rows = _profile_rows(cfg["profiles"], args)
-        theorem_bad = any(r.violated for r in rows)
     else:
-        rows, theorem_bad, conjecture_bad = _scan_families(args, cfg, BOUNDS)
+        rows = _scan_families(args, cfg, BOUNDS)
     _emit_rows(args, rows)
     tight_count = sum(1 for r in rows if r.tight)
     violations = sum(1 for r in rows if r.violated)
@@ -441,17 +429,11 @@ def cmd_tightness(args) -> int:
         f"tightness: {len(rows)} rows, {tight_count} tight, {_skip_note(rows)}{verdict}",
         file=sys.stderr,
     )
-    if theorem_bad:
-        return 2
-    return 3 if conjecture_bad else 0
+    return _exit_code(rows)
 
 
 def _profile_rows(spec, args) -> list:
-    if not isinstance(spec, dict):
-        raise ConfigError('"profiles" must be an object')
-    unknown = set(spec) - {"k_max", "q_max"}
-    if unknown:
-        raise ConfigError(f'unknown "profiles" keys: {sorted(unknown)}')
+    spec = _check_keys(spec, '"profiles"', set(), {"k_max", "q_max"})
     k_max = _require_int(spec, "k_max", 1)
     q_max = _require_int(spec, "q_max", 0)
     return [
@@ -467,7 +449,6 @@ def _ex41_row(profile: MultiplicityProfile, seed_str: str, guard_tuples: int, ti
     """The sharpness model's formula against its enumerated value set, left
     uncounted when its multiplicity vectors outnumber ``guard_tuples``."""
     n, k, q, r = profile.n, profile.k, profile.q, profile.r
-    value = roots_model_cardinality(n, k, q, r).value
     start = time.monotonic()
     try:
         _check_vector_guard(profile, guard_tuples)
@@ -481,13 +462,10 @@ def _ex41_row(profile: MultiplicityProfile, seed_str: str, guard_tuples: int, ti
         k=k,
         sizes=(k * q + r,),
         bound_name="ex41",
-        bound_value=value,
+        bound_value=roots_model_cardinality(n, k, q, r).value,
         actual_cardinality=actual,
-        hypotheses_ok=True,
-        tight=None if actual is None else actual == value,
         seed=seed_str,
         elapsed_ms=str(int((time.monotonic() - start) * 1000)) if timings else "",
-        violated=actual is not None and actual != value,
     )
 
 
@@ -497,32 +475,29 @@ def cmd_verify_coeff(args) -> int:
     sum_max = _require_int(cfg, "sum_max", 0)
     k_cap = _require_int(cfg, "k_max", 1) if "k_max" in cfg else None
     cells = []
-    mismatches = skipped = checked = 0
     labels = {}  # each (n, N)'s composition labels, made once for every k
     for n, k, total, qs, closed_forms, oracles in _coefficient_sweep(n_max, sum_max, k_cap, args.guard_terms):
         if (n, total) not in labels:
             labels[n, total] = [";".join(map(str, q)) for q in qs]
         for label, closed, oracle in zip(labels[n, total], closed_forms, oracles):
             if oracle is None:
-                skipped += 1
                 cells.append([n, k, label, total, str(closed), "", "skipped"])
-                continue
-            checked += 1
-            status = "ok" if closed == oracle else "mismatch"
-            if status == "mismatch":
-                mismatches += 1
-            cells.append([n, k, label, total, str(closed), str(oracle), status])
+            else:
+                status = "ok" if closed == oracle else "mismatch"
+                cells.append([n, k, label, total, str(closed), str(oracle), status])
     _write_table(args.out, COEFF_HEADER, cells)
     if args.jsonl:
         _write_jsonl(
             args.jsonl,
             [dict(zip(COEFF_HEADER, [str(c) for c in row])) for row in cells],
         )
+    status = Counter(cell[-1] for cell in cells)
     print(
-        f"verify-coeff: {checked} identities checked, {mismatches} mismatches, {skipped} skipped",
+        f"verify-coeff: {status['ok'] + status['mismatch']} identities checked, "
+        f"{status['mismatch']} mismatches, {status['skipped']} skipped",
         file=sys.stderr,
     )
-    return 2 if mismatches else 0
+    return 2 if status["mismatch"] else 0
 
 
 def cmd_example41(args) -> int:
@@ -536,7 +511,7 @@ def cmd_example41(args) -> int:
     row = _ex41_row(profile, str(args.seed), args.guard_tuples)
     _emit_rows(args, [row])
     print(f"example41: formula {row.bound_value}, enumerated {row.actual_cardinality}", file=sys.stderr)
-    return 2 if row.violated else 0
+    return _exit_code([row])
 
 
 def cmd_proof_replay(args) -> int:
@@ -545,8 +520,6 @@ def cmd_proof_replay(args) -> int:
         required={"family", "k"},
         optional={"tail", "witness", "expand_certificate"},
     )
-    if not isinstance(cfg["family"], dict):
-        raise ConfigError('"family" must be an object with "field" and "sets"')
     family = family_from_json(cfg["family"])
     k = _require_int(cfg, "k", 1)
     witness = cfg.get("witness", True)
@@ -565,12 +538,8 @@ def cmd_proof_replay(args) -> int:
         guard_terms=args.guard_terms,
     )
     record = replay.to_json_dict()
-    payload = json.dumps(record, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    with _open_report(args.out) as out:
+        out.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     if args.jsonl:
         _write_jsonl(args.jsonl, [record])
     skipped = ", witness skipped by the tuple guard" if witness and replay.witness is None else ""

@@ -54,8 +54,8 @@ def _shifted_classes(q, k: int) -> list:
 def _validate_q(q, k: int) -> tuple:
     q = tuple(q)
     n = len(q)
-    if not 1 <= k <= n:
-        raise HypothesisViolated(f"need 1 <= k <= n = {n}, got k = {k}")
+    if type(k) is not int or not 1 <= k <= n:
+        raise HypothesisViolated(f"need an integer 1 <= k <= n = {n}, got k = {k!r}")
     for i, qi in enumerate(q, start=1):
         if not isinstance(qi, int) or isinstance(qi, bool) or qi < 0:
             raise HypothesisViolated(f"q{i} must be a nonnegative integer, got {qi!r}")

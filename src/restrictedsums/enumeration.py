@@ -71,6 +71,14 @@ class SetFamily:
         return SetFamily(self.field, tuple(s[:w] for s, w in zip(self.sets, sizes)))
 
 
+def _config_field(text) -> FieldDescriptor:
+    """`parse_field` for a config: every refusal is a `ConfigError`."""
+    try:
+        return parse_field(text)
+    except (ValueError, TypeError, NotPrime) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def family_from_json(source) -> SetFamily:
     """Parse ``{"field": "gf(7)", "sets": [[0,1,2], [0,1,2]]}``.
 
@@ -85,10 +93,7 @@ def family_from_json(source) -> SetFamily:
         raise ConfigError(f"unknown family keys: {sorted(unknown)}")
     if "field" not in source or "sets" not in source:
         raise ConfigError('family JSON needs "field" and "sets"')
-    try:
-        field = parse_field(source["field"])
-    except (ValueError, TypeError, NotPrime) as exc:
-        raise ConfigError(str(exc)) from exc
+    field = _config_field(source["field"])
     sets = source["sets"]
     if not isinstance(sets, list) or not all(isinstance(s, list) for s in sets):
         raise ConfigError('"sets" must be a list of lists')

@@ -565,8 +565,8 @@ def vandermonde(n: int, max_terms: int = DEFAULT_TERM_GUARD) -> SparsePoly:
     permutation s of 0..n-1, which spares the chain's numpy steps, each a
     fixed cost on a tiny factor.  Otherwise the chain is multiplied, and
     trips at the step that forms too many monomials, with its message."""
-    if n < 1:
-        raise ValueError(f"vandermonde needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ValueError(f"vandermonde needs an integer n >= 1, got {n!r}")
     if 1 << comb(n, 2) <= max_terms:
         # descending lex order of the exponent vectors is descending graded-lex
         # order, as every term has degree C(n, 2)
@@ -631,8 +631,8 @@ def power_sum_pow(
     """(x1^k + ... + xn^k) ** N, by direct multinomial generation or by
     repeated squaring of the expanded power sum.  The two methods must agree;
     tests rely on that as a cross-check."""
-    if n < 1 or k < 1 or N < 0:
-        raise ValueError(f"need n >= 1, k >= 1, N >= 0; got n={n}, k={k}, N={N}")
+    if any(type(v) is not int for v in (n, k, N)) or n < 1 or k < 1 or N < 0:
+        raise ValueError(f"need integers n >= 1, k >= 1, N >= 0; got n={n!r}, k={k!r}, N={N!r}")
     if method == "multinomial":
         return _multinomial_poly(n, *_multinomial_terms(n, k, N, None, max_terms))
     if method == "pow":

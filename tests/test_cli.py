@@ -415,6 +415,75 @@ def test_generation_config_errors(tmp_path, capsys):
     )
 
 
+def scan_config(**source):
+    return {"field": "gf(7)", "k": 1, "bounds": ["thm12"], **source}
+
+
+REPLAY_FAMILY = {"field": "gf(7)", "sets": [[0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "verb, cfg, message",
+    [
+        ("verify-bounds", scan_config(sample={"sizes": [[2, 2]], "count": 0}), '"count" must be an integer >= 1, got 0'),
+        ("verify-bounds", scan_config(sweep={"sizes": 3}), '"sizes" must be a nonempty list of nonempty size vectors'),
+        ("verify-bounds", scan_config(sweep={"sizes": [[2, True]]}), "sizes must be positive integers, got True"),
+        ("verify-bounds", scan_config(sweep={"sizes": [[2, 2], [2, 2, 2]]}), "all size vectors in one config must share a length"),
+        ("verify-bounds", scan_config(families={"a": 1}), '"families" must be a nonempty list of families'),
+        ("verify-bounds", scan_config(families=[[[0, 1], 2]]), "each family must be a list of element lists"),
+        ("verify-bounds", scan_config(sweep=[[2, 2]]), '"sweep" must be a JSON object'),
+        ("verify-bounds", scan_config(sample=3), '"sample" must be a JSON object'),
+        ("verify-bounds", scan_config(sweep={"sizes": [[2, 2]], "count": 3}), "unknown \"sweep\" keys: ['count']"),
+        ("verify-bounds", scan_config(sweep={"sizes": [[2, 2]], "equal_sets": 1}), '"equal_sets" must be a boolean'),
+        ("tightness", scan_config(families=[[[0, 1], [2, 3]]], tail=3), '"tail" must be a polynomial string'),
+        ("tightness", {"profiles": [1]}, '"profiles" must be a JSON object'),
+        ("tightness", {"profiles": {"k_max": 2, "q_max": 2, "x": 1}}, "unknown \"profiles\" keys: ['x']"),
+        ("proof-replay", {"family": [1], "k": 1}, "family JSON must be an object, got list"),
+        ("proof-replay", {"family": {"field": "gf(7)", "sets": [0, 1]}, "k": 1}, '"sets" must be a list of lists'),
+    ],
+)
+def test_each_config_error_names_its_key(tmp_path, capsys, verb, cfg, message):
+    assert cli.main([verb, "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_a_non_prime_field_is_a_config_error_in_every_verb(tmp_path, capsys):
+    scan = {"field": "gf(6)", "k": 1, "bounds": ["thm12"], "families": [[[0, 1], [2, 3]]]}
+    replay = {"family": {"field": "gf(6)", "sets": [[0, 1]]}, "k": 1}
+    for verb, cfg in [("verify-bounds", scan), ("tightness", scan), ("proof-replay", replay)]:
+        assert cli.main([verb, "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == "config error: gf(6): 6 is not prime\n"
+
+
+def readme_configs() -> list:
+    """(verb, config) for each JSON block and inline object under a verb's
+    heading in the README's command-line section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    configs = []
+    for part in section.split("\n### ")[1:]:
+        verb, body = part.split("\n", 1)
+        blocks = re.findall(r"```json\n(.*?)```", body, flags=re.DOTALL)
+        inline = re.findall(r"`(\{[^`]*\})`", re.sub(r"```.*?```", "", body, flags=re.DOTALL))
+        configs += [(verb, json.loads(text)) for text in blocks + inline]
+    return configs
+
+
+# the two example41 profiles the README shows being refused by the guard
+README_REFUSED = [{"n": 50, "k": 10, "q": 10, "r": 0}, {"n": 10000, "k": 100, "q": 400, "r": 0}]
+
+
+def test_readme_example_configs_run(tmp_path, capsys):
+    configs = readme_configs()
+    assert [verb for verb, _ in configs] == [
+        "verify-bounds", "tightness", "verify-coeff", "example41", "example41", "example41", "proof-replay",
+    ]
+    for verb, cfg in configs:
+        code = cli.main([verb, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+        assert code == (1 if cfg in README_REFUSED else 0), (verb, cfg)
+    capsys.readouterr()
+
+
 def test_unreadable_or_malformed_config(tmp_path, capsys):
     assert cli.main(["verify-bounds", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

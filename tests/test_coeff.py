@@ -23,6 +23,7 @@ from restrictedsums import (
     coefficient_by_expansion,
     coefficient_formula,
     floor_minima,
+    least_residue,
     parse_poly,
     power_sum_pow,
     prime_field,
@@ -219,6 +220,32 @@ def test_coefficient_formula_guards():
         coefficient_formula((1, 1), 3)  # k > n
     with pytest.raises(HypothesisViolated):
         coefficient_formula((1, -1), 1)
+
+
+# each function that does integer arithmetic on its arguments, a call
+# meeting its hypotheses, and the error it raises for an out-of-range value
+INTEGER_CALLS = [
+    (coefficient_formula, ((1, 2), 2), HypothesisViolated),
+    (target_monomial, ((1, 2), 2), HypothesisViolated),
+    (coefficient_by_expansion, ((1, 2), 2), HypothesisViolated),
+    (least_residue, (5, 3), ValueError),
+    (power_sum_pow, (2, 2, 2), ValueError),
+    (vandermonde, (3,), ValueError),
+]
+
+
+@pytest.mark.parametrize("func, args, error", INTEGER_CALLS, ids=[func.__name__ for func, _, _ in INTEGER_CALLS])
+@pytest.mark.parametrize("bad", [2.0, 2.5, True])
+def test_every_integer_argument_refuses_a_float_or_bool(func, args, error, bad):
+    func(*args)
+    for i, arg in enumerate(args):
+        if isinstance(arg, tuple):
+            variants = [arg[:j] + (bad,) + arg[j + 1 :] for j in range(len(arg))]
+        else:
+            variants = [bad]
+        for variant in variants:
+            with pytest.raises(error):
+                func(*args[:i], variant, *args[i + 1 :])
 
 
 def test_expansion_oracle_frozen_values():
