@@ -436,13 +436,24 @@ def _profile_rows(spec, args) -> list:
     spec = _check_keys(spec, '"profiles"', set(), {"k_max", "q_max"})
     k_max = _require_int(spec, "k_max", 1)
     q_max = _require_int(spec, "q_max", 0)
-    return [
-        _ex41_row(MultiplicityProfile(k=k, q=q, r=r, n=n), str(args.seed), args.guard_tuples, args.timings)
+    # sum over k <= K of k^2 Q(Q+1)/2 + (Q+1) k(k-1)/2 rows, one per n <= kq + r
+    rows = (q_max + 1) * k_max * (k_max + 1) * (q_max * (2 * k_max + 1) + 2 * (k_max - 1)) // 12
+    if rows > 100_000:
+        raise ConfigError(f'"profiles" span {rows} rows; lower k_max or q_max')
+    profiles = [
+        MultiplicityProfile(k=k, q=q, r=r, n=n)
         for k in range(1, k_max + 1)
         for q in range(q_max + 1)
         for r in range(k)
         for n in range(1, k * q + r + 1)
     ]
+    vectors = sum(p.vectors for p in profiles if p.vectors <= args.guard_tuples)
+    if vectors > DEFAULT_TUPLE_GUARD:
+        raise ConfigError(
+            f'"profiles" span {vectors} multiplicity vectors within the tuple guard, '
+            f"more than {DEFAULT_TUPLE_GUARD}; lower k_max or q_max"
+        )
+    return [_ex41_row(p, str(args.seed), args.guard_tuples, args.timings) for p in profiles]
 
 
 def _ex41_row(profile: MultiplicityProfile, seed_str: str, guard_tuples: int, timings=False) -> ReportRow:

@@ -191,7 +191,15 @@ class ShrinkPlan:
     q_prime: tuple
     h: int
     h_residue: int | None  # h mod p for finite characteristic
-    certificate: CoefficientCertificate
+
+    @property
+    def certificate(self) -> CoefficientCertificate:
+        """h as the coefficient at q', read off the plan: `replay_shrink`
+        has checked that it equals the closed form."""
+        return CoefficientCertificate(
+            n=len(self.sizes), k=self.k, q=self.q_prime, N=self.N - 1,
+            closed_form=self.h, h=self.h, h_residue=self.h_residue,
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -210,43 +218,33 @@ class ShrinkPlan:
 
 
 @dataclass(frozen=True)
-class ProofReplay:
-    """Every intermediate object of the constructive argument, checkable."""
+class ProofReplay(ShrinkPlan):
+    """A `ShrinkPlan` carried out on a family: every intermediate object of
+    the constructive argument, checkable."""
 
     family: SetFamily
-    k: int
-    q: tuple
-    N: int
-    split_index: int
     shrunk_family: SetFamily
-    q_prime: tuple
-    h: int
     h_element: FieldElement
-    certificate: CoefficientCertificate
     value_count: int | None = None
     witness: dict | None = None
     cn_certificate: NullstellensatzCertificate | None = None
 
+    @property
+    def certificate(self) -> CoefficientCertificate:
+        return replace(super().certificate, field=str(self.family.field))
+
     def to_json_dict(self) -> dict:
-        out = {
-            "field": str(self.family.field),
-            "k": self.k,
-            "n": self.family.n,
-            "sizes": list(self.family.sizes),
-            "q": list(self.q),
-            "N": self.N,
-            "split_index": self.split_index,
-            "shrunk_sizes": list(self.shrunk_family.sizes),
-            "q_prime": list(self.q_prime),
-            "h": str(self.h),
-            "h_element": str(self.h_element.value),
-            "certificate": self.certificate.to_json_dict(),
-            "value_count": self.value_count,
-            "witness": self.witness,
-            "cn_certificate": None
-            if self.cn_certificate is None
-            else self.cn_certificate.to_json_dict(),
-        }
+        out = super().to_json_dict()
+        del out["characteristic"], out["h_residue"]
+        cn = None if self.cn_certificate is None else self.cn_certificate.to_json_dict()
+        out.update(
+            field=str(self.family.field),
+            n=self.family.n,
+            h_element=str(self.h_element.value),
+            value_count=self.value_count,
+            witness=self.witness,
+            cn_certificate=cn,
+        )
         return out
 
 
@@ -331,16 +329,6 @@ def replay_shrink(sizes, k: int, char) -> ShrinkPlan:
             raise InternalInvariantBroken(
                 f"h = {h} vanishes mod {char}; this contradicts N - 1 < p(F)"
             )
-    certificate = CoefficientCertificate(
-        n=n,
-        k=k,
-        q=q_prime,
-        N=N - 1,
-        closed_form=closed,
-        h=h,
-        h_residue=h_residue,
-        field=None,
-    )
     return ShrinkPlan(
         sizes=sizes,
         k=k,
@@ -352,7 +340,6 @@ def replay_shrink(sizes, k: int, char) -> ShrinkPlan:
         q_prime=q_prime,
         h=h,
         h_residue=h_residue,
-        certificate=certificate,
     )
 
 
@@ -367,10 +354,10 @@ def proof_replay(
 ) -> ProofReplay:
     """Replay the constructive argument behind the residue-class bound.
 
-    Runs the arithmetic phase (`replay_shrink`) on the family's sizes, embeds
-    h in the field and checks it survives, then optionally computes the
-    shrunk value set, exhibits an injective tuple whose value lies outside
-    the first N - 1 values, and (if requested) expands the full
+    Carries out the plan of the arithmetic phase (`replay_shrink`) on the
+    family: embeds h in the field and checks it survives, then optionally
+    computes the shrunk value set, exhibits an injective tuple whose value
+    lies outside the first N - 1 values, and (if requested) expands the full
     contradiction polynomial and runs the Nullstellensatz certifier on it.
     The value set, with the first tuple in product order that reaches each
     value, comes from `sweeps._value_counts`: the int64 residue grid over
@@ -380,27 +367,20 @@ def proof_replay(
     witness alone is skipped (``witness`` and ``value_count`` stay None),
     while the expanded certificate raises :class:`SearchSpaceTooLarge`.
     """
-    n = family.n
-    sizes = family.sizes
     if f is None:
-        f = PowerSumForm.unit(n, k)
+        f = PowerSumForm.unit(family.n, k)
     if f.k != k:
         raise HypothesisViolated(f"form has k = {f.k}, replay needs k = {k}")
-    form = _field_form(family.field, n, f)
+    form = _field_form(family.field, family.n, f)
     if any(a.value != 1 for a in form.leading):
         raise HypothesisViolated("replay requires unit leading coefficients")
-    char = family.field.characteristic
-    plan = replay_shrink(sizes, k, char)
-    N = plan.N
-    q_prime = plan.q_prime
-    h = plan.h
+    plan = replay_shrink(family.sizes, k, family.field.characteristic)
     shrunk = family.subfamily(plan.shrunk_sizes)
-    h_element = family.field.embed(h)
+    h_element = family.field.embed(plan.h)
     if h_element.is_zero:
         raise InternalInvariantBroken(
-            f"h = {h} vanishes in {family.field}; this contradicts N - 1 < p(F)"
+            f"h = {plan.h} vanishes in {family.field}; this contradicts N - 1 < p(F)"
         )
-    certificate = replace(plan.certificate, field=str(family.field))
 
     value_count = None
     witness_record = None
@@ -414,12 +394,12 @@ def proof_replay(
                 raise
     if enum is not None:
         value_count = enum.cardinality
-        if value_count < N:
+        if value_count < plan.N:
             raise InternalInvariantBroken(
-                f"shrunk family attains {value_count} values, bound says >= {N}"
+                f"shrunk family attains {value_count} values, bound says >= {plan.N}"
             )
-        excluded = enum.values[: N - 1]
-        extra_value = enum.values[N - 1]
+        excluded = enum.values[: plan.N - 1]
+        extra_value = enum.values[plan.N - 1]
         point = enum.witnesses[extra_value]
         if _contradiction_value(form, excluded, point).is_zero:
             raise InternalInvariantBroken("chosen witness evaluates to zero")
@@ -433,16 +413,10 @@ def proof_replay(
                 shrunk, form, enum, excluded, h_element, guard_tuples, guard_terms
             )
     return ProofReplay(
+        **vars(plan),
         family=family,
-        k=k,
-        q=plan.q,
-        N=N,
-        split_index=plan.split_index,
         shrunk_family=shrunk,
-        q_prime=q_prime,
-        h=h,
         h_element=h_element,
-        certificate=certificate,
         value_count=value_count,
         witness=witness_record,
         cn_certificate=cn_certificate,
@@ -484,9 +458,9 @@ def _expanded_certificate(shrunk, form: FieldForm, enum, excluded, h_element, gu
         )
 
     def search():
-        position = [{x: i for i, x in enumerate(s)} for s in shrunk.sets]
+        # each set is sorted, so product order is the order of the values
         later = [enum.witnesses[v] for v in enum.values[len(excluded) :]]
-        point = min(later, key=lambda pt: [at[x] for at, x in zip(position, pt)])
+        point = min(later, key=lambda pt: [x.value for x in pt])
         value = _contradiction_value(form, excluded, point)
         if value.is_zero:
             raise InternalInvariantBroken(f"Q vanishes at {point}, the first tuple of a value past the excluded ones")

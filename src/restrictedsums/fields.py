@@ -8,6 +8,7 @@ even in characteristic zero.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from typing import Iterator, Union
 from .errors import DivisionByZero, FieldMismatch, NotPrime
 
 
+@functools.total_ordering
 class ExtendedNat:
     """A positive integer or infinity, ordered the obvious way."""
 
@@ -51,9 +53,6 @@ class ExtendedNat:
             return self
         return ExtendedNat(self._value - other)
 
-    def _cmp_key(self):
-        return (1, 0) if self._value is None else (0, self._value)
-
     def __eq__(self, other):
         if isinstance(other, ExtendedNat):
             return self._value == other._value
@@ -66,22 +65,8 @@ class ExtendedNat:
             other = ExtendedNat(other)
         if not isinstance(other, ExtendedNat):
             return NotImplemented
-        return self._cmp_key() < other._cmp_key()
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        lt = self.__le__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return not lt
-
-    def __ge__(self, other):
-        lt = self.__lt__(other)
-        if lt is NotImplemented:
-            return NotImplemented
-        return not lt
+        # a finite value is below infinity
+        return self._value is not None and (other._value is None or self._value < other._value)
 
     def __hash__(self):
         return hash(("ExtendedNat", self._value))

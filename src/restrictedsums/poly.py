@@ -758,10 +758,13 @@ def _field_form(field: FieldDescriptor, n: int, f: PowerSumForm) -> FieldForm:
 # ---------- text grammar ----------
 #
 # <poly>   := <term> (('+'|'-') <term>)*
-# <term>   := <int>? ('*'? <factor>)*      e.g. 3*x1^2*x3, -x2, 7
+# <term>   := <coeff>? ('*'? <factor>)*    e.g. 3*x1^2*x3, -x2, 7, 1/2*x1
+# <coeff>  := <int> ('/' <int>)?
 # <factor> := x<idx> ('^' <int>)?
-# Integer coefficients, whitespace-insensitive; round-trips with format_poly.
+# Integer or fraction coefficients, whitespace-insensitive; round-trips with
+# format_poly.
 
+_COEFF_RE = re.compile(r"^\d+(?:/\d+)?$")
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 
@@ -786,13 +789,16 @@ def parse_poly(text: str, nvars: int | None = None) -> SparsePoly:
             body = body[1:]
         if not body:
             raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
+        coeff = Fraction(sign)
         powers: dict[int, int] = {}
         for factor in body.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in term {chunk!r} of {text!r}")
-            if factor.isdigit():
-                coeff *= int(factor)
+            if _COEFF_RE.match(factor):
+                try:
+                    coeff *= Fraction(factor)
+                except ZeroDivisionError as exc:
+                    raise ValueError(f"zero denominator in {factor!r} of {text!r}") from exc
                 continue
             m = _FACTOR_RE.match(factor)
             if m is None:
@@ -808,15 +814,17 @@ def parse_poly(text: str, nvars: int | None = None) -> SparsePoly:
         nvars = max_index
     if max_index > nvars:
         raise ArityMismatch(f"text uses x{max_index} but nvars={nvars}")
-    terms: dict[tuple, int] = {}
+    terms: dict[tuple, Fraction] = {}
     for coeff, powers in parsed:
         exps = tuple(powers.get(i, 0) for i in range(1, nvars + 1))
         terms[exps] = terms.get(exps, 0) + coeff
-    return SparsePoly(nvars, terms)
+    # a whole coefficient stays an int
+    return SparsePoly(nvars, {e: c.numerator if c.denominator == 1 else c for e, c in terms.items()})
 
 
 def format_poly(p: SparsePoly) -> str:
-    """Deterministic printer; inverse of parse_poly for integer coefficients."""
+    """Deterministic printer; inverse of parse_poly for integer and Fraction
+    coefficients (a fraction prints as a/b)."""
     if p.is_zero:
         return "0"
     pieces = []

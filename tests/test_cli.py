@@ -7,6 +7,7 @@ import itertools
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -228,6 +229,28 @@ def test_verify_bounds_sweep_over_independent_sets(tmp_path):
             rows = [r for r in records if (r["k"], r["bound_name"]) == (k, name)]
             assert len({r["bound_value"] for r in rows}) == 1  # so the sort kept the order
             assert [r["actual_cardinality"] for r in rows] == [run(fam, form).cardinality for fam in families]
+
+
+def test_verify_bounds_reads_a_fraction_tail_over_the_rationals(tmp_path):
+    sets = [[[0, 1, "1/2"], [0, 2, 3, "-1/3"]], [[-1, "2/5", 4], [0, "1/2", 1, 7]]]
+    cfg = {"field": "rational", "k": 2, "bounds": ["thm11u", "thm11r"], "families": sets, "tail": "x1 + 1/2*x2"}
+    code, records = scan_records(tmp_path, "verify-bounds", cfg)
+    assert code == 0
+    field = parse_field("rational")
+    form = PowerSumForm.unit(2, 2, parse_poly("x1 + 1/2*x2", nvars=2))
+    want = []
+    for raw in sets:
+        family = SetFamily.from_elements(field, raw)
+        want.append((family.sizes, "thm11r", restricted_value_set(family, form).cardinality))
+        want.append((family.sizes, "thm11u", unrestricted_value_set(family, form).cardinality))
+    got = [(tuple(map(int, r["sizes"])), r["bound_name"], r["actual_cardinality"]) for r in records]
+    assert sorted(got) == sorted(want)
+
+
+def test_a_fraction_tail_is_refused_over_a_prime_field(tmp_path, capsys):
+    cfg = {"field": "gf(7)", "k": 2, "bounds": ["thm11u"], "families": [[[0, 1, 4], [0, 2, 3]]], "tail": "x1 + 1/2*x2"}
+    assert cli.main(["verify-bounds", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "error: tail coefficient 1/2 is not in gf(7)\n"
 
 
 def test_verify_bounds_timings_fill_elapsed(tmp_path):
@@ -610,6 +633,31 @@ def test_tightness_profiles(tmp_path, capsys):
     assert all(r[5] == "ex41" for r in rows)
     assert all(r[9] == "true" for r in rows)  # the model always attains the formula
     assert "0 violations" in capsys.readouterr().err
+
+
+def test_tightness_profiles_guard_the_whole_grid(tmp_path, capsys):
+    # K = 7 lists 4,368 profiles, none past the tuple guard, but 93,442,006
+    # multiplicity vectors in all; K = 100 would list 1,725,499,150 rows
+    refusals = {
+        7: '"profiles" span 93442006 multiplicity vectors within the tuple guard, more than 10000000; lower k_max or q_max',
+        100: '"profiles" span 1725499150 rows; lower k_max or q_max',
+    }
+    for K, message in refusals.items():
+        cfg = write_config(tmp_path, {"profiles": {"k_max": K, "q_max": K}})
+        start = time.monotonic()
+        assert cli.main(["tightness", "--config", cfg]) == 1
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    # under a lower guard the grid is small enough, and every row is listed
+    cfg = write_config(tmp_path, {"profiles": {"k_max": 7, "q_max": 7}})
+    assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "1000", "--out", str(tmp_path / "r.csv")]) == 0
+    assert capsys.readouterr().err == "tightness: 4368 rows, 2773 tight, 1595 skipped by the tuple guard, 0 violations\n"
+    # the row count is the closed form's
+    for K, Q in [(1, 0), (3, 2), (6, 6), (5, 9)]:
+        listed = sum(k * q + r for k in range(1, K + 1) for q in range(Q + 1) for r in range(k))
+        cfg = write_config(tmp_path, {"profiles": {"k_max": K, "q_max": Q}})
+        assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "0", "--out", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().err.startswith(f"tightness: {listed} rows, ")
 
 
 def vector_count(n, k, q, r):
@@ -1381,6 +1429,43 @@ def test_proof_replay_past_the_tuple_guard(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["witness"] is None
     assert captured.err.endswith("(nonzero), witness skipped by the tuple guard\n")
+
+
+# the unexpanded replays: (config, extra arguments, --out sha256, stderr sha256)
+PLAIN_REPLAY_PINS = {
+    "rational-tail": (
+        {
+            "family": {"field": "rational", "sets": [[0, 1, "1/2"], [0, 1, 5, "-2/3"], [-1, 2, 4, 7, "3/4"]]},
+            "k": 2,
+            "tail": "x1 - 2*x3 + 1",
+        },
+        [],
+        "059b7eb8d0dd798ebf3253ec0668cc67a9ca92c976cfcf16c9c4b5e42fd86efe",
+        "6c4ad18d0908d047aeec9a2fbc330d89fbbd3f72776b44b63b2f0f4a57f4462a",
+    ),
+    "no-witness": (
+        {"family": {"field": "gf(13)", "sets": [list(range(s)) for s in (5, 6, 7, 8)]}, "k": 1, "witness": False},
+        [],
+        "666cca0941587ee1e19bad285f977a86845ed286820c730c3d748d9dfa87d842",
+        "013cd7944b7e4e4f0c4429ab78cfe64356ee8814ba4feb6695ffc540c2ff76d0",
+    ),
+    "witness-past-the-tuple-guard": (
+        {"family": {"field": "gf(13)", "sets": [list(range(s)) for s in (6, 7, 8, 8)]}, "k": 2},
+        ["--guard-tuples", "30"],
+        "aa698f66d7cdf7de81bef857bce211cad7c23ccc31b2ed8523da95e2362bf7e0",
+        "bfab88b9ea1ddbba640186cb5fa0c66bc5b8f11d5865750982674a77f152a1fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PLAIN_REPLAY_PINS)
+def test_proof_replay_reports_are_pinned(tmp_path, capsys, name):
+    family, extra, out_digest, err_digest = PLAIN_REPLAY_PINS[name]
+    out = tmp_path / "replay.json"
+    assert cli.main(["proof-replay", "--config", write_config(tmp_path, family), "--out", str(out), *extra]) == 0
+    err = capsys.readouterr().err.strip()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_digest
+    assert hashlib.sha256(err.encode()).hexdigest() == err_digest, err
 
 
 def test_proof_replay_rational_family(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Permutation signs, the coefficient closed form, and the replayable
 construction of the lower-bound argument."""
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import factorial
@@ -410,6 +412,19 @@ def test_replay_shrink_json():
     assert d["h"] == "1"
     assert d["shrunk_sizes"] == [1, 6]
     assert d["certificate"]["n"] == 2
+
+
+@pytest.mark.parametrize(
+    "sizes, k, char, digest",
+    [
+        # the first size is past p = 5, so the plan splits
+        ((9, 12, 4), 2, ExtendedNat(5), "2027cb22486bcdc5dd031a4989eab57800e8c84165236c89a148fde8c3335758"),
+        ((5, 7, 9), 2, INFINITY, "2d6e2323f88986ee0c1d450dd415c037a9ec73578b15cb0c2bd76312d529d9d9"),
+    ],
+)
+def test_replay_shrink_json_is_pinned(sizes, k, char, digest):
+    record = json.dumps(replay_shrink(sizes, k, char).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == digest
 
 
 @given(

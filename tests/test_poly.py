@@ -882,3 +882,29 @@ def test_format_parse_round_trip_examples():
 def test_format_parse_round_trip_property(terms):
     p = SparsePoly(3, terms)
     assert parse_poly(format_poly(p), nvars=3) == p
+
+
+def test_parse_poly_reads_fraction_coefficients():
+    p = parse_poly("x1 + 1/2*x2 - 3/4", nvars=2)
+    assert dict(p.terms()) == {(1, 0): 1, (0, 1): Fraction(1, 2), (0, 0): Fraction(-3, 4)}
+    assert format_poly(p) == "x1 + 1/2*x2 - 3/4"
+    # a fraction that comes out whole stays an int
+    for text in ["4/2*x1", "1/2*x1 + 1/2*x1 + x1"]:
+        (c,) = [c for _, c in parse_poly(text, nvars=1).terms()]
+        assert type(c) is int and c == 2
+    with pytest.raises(ValueError, match="^zero denominator in '1/0' of 'x1 - 1/0'$"):
+        parse_poly("x1 - 1/0", nvars=1)
+
+
+@given(
+    st.dictionaries(
+        keys=st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+        values=st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(lambda c: c != 0),
+        max_size=6,
+    )
+)
+def test_format_parse_round_trip_fractions(terms):
+    p = SparsePoly(2, terms)
+    back = parse_poly(format_poly(p), nvars=2)
+    assert back == p
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in back.terms())
