@@ -322,7 +322,8 @@ def _parse_tail(cfg: dict, n: int, k_min: int) -> SparsePoly:
 
 
 def _scan_families(args, cfg, allowed_bounds) -> list:
-    """Shared engine: one row per (k, family, bound)."""
+    """Shared engine: one row per (k, family, bound), in that order.  Each
+    family is counted once for all its k."""
     field = _config_field(cfg.get("field"))
     bounds = cfg.get("bounds")
     if (
@@ -345,32 +346,34 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
 
     variants = [flag for flag in (True, False) if any(BOUNDS[b].restricted == flag for b in bounds)]
 
-    rows = []
-    for k in ks:
-        form = _field_form(field, n, PowerSumForm(k, leading, tail))
-        for fam in families:
-            start = time.monotonic()
-            try:
-                counts = dict(zip(variants, _value_counts(fam, form, variants, args.guard_tuples)))
-            except SearchSpaceTooLarge:
-                counts = {}  # guard violations are recorded per-row, never fatal
-            elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
+    forms = [_field_form(field, n, PowerSumForm(k, leading, tail)) for k in ks]
+    by_k = [[] for _ in ks]  # each k's rows, family by family
+    for fam in families:
+        start = time.monotonic()
+        try:
+            counts = _value_counts(fam, forms, variants, args.guard_tuples)
+        except SearchSpaceTooLarge:
+            counts = [()] * len(forms)  # guard violations are recorded per-row, never fatal
+        # one counting time for all the family's k, carried by each of its rows
+        elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
+        for rows, form, form_counts in zip(by_k, forms, counts):
+            counted = dict(zip(variants, form_counts))
             for name in bounds:
                 rows.append(
                     ReportRow(
                         field=str(field),
                         char=char_str,
                         n=fam.n,
-                        k=k,
+                        k=form.k,
                         sizes=fam.sizes,
                         bound_name=name,
                         bound_value=BOUNDS[name].evaluate(fam, form),
-                        actual_cardinality=counts.get(BOUNDS[name].restricted),
+                        actual_cardinality=counted.get(BOUNDS[name].restricted),
                         seed=seed_str,
                         elapsed_ms=elapsed,
                     )
                 )
-    return rows
+    return [row for rows in by_k for row in rows]
 
 
 # ---------- commands ----------
@@ -537,6 +540,9 @@ def cmd_proof_replay(args) -> int:
     expand = cfg.get("expand_certificate", False)
     if not isinstance(witness, bool) or not isinstance(expand, bool):
         raise ConfigError('"witness" and "expand_certificate" must be booleans')
+    if expand and not witness:
+        # the expanded certificate is built on the witness
+        raise ConfigError('"expand_certificate": true needs the witness; drop "witness": false')
     tail = _parse_tail(cfg, family.n, k)
     f = PowerSumForm.unit(family.n, k, tail)
     replay = proof_replay(
@@ -589,7 +595,7 @@ _OPTIONS = {
     },
     "--timings": {
         "action": "store_true",
-        "help": "fill elapsed_ms (breaks byte-determinism of reports)",
+        "help": "fill elapsed_ms, a family's one counting time for all its k (breaks byte-determinism of reports)",
     },
 }
 

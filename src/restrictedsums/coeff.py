@@ -388,7 +388,7 @@ def proof_replay(
     enum = None
     if witness or expand_certificate:
         try:
-            (enum,) = _value_counts(shrunk, form, (True,), guard_tuples, witnesses=True)
+            ((enum,),) = _value_counts(shrunk, (form,), (True,), guard_tuples, witnesses=True)
         except SearchSpaceTooLarge:
             if expand_certificate:
                 raise

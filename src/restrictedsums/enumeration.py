@@ -49,7 +49,7 @@ class SetFamily:
     def n(self) -> int:
         return len(self.sets)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple:
         return tuple(len(s) for s in self.sets)
 

@@ -16,15 +16,20 @@ against the exact backtracking enumerator in the test suite:
     17 MB and under a tenth of a second for GF(7), n = 4.  The byte guard
     sizes it by (3p+3)*(2^p)^(n-1) bytes, an upper bound on that peak;
   * the per-family int64 grid (`_family_counts`), reached only through
-    `_value_counts`, the one function that picks a family's route.  It
+    `_value_counts`, the one function that picks each form's route.  It
     serves the CLI's `verify-bounds` and `tightness` scans, the sampled
     families of the acceptance criteria and the proof replay's shrunk
-    family: it takes a family's restricted and unrestricted counts from one
-    int64 grid, cut into slabs along the first set past the byte guard, so
-    every family the tuple guard admits is counted.  For the replay it
-    also keeps the first tuple in product order that reaches each value,
-    over GF(p) and over Q alike; the scans, which only count, sort their
-    values and no more.
+    family.  A scan hands it all of a family's forms, one per k, in one
+    call.  The grid is cut into boxes, slabs along the first set past the
+    byte guard, so every family the tuple guard admits is counted; each
+    box's open mesh and pairwise-distinct mask are built once, and the
+    forms are evaluated on it one at a time (`_residue_values`: one column
+    of Python ints per axis, a_i*x^k plus the tail's terms in x_i alone,
+    added by broadcasting), each form's restricted and unrestricted counts
+    from its one grid.  Over GF(p) a count marks residues in a table of p
+    flags wherever a box holds at least p tuples, and otherwise sorts the
+    values; for the replay it keeps instead the first tuple in product
+    order that reaches each value, over GF(p) and over Q alike.
     Over GF(p) the grid holds residues, whose products must fit int64, so
     it needs (p-1)^2 < 2^63.  Over Q it scales the family to
     integers u = L*x and the form to D*L^k*f, D the lcm of the denominators
@@ -157,37 +162,36 @@ def _mod(v, p: int | None):
 
 def _residue_values(axes, form: FieldForm) -> np.ndarray:
     """int64 grid of f mod p over the open mesh ``axes`` of np.ix_, for a
-    form mapped into GF(p): each power is taken once per coordinate and
-    broadcast.  Each product, at most (p-1)^2, is reduced before it is
-    summed.  Over Q the grid holds f itself, unreduced, which
+    form mapped into GF(p).  Each axis gets one column, a_i*x^k plus the
+    tail's terms in x_i alone (the constant joins the first), worked out in
+    Python ints and reduced mod p; the n columns are added by broadcasting.
+    A mixed monomial is the broadcast product of its factors' power
+    columns, reduced after each factor, as each product is at most
+    (p-1)^2.  Over Q the grid holds f itself, unreduced, which
     `_integer_route_fits` must have shown to fit int64."""
     p = form.field.p
+    points = [x.ravel().tolist() for x in axes]
 
-    def power(x, e):
-        return x**e if p is None else _pow_mod_grid(x, e, p)
+    def column(i, terms):  # sum of c * x^e over the coordinates of axis i
+        values = [_mod(sum(c * pow(x, e, p) for c, e in terms), p) for x in points[i]]
+        return np.array(values, dtype=np.int64).reshape(axes[i].shape)
 
-    total = _mod(sum((_mod(int(a.value) * power(x, form.k), p) for a, x in zip(form.leading, axes)), np.int64(0)), p)
-    if not form.tail.is_zero:
-        for exps, c in form.tail.terms():
-            term = int(c.value)
-            for x, e in zip(axes, exps):
-                if e:
-                    term = _mod(term * power(x, e), p)
-            total += term
-        total = _mod(total, p)
-    return total
-
-
-def _pow_mod_grid(grid: np.ndarray, e: int, p: int) -> np.ndarray:
-    """Elementwise grid**e mod p without overflow (square and multiply)."""
-    out = np.ones_like(grid)
-    base = grid % p
-    while e:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
+    own = [[(int(a.value), form.k)] for a in form.leading]  # each axis's one-variable terms
+    mixed = []
+    for exps, c in form.tail.terms():
+        used = [i for i, e in enumerate(exps) if e]
+        if len(used) > 1:
+            mixed.append((int(c.value), exps))
+        else:
+            own[used[0] if used else 0].append((int(c.value), exps[used[0]] if used else 0))
+    total = sum(itertools.starmap(column, enumerate(own[1:], start=1)), column(0, own[0]))
+    for c, exps in mixed:
+        term = c
+        for i, e in enumerate(exps):
+            if e:
+                term = _mod(term * column(i, [(1, e)]), p)
+        total += term
+    return total if p is None else np.remainder(total, p, out=total)
 
 
 def _fold_axis(S: np.ndarray, axis: int, p: int) -> np.ndarray:
@@ -336,15 +340,18 @@ def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):
 # ---------- route 2: per-family vectorized evaluation ----------
 
 
-def _value_counts(family, form: FieldForm, variants, guard_tuples: int, witnesses: bool = False) -> tuple:
-    """Value-set cardinalities on a `SetFamily` of a form mapped into its
-    field, one per flag of ``variants`` (True: pairwise-distinct tuples
-    only), with the enumerator's tuple guard.  The one place that picks a
-    family's route: the int64 grid of `_family_counts` where it provably
-    fits, else the exact enumerator.  Over Q the grid holds D * L^k * f(x)
-    at u = L*x, L the lcm of the elements' denominators and D that of the
-    form's coefficients; a nonzero scale keeps values apart and u_i = u_j
-    iff x_i = x_j, so the counts are unchanged.
+def _value_counts(family, forms, variants, guard_tuples: int, witnesses: bool = False) -> tuple:
+    """Value-set cardinalities on a `SetFamily` of each form of ``forms``,
+    forms mapped into its field (a scan's one per k), one per flag of
+    ``variants`` (True: pairwise-distinct tuples only), with the
+    enumerator's tuple guard: one result per form.  The one place that
+    picks each form's route: the int64 grid of `_family_counts` where it
+    provably fits, else the exact enumerator; the forms on the grid are
+    counted together.  Over Q the grid holds D * L^k * f(x) at u = L*x, L
+    the lcm of the elements' denominators, worked out once for the family,
+    and D that of the form's coefficients, once per form; a nonzero scale
+    keeps values apart and u_i = u_j iff x_i = x_j, so the counts are
+    unchanged.
 
     With ``witnesses`` each flag gets the `ValueSetResult` the enumerator
     gives with witnesses: the values sorted, the first tuple in product
@@ -354,67 +361,110 @@ def _value_counts(family, form: FieldForm, variants, guard_tuples: int, witnesse
     """
     field = family.field
     _check_tuple_guard(family.sizes, guard_tuples)
+    grid = {}  # the index of each form on the grid: (the form it counts, its scale)
     if field.is_prime_field:
-        grid_form, unit = form, 1
         sets = [[x.value for x in s] for s in family.sets]
-        fits = _residue_route_fits(field.p)
+        if _residue_route_fits(field.p):
+            grid = {i: (form, 1) for i, form in enumerate(forms)}
     else:
-        form_scale = lcm(*(c.value.denominator for c in [*form.leading, *dict(form.tail.terms()).values()]))
         scale = lcm(*(x.value.denominator for s in family.sets for x in s))
         sets = [[int(x.value * scale) for x in s] for s in family.sets]
-
-        def scaled(c, power=1):  # D * c * power, an integer, as an element
-            return field.element(c.value.numerator * (form_scale // c.value.denominator) * power)
-
-        tail = {e: scaled(c, scale ** (form.k - sum(e))) for e, c in form.tail.terms()}
-        grid_form = FieldForm(field, form.k, tuple(map(scaled, form.leading)), SparsePoly._trusted(form.n, tail))
-        unit = form_scale * scale**form.k
-        fits = _integer_route_fits(grid_form, sets)
-    if not fits:
-        runs = [_enumerate(family, form, restricted, guard_tuples, witnesses) for restricted in variants]
-        return tuple(runs) if witnesses else tuple(run.cardinality for run in runs)
-    counts = _family_counts(sets, grid_form, variants, witnesses)
-    if not witnesses:
-        return counts
+        for i, form in enumerate(forms):
+            grid_form, unit = _scaled_form(form, scale)
+            if _integer_route_fits(grid_form, sets):
+                grid[i] = grid_form, unit
+    counted = {}
+    if grid:
+        counted = dict(zip(grid, _family_counts(sets, [f for f, _ in grid.values()], variants, witnesses)))
     results = []
-    for restricted, (grid_values, points, examined) in zip(variants, counts):
-        values = tuple(field.element(Fraction(v, unit)) for v in grid_values.tolist())
-        first = {v: tuple(s[i] for s, i in zip(family.sets, row)) for v, row in zip(values, points.tolist())}
-        results.append(ValueSetResult(len(values), values, examined, restricted, first))
+    for i, form in enumerate(forms):
+        if i not in grid:
+            runs = [_enumerate(family, form, restricted, guard_tuples, witnesses) for restricted in variants]
+            results.append(tuple(runs) if witnesses else tuple(run.cardinality for run in runs))
+        elif not witnesses:
+            results.append(counted[i])
+        else:
+            runs = []
+            for restricted, (grid_values, points, examined) in zip(variants, counted[i]):
+                values = tuple(field.element(Fraction(v, grid[i][1])) for v in grid_values.tolist())
+                first = {v: tuple(s[j] for s, j in zip(family.sets, row)) for v, row in zip(values, points.tolist())}
+                runs.append(ValueSetResult(len(values), values, examined, restricted, first))
+            results.append(tuple(runs))
     return tuple(results)
 
 
-def _family_counts(sets, form: FieldForm, variants, witnesses: bool = False) -> tuple:
-    """Value-set cardinality of one family for each flag of ``variants``
-    (True: pairwise-distinct tuples only), all from one evaluation of the
-    form, over its GF(p), or over the integers when its field is Q.  Its one
+def _scaled_form(form: FieldForm, scale: int) -> tuple:
+    """(D * L^k * f as a form in u = L*x, D * L^k) for a form over Q, with
+    L = ``scale`` and D the lcm of the denominators of the form's
+    coefficients: its leading coefficients become D*a_i and its tail
+    coefficients D*c_e*L^(k-|e|), all integers."""
+    form_scale = lcm(*(c.value.denominator for c in [*form.leading, *dict(form.tail.terms()).values()]))
+
+    def scaled(c, power=1):  # D * c * power, an integer, as an element
+        return form.field.element(c.value.numerator * (form_scale // c.value.denominator) * power)
+
+    tail = {e: scaled(c, scale ** (form.k - sum(e))) for e, c in form.tail.terms()}
+    grid_form = FieldForm(form.field, form.k, tuple(map(scaled, form.leading)), SparsePoly._trusted(form.n, tail))
+    return grid_form, form_scale * scale**form.k
+
+
+def _family_counts(sets, forms, variants, witnesses: bool = False) -> tuple:
+    """Value-set cardinalities of one family for each form of ``forms``, one
+    per flag of ``variants`` (True: pairwise-distinct tuples only), all
+    over one GF(p), or over the integers when their field is Q.  Its one
     caller, `_value_counts`, has chosen this route: each set holds distinct
-    residues mod p or lcm-scaled rationals, on which the form fits int64.
+    residues mod p or lcm-scaled rationals, on which every form fits int64.
 
     The tuple grid is cut into boxes of at most `LATTICE_BYTE_GUARD` bytes,
-    slabs along the first set, so a family of any size is counted; the
-    distinct values of each box are merged into those of the boxes before.
-    With ``witnesses`` each flag gets instead (values, points, examined):
-    the distinct values sorted, beside each the indices into the sets of
-    the first tuple in product order that reaches it (`_first_seen`), and
-    the number of tuples the flag admits.
+    slabs along the first set, so a family of any size is counted.  Each
+    box's open mesh and its pairwise-distinct mask are built once, and the
+    forms are evaluated on it one at a time, so one form's grid is alive
+    at a time.  The values of each box are merged into those of the boxes
+    before (`_merge_values`).  With ``witnesses`` each flag gets instead
+    (values, points, examined): the distinct values sorted, beside each the
+    indices into the sets of the first tuple in product order that reaches
+    it (`_first_seen`), and the number of tuples the flag admits.
     """
     coords = [np.asarray(s, dtype=np.int64) for s in sets]
+    p = forms[0].field.p
     # values, their reduction, the filter, the filtered and the sorted copy,
     # with room: n + 3 grids of 8 bytes a tuple
     budget = max(LATTICE_BYTE_GUARD // (8 * (len(sets) + 3)), 1)
-    seen = [None] * len(variants)
+    seen = [[None] * len(variants) for _ in forms]
     # boxes of indices into the sets, so a witness is read off its box
     for box in _boxes([np.arange(len(c)) for c in coords], budget):
         axes = np.ix_(*map(np.take, coords, box))
-        total = _residue_values(axes, form)
-        for j, restricted in enumerate(variants):
-            if witnesses:
-                seen[j] = _first_seen(seen[j], total, _injective(axes) if restricted else None, box)
-            else:
-                vals = total[_injective(axes)] if restricted else total.ravel()
-                seen[j] = _distinct(vals if seen[j] is None else np.concatenate((seen[j], vals)))
-    return tuple(seen) if witnesses else tuple(int(values.size) for values in seen)
+        injective = _injective(axes) if True in variants else None
+        for form_seen, form in zip(seen, forms):
+            total = _residue_values(axes, form)
+            for j, restricted in enumerate(variants):
+                keep = injective if restricted else None
+                if witnesses:
+                    form_seen[j] = _first_seen(form_seen[j], total, keep, box)
+                else:
+                    vals = total.ravel() if keep is None else total[keep]
+                    form_seen[j] = _merge_values(form_seen[j], vals, p, total.size)
+            del total  # one form's grid at a time
+    if witnesses:
+        return tuple(map(tuple, seen))
+    return tuple(tuple(int(np.count_nonzero(v) if v.dtype == bool else v.size) for v in s) for s in seen)
+
+
+def _merge_values(seen, vals: np.ndarray, p: int | None, tuples: int) -> np.ndarray:
+    """``seen``, the distinct values of the boxes before, with a box's values
+    ``vals`` merged in.  Over GF(p) a box of at least p tuples marks its
+    residues in a table of p flags, OR-ed with those before, and a table,
+    once made, takes every later box; otherwise the values are kept sorted
+    and distinct (`_distinct`)."""
+    if seen is not None and seen.dtype == bool:
+        seen[vals] = True
+        return seen
+    if p is None or p > tuples:
+        return _distinct(vals if seen is None else np.concatenate((seen, vals)))
+    table = np.bincount(vals, minlength=p) > 0
+    if seen is not None:
+        table[seen] = True
+    return table
 
 
 def _first_seen(seen, total: np.ndarray, keep, box) -> tuple:

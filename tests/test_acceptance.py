@@ -92,7 +92,8 @@ def unit_lattice(cache, p, n, k, tail_idx):
 def sampled_count(fam, f, restricted):
     """One sampled family's value-set cardinality, through the route chooser
     the CLI scans use."""
-    return _value_counts(fam, _field_form(fam.field, fam.n, f), (restricted,), DEFAULT_TUPLE_GUARD)[0]
+    ((count,),) = _value_counts(fam, (_field_form(fam.field, fam.n, f),), (restricted,), DEFAULT_TUPLE_GUARD)
+    return count
 
 
 # ---------------------------------------------------------------- criterion 1

@@ -867,10 +867,11 @@ def test_prime_scans_make_no_polynomial_evaluations(tmp_path, monkeypatch, capsy
 
 
 def count_grid_calls(monkeypatch):
-    """A list that grows by one for each family counted on the int64 grid."""
+    """A list that grows by one for each (family, form) pair counted on the
+    int64 grid."""
     calls = []
     real = sweeps._family_counts
-    monkeypatch.setattr(sweeps, "_family_counts", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(sweeps, "_family_counts", lambda sets, forms, *a: calls.extend(forms) or real(sets, forms, *a))
     return calls
 
 
@@ -994,6 +995,160 @@ def test_sliced_residue_grids_give_identical_reports(tmp_path, monkeypatch, caps
         assert (len(evaluations) == 8) == (guard is None)
     assert reports[:2] == reports[2:]
     assert all(r[4] and all(x["actual_cardinality"] is not None for x in r[4]) for r in reports)
+
+
+# family scans: (config, extra arguments, byte guard or None, and per verb
+# its exit code and the sha256 of its CSV, JSONL and stderr summary); however
+# a family's counts are taken for its k, the reports may not change by a byte
+SCAN_PINS = {
+    "gf13-affine": (
+        {
+            "field": "gf(13)",
+            "k": [2, 4],
+            "leading": [3, 1, 12, 5],
+            "tail": "2 - 3*x1 + x2 + 4*x4",
+            "families": [
+                [[0, 1, 2, 3, 5, 8], [1, 2, 4, 6, 7, 9], [0, 3, 4, 5, 6, 9, 11], list(range(8))],
+                [[0, 2, 3, 5, 7, 8, 10, 12]] * 4,
+            ],
+        },
+        [],
+        None,
+        {
+            "verify-bounds": (
+                0,
+                "897dfccbbe026a0e906e9489c855c3c4f6996af5e3d792d27ddd61259f73c967",
+                "19fde36c77d1dab19bd48fea8d943216c34b45f04fd0b392ad0b73a5fa8f36bf",
+                "9a7db9ce8db88a167e8e133a232b3887bc9f05bb404077a42aee1741a9801302",
+            ),
+            "tightness": (
+                0,
+                "cdcec5f0c85c71c9289318e21a81beec8137f624dd5237043f0b76fb50e7c10b",
+                "158efe93abcf0aa2615d1897eae1f08d1fdbb53e76a865ee57991981c8649208",
+                "1233da08aa4ee0abc68c31e4fe1148961c5dd39a0723bc6f921f2579e053f85b",
+            ),
+        },
+    ),
+    # u = 42x reaches 54000: k = 3 fits int64 on the scaled grid, k = 4 does not
+    "rational-enumerated-k": (
+        {
+            "field": "rational",
+            "k": [3, 4],
+            "leading": [2, -3, 5],
+            "tail": "x1*x2 - 2*x3 + 1/2",
+            "families": [
+                [[0, "1/2", "9000/7"], [-1, "2/3", 3], [0, 1, "-5/2", "7/3"]],
+                [[0, "1/2", "-1/3", 2]] * 3,
+            ],
+        },
+        [],
+        None,
+        {
+            "verify-bounds": (
+                0,
+                "21f3ba3d204c7cd7e6f358acfb30b1246f4c936f206dd5277899bc1c7121fee9",
+                "5675eaa4bcc490e52e6dcb1992c3d36efc6ce8c5c611e3a09b0468352323ba88",
+                "5ba7cf3a4fa99fa170a5796e20a34ca4ebe6a6faea1af67df136e4df3b906142",
+            ),
+            "tightness": (
+                0,
+                "340bde966d39ecca62a47f5b86d33493fba3663b5d7a069198ef13a7ef8dd957",
+                "88221036a400b7276dd787d5df4a2e4bd24f1953d9e6f947228d754cd42daa68",
+                "0f8c0e695e906d82f7170e354592461a969342ebed83c350b08940d140be4053",
+            ),
+        },
+    ),
+    # a 4 KB guard: boxes of at most 85 tuples, slabs of the first set or
+    # single elements times slabs of the rest
+    "sliced-gf13": (
+        {
+            "field": "gf(13)",
+            "k": [2, 3],
+            "tail": "x1 - 2*x3 + 1",
+            "families": [
+                [list(range(5)), list(range(6)), list(range(7))],
+                [list(range(10)), list(range(1, 11)), list(range(3, 13))],
+            ],
+        },
+        [],
+        4096,
+        {
+            "verify-bounds": (
+                0,
+                "748b043388e795f0b3df4970d039bdfe65d3aba61a1cb7d5e5ec4bdafd1893d4",
+                "f158b16c5fc18fa2c1501104b871577f32ffec3ba714d2d18b7687f663c1e7f5",
+                "7d3a926c558001a0474eb732b611b813ea2346a05339e5eaec5125a19e3c4e16",
+            ),
+            "tightness": (
+                0,
+                "9a0cb937fde3884e20f8a450676a9ab2c39bbfb9b87e9a0a65b44f60b0dbee0e",
+                "424b84cdb3991365dc37fb05d7b695302433ee0fd58b65dea43dd611761acdae",
+                "18c08137bf258344e901aeb2b918520e481b9a6cc83e7c3740d7ba4b98e3f330",
+            ),
+        },
+    ),
+    "sliced-gf1009": (
+        {
+            "field": "gf(1009)",
+            "k": [3, 4],
+            "tail": "2*x1*x2 - x3 + 1",
+            "families": [
+                [[0, 3, 7, 9, 12], [1, 2, 4, 5, 8, 11], [0, 1, 2, 3, 6, 7, 10]],
+                [[2, 5, 600], list(range(10)), list(range(500, 510))],
+            ],
+        },
+        [],
+        4096,
+        {
+            "verify-bounds": (
+                0,
+                "2f9e2bd5cc0bf83d0046eab0c8715f8df33b8e40f658aa7a7998cab3e1908536",
+                "952e694074475f9a2aa45cbdde3bd294aa91d61053f0b835337a2bb378c57b7f",
+                "05713bfa8fc1a98b1550ab16d886fc90fd1c2b7ad219eeb7304c1e54ac9bf5e7",
+            ),
+            "tightness": (
+                0,
+                "86654dcbc6f072202b73e99175f06549eab32d5617b969fd43976868a3a17960",
+                "9955740de58135d7492693d3e87e816e06dd682631ca2b7b4bcc0bbb184a6e63",
+                "0f8c0e695e906d82f7170e354592461a969342ebed83c350b08940d140be4053",
+            ),
+        },
+    ),
+    # the 6x7x8 samples pass the tuple guard of 200 and are skipped
+    "tuple-guard": (
+        {"field": "gf(13)", "k": [2, 3], "sample": {"sizes": [[3, 4, 5], [6, 7, 8]], "count": 2}},
+        ["--guard-tuples", "200", "--seed", "5"],
+        None,
+        {
+            "verify-bounds": (
+                0,
+                "61e8cdcd8bb51546d5b3793e59f38ddd3e1cd15d7833198aa006e7258060c711",
+                "1896eaa7a30608867c737754595b7d45256219fbe8470f166a20a9cb4b7ba327",
+                "1ff2d84a3821e4d57ef8b65e94f92c17ed9e50ce11e8c15ccf1a63c63ce3c6c2",
+            ),
+            "tightness": (
+                0,
+                "197fa68eea58f3785bb1b9bfc14d5393ee373355b5ce3ca6029cc164e3562e81",
+                "8dd3a2161f40889454f495eb07de966a6bbf93932d33e4bb26f86549c76fc115",
+                "666c7627c5cedb54a1d7af5698aa50259c5b1fe824057b3de3f793c4a7a6fac4",
+            ),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_PINS)
+def test_scan_reports_are_pinned(tmp_path, monkeypatch, capsys, name):
+    cfg, extra, guard, pinned = SCAN_PINS[name]
+    if guard:
+        monkeypatch.setattr(sweeps, "LATTICE_BYTE_GUARD", guard)
+    out, jsonl = tmp_path / "scan.csv", tmp_path / "scan.jsonl"
+    for verb, bounds in (("verify-bounds", list(cli.THEOREM_BOUNDS)), ("tightness", ALL_BOUNDS)):
+        path = write_config(tmp_path, dict(cfg, bounds=bounds))
+        code = cli.main([verb, "--config", path, "--out", str(out), "--jsonl", str(jsonl), *extra])
+        err = capsys.readouterr().err.strip()
+        digests = [hashlib.sha256(data).hexdigest() for data in (out.read_bytes(), jsonl.read_bytes(), err.encode())]
+        assert (code, *digests) == pinned[verb], (verb, err)
 
 
 # ---------- verify-coeff ----------
@@ -1324,6 +1479,23 @@ def test_proof_replay_witness_off(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["value_count"] is None
     assert payload["witness"] is None
+    capsys.readouterr()
+
+
+def test_proof_replay_refuses_an_expanded_certificate_without_its_witness(tmp_path, capsys):
+    # the expanded certificate is built on the witness, so turning the
+    # witness off while expanding is refused before any replay
+    cfg = replay_config(tmp_path, witness=False, expand_certificate=True)
+    out = tmp_path / "r.json"
+    assert cli.main(["proof-replay", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert not out.exists() and captured.out == ""
+    assert captured.err.startswith("config error: "), captured.err
+    assert '"witness"' in captured.err and '"expand_certificate"' in captured.err
+    # either key alone is accepted
+    for witness, expand in ((False, False), (True, True)):
+        cfg = replay_config(tmp_path, witness=witness, expand_certificate=expand)
+        assert cli.main(["proof-replay", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
 
 

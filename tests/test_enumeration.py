@@ -82,6 +82,15 @@ def test_family_shared_set():
         assert fam == SetFamily.from_elements(field, sets)  # the cache is no field
 
 
+def test_family_sizes_are_read_once():
+    sets = [[0, 1, 2], [3], [1, 4, 5, 6]]
+    fam = SetFamily.from_elements(prime_field(7), sets)
+    assert fam.sizes == (3, 1, 4)
+    assert fam.__dict__["sizes"] is fam.sizes  # worked out once per family
+    assert fam == SetFamily.from_elements(prime_field(7), sets)  # the cache is no field
+    assert fam.subfamily((2, 1, 3)).sizes == (2, 1, 3)
+
+
 def test_family_json_round_trip():
     fam = family_from_json('{"field": "gf(7)", "sets": [[0, 1, 2], [3, 5]]}')
     assert fam.field == prime_field(7)
@@ -222,7 +231,7 @@ def test_every_route_refuses_the_same_forms(k, leading, tail, error):
     routes = [
         lambda: restricted_value_set(fam, f),
         lambda: unrestricted_value_set(fam, f),
-        lambda: _value_counts(fam, _field_form(GF7, fam.n, f), (True, False), DEFAULT_TUPLE_GUARD),
+        lambda: _value_counts(fam, (_field_form(GF7, fam.n, f),), (True, False), DEFAULT_TUPLE_GUARD),
         lambda: proof_replay(fam, k, f=f),
     ]
     for route in routes:
@@ -247,8 +256,7 @@ def test_leading_coefficients_are_read_in_the_field_on_every_route():
     doubled = PowerSumForm(2, (1, 6), parse_poly("2*x1 - 2", nvars=2))
     counts = (restricted_value_set(fam, half).cardinality, unrestricted_value_set(fam, half).cardinality)
     half, doubled, unit = (_field_form(QQ, 2, f) for f in (half, doubled, PowerSumForm.unit(2, 2)))
-    assert _value_counts(fam, half, (True, False), DEFAULT_TUPLE_GUARD) == counts
-    assert _value_counts(fam, doubled, (True, False), DEFAULT_TUPLE_GUARD) == counts
+    assert _value_counts(fam, (half, doubled), (True, False), DEFAULT_TUPLE_GUARD) == (counts, counts)
     assert BOUNDS["thm11u"].evaluate(fam, half) == BOUNDS["thm11u"].evaluate(fam, unit)
 
 

@@ -39,6 +39,7 @@ from restrictedsums import (
 )
 from restrictedsums import cli, sweeps
 from restrictedsums.bounds import BOUNDS
+from restrictedsums.enumeration import _enumerate
 from restrictedsums.poly import _field_form
 from restrictedsums.sweeps import (
     LATTICE_BYTE_GUARD,
@@ -46,8 +47,9 @@ from restrictedsums.sweeps import (
     _fold_axis,
     _injective,
     _integer_route_fits,
-    _pow_mod_grid,
+    _merge_values,
     _residue_route_fits,
+    _residue_values,
     _value_counts,
     _value_table,
 )
@@ -160,7 +162,7 @@ def test_value_table_guards():
     bad_tail = parse_poly("x1^3", nvars=2)
     with pytest.raises(HypothesisViolated):
         lattice_min_cardinality(5, 2, (1, 1), bad_tail)  # tail degree >= k
-    for k in (0, -1, 2.0, True):  # k = -1 once looped forever in _pow_mod_grid
+    for k in (0, -1, 2.0, True):  # k = -1 once looped forever in the grid's power chain
         with pytest.raises(HypothesisViolated):
             lattice_min_cardinality(5, k, (1, 1))
     for p in (4, 6, 8):  # Z/p is no field
@@ -168,12 +170,19 @@ def test_value_table_guards():
             lattice_min_cardinality(p, 2, (1, 1))
 
 
-def test_pow_mod_grid():
-    rng = np.random.default_rng(0)
-    grid = rng.integers(0, 13, size=(6, 6))
-    for e in [0, 1, 2, 5, 12]:
-        expected = np.vectorize(lambda v: pow(int(v), e, 13))(grid)
-        assert np.array_equal(_pow_mod_grid(grid, e, 13), expected)
+def test_residue_values_reduce_each_power():
+    # each axis's column and each factor of a mixed monomial is reduced as
+    # it is built: near p = 2^31 - 1 a product of two residues passes 2^61,
+    # and the grid still equals f in the field at every tuple
+    for p, k in ((13, 12), (2**31 - 1, 5)):
+        sets = [[0, 1, 5, p - 1, p - 2], [2, 3, p - 4], [0, p - 7, p - 1, 11]]
+        tail = parse_poly("3*x1^4 - x1*x2^2 + 5*x2^2*x3^2 - x3 - 7", nvars=3)
+        form = _field_form(prime_field(p), 3, PowerSumForm(k, (p - 1, 2, p - 3), tail))
+        grid = _residue_values(np.ix_(*[np.asarray(s, dtype=np.int64) for s in sets]), form)
+        assert grid.shape == tuple(map(len, sets))
+        for index in itertools.product(*map(range, grid.shape)):
+            point = [form.field.element(s[i]) for s, i in zip(sets, index)]
+            assert grid[index] == form.eval(point).value, (p, index)
 
 
 # ---------- the fold of coordinate axes into subset axes ----------
@@ -368,7 +377,7 @@ def test_lattice_route_agrees_with_per_family_route():
     minima = {}
     for sets in itertools.product(subsets, repeat=2):
         sizes = tuple(len(s) for s in sets)
-        counts = _family_counts(sets, form, (True, False))
+        (counts,) = _family_counts(sets, (form,), (True, False))
         minima[sizes] = [min(c, m) for c, m in zip(counts, minima.get(sizes, counts))]
     for j, restricted in enumerate((True, False)):
         got = lattice_min_cardinality(p, k, leading, tail, restricted)
@@ -420,7 +429,7 @@ def test_byte_guards_refuse_before_allocating():
         lattice_min_cardinality(7, 2, (1,) * 5)  # 6.4 GB of slabs
     fam = SetFamily.from_elements(prime_field(13), [range(13)] * 7)
     with pytest.raises(SearchSpaceTooLarge):  # 13^7 tuples, past the tuple guard
-        _value_counts(fam, _field_form(fam.field, 7, PowerSumForm.unit(7, 2)), (True,), DEFAULT_TUPLE_GUARD)
+        _value_counts(fam, (_field_form(fam.field, 7, PowerSumForm.unit(7, 2)),), (True,), DEFAULT_TUPLE_GUARD)
 
 
 def test_check_lattice_bounds_clean_and_tight():
@@ -491,13 +500,13 @@ def test_family_cardinality_fast_refuses_bad_forms(leading, tail):
     arity = len(leading) != 2 or tail is not None and tail.nvars != 2
     with pytest.raises(ArityMismatch if arity else HypothesisViolated):
         f = PowerSumForm(2, leading, tail if tail is not None else SparsePoly.zero(len(leading)))
-        _value_counts(GF7_PAIR, _field_form(GF7_PAIR.field, 2, f), (True,), DEFAULT_TUPLE_GUARD)
+        _value_counts(GF7_PAIR, (_field_form(GF7_PAIR.field, 2, f),), (True,), DEFAULT_TUPLE_GUARD)
 
 
 @pytest.mark.parametrize("k", [0, -1, 2.0, True])
 def test_family_cardinality_fast_refuses_bad_k(k):
     with pytest.raises(HypothesisViolated):
-        _value_counts(GF7_PAIR, _field_form(GF7_PAIR.field, 2, PowerSumForm.unit(2, k)), (True,), DEFAULT_TUPLE_GUARD)
+        _value_counts(GF7_PAIR, (_field_form(GF7_PAIR.field, 2, PowerSumForm.unit(2, k)),), (True,), DEFAULT_TUPLE_GUARD)
 
 
 @pytest.mark.parametrize("p", [1, 4, 9, 3_037_000_493 * 3])
@@ -521,7 +530,7 @@ def test_integer_grid_refuses_values_past_int64():
     form = _field_form(rational_field(), 2, PowerSumForm.unit(2, 2))
     assert _integer_route_fits(form, [[0, top], [-top]])
     assert not _integer_route_fits(form, [[0, top + 1], [-top]])
-    assert _family_counts([[0, top], [0, top]], form, (True, False)) == (1, 3)
+    assert _family_counts([[0, top], [0, top]], (form,), (True, False)) == ((1, 3),)
 
 
 # ---------- the route chooser of the CLI scans ----------
@@ -573,7 +582,7 @@ def value_counts_cases():
 def test_value_counts_matches_exact_enumerator(monkeypatch):
     grid_calls = []
     real = sweeps._family_counts
-    monkeypatch.setattr(sweeps, "_family_counts", lambda *a: grid_calls.append(1) or real(*a))
+    monkeypatch.setattr(sweeps, "_family_counts", lambda sets, forms, *a: grid_calls.extend(forms) or real(sets, forms, *a))
     routes = []
     for field, sets, f, grid in value_counts_cases():
         fam = SetFamily.from_elements(field, sets)
@@ -581,7 +590,7 @@ def test_value_counts_matches_exact_enumerator(monkeypatch):
         space = prod(fam.sizes)
         for variants in ((True,), (False,), (True, False), (False, True)):
             grid_calls.clear()
-            got = _value_counts(fam, _field_form(field, fam.n, f), variants, space)  # a guard of exactly the family's size
+            (got,) = _value_counts(fam, (_field_form(field, fam.n, f),), variants, space)  # a guard of exactly the family's size
             assert got == tuple(exact[v] for v in variants), (field, sets, f, variants)
             assert len(grid_calls) == int(grid), (field, sets, f)
         routes.append(grid)
@@ -595,12 +604,88 @@ def test_value_counts_tuple_guard_is_the_enumerators():
         f = PowerSumForm.unit(fam.n, 2)
         space = prod(fam.sizes)
         with pytest.raises(SearchSpaceTooLarge) as ours:
-            _value_counts(fam, _field_form(fam.field, fam.n, f), (True, False), space - 1)
+            _value_counts(fam, (_field_form(fam.field, fam.n, f),), (True, False), space - 1)
         with pytest.raises(SearchSpaceTooLarge) as theirs:
             restricted_value_set(fam, f, guard_tuples=space - 1)
         assert str(ours.value) == str(theirs.value) == f"family spans {space} tuples, guard is {space - 1}"
         form = _field_form(fam.field, fam.n, f)
-        assert _value_counts(fam, form, (False,), space) == (unrestricted_value_set(fam, f).cardinality,)
+        assert _value_counts(fam, (form,), (False,), space) == ((unrestricted_value_set(fam, f).cardinality,),)
+
+
+def multi_form_cases():
+    """(name, family, the forms of its k, whether a box of it marks a
+    residue table, the forms counted on the grid): GF(13) counts in a table
+    of 13 flags, GF(2^31 - 1) by sorting; over Q, u = 42x reaches 54000, so
+    k = 3 takes the scaled grid and k = 4 the enumerator; then a family
+    with no injective tuple, and n = 1."""
+    gf13, big = prime_field(13), prime_field(2**31 - 1)
+
+    def forms(field, n, ks, leading, tail):
+        return tuple(_field_form(field, n, PowerSumForm(k, leading, parse_poly(tail, n))) for k in ks)
+
+    sets = [[0, 1, 2, 5, 8], [1, 3, 4, 6, 7, 9], [0, 2, 4, 8, 9, 11, 12]]
+    yield "gf13", SetFamily.from_elements(gf13, sets), forms(gf13, 3, (2, 3, 4), (3, 1, 12), "2 - 3*x1 + x3"), True, 3
+    p = big.p
+    sets = [[0, 1, p - 1, p - 2], [2, 3, p - 4], [0, 5, p - 9]]
+    yield "sort", SetFamily.from_elements(big, sets), forms(big, 3, (3, 4), (p - 1, 2, 5), "x1*x2 - x3 + 1"), False, 2
+    sets = [[0, Fraction(1, 2), Fraction(9000, 7)], [-1, Fraction(2, 3), 3], [0, 1, Fraction(-5, 2)]]
+    rational = forms(rational_field(), 3, (3, 4), (2, -3, 5), "x1*x2 - 2*x3 + 1/2")
+    yield "rational", SetFamily.from_elements(rational_field(), sets), rational, False, 1
+    yield "no-injective", SetFamily.from_elements(gf13, [[3], [3]]), forms(gf13, 2, (1, 2, 3), (1, 1), "0"), False, 3
+    n1 = forms(gf13, 1, (1, 2, 3, 4), (5,), "1")
+    yield "n1", SetFamily.from_elements(gf13, [list(range(13))]), n1, True, 4
+
+
+def test_value_counts_of_many_forms_match_one_form_and_the_enumerator(monkeypatch):
+    # one call for all of a family's forms gives each form what a call for
+    # it alone gives, and what the exact enumerator gives, with and without
+    # witnesses, and so do slabs of 1, 7 and 30 tuples
+    grid_forms, tables = [], []
+    real_counts, real_merge = sweeps._family_counts, sweeps._merge_values
+
+    def merge(*args):  # records whether each merge left a residue table
+        merged = real_merge(*args)
+        tables.append(merged.dtype == bool)
+        return merged
+
+    monkeypatch.setattr(sweeps, "_family_counts", lambda sets, forms, *a: grid_forms.extend(forms) or real_counts(sets, forms, *a))
+    monkeypatch.setattr(sweeps, "_merge_values", merge)
+    variants = (True, False)
+    for tuples in (None, 1, 7, 30):
+        for name, family, forms, table, on_grid in multi_form_cases():
+            if tuples:
+                monkeypatch.setattr(sweeps, "LATTICE_BYTE_GUARD", 8 * (family.n + 3) * tuples)
+            for witnesses in (False, True):
+                grid_forms.clear()
+                tables.clear()
+                together = _value_counts(family, forms, variants, DEFAULT_TUPLE_GUARD, witnesses)
+                assert len(grid_forms) == on_grid, name
+                if not witnesses:
+                    # a box of fewer than 13 tuples sorts its values
+                    assert any(tables) == (table and tuples not in (1, 7)), (name, tuples)
+                assert len(together) == len(forms)
+                for form, got in zip(forms, together):
+                    assert _value_counts(family, (form,), variants, DEFAULT_TUPLE_GUARD, witnesses) == (got,)
+                    exact = [_enumerate(family, form, restricted, DEFAULT_TUPLE_GUARD, witnesses) for restricted in variants]
+                    if witnesses:
+                        assert got == tuple(exact), (name, form.k, tuples)
+                        assert [list(run.witnesses) for run in got] == [list(run.witnesses) for run in exact]
+                    else:
+                        assert got == tuple(run.cardinality for run in exact), (name, form.k, tuples)
+                    restricted_count = got[0].cardinality if witnesses else got[0]
+                    assert (restricted_count == 0) == (name == "no-injective")
+
+
+def test_merge_values_keeps_each_residue_once():
+    # a box of at least p = 13 tuples marks a table of 13 flags, which takes
+    # every later box and keeps the sorted values of the boxes before it
+    boxes = [[3, 3, 12], [0, 5, 3, 7, 0, 1, 2, 4, 8, 9, 3, 3, 3, 6], [12, 11], []]
+    for order in itertools.permutations([np.array(b, dtype=np.int64) for b in boxes]):
+        seen = None
+        for vals in order:
+            seen = _merge_values(seen, vals, 13, vals.size)
+        got = np.flatnonzero(seen) if seen.dtype == bool else seen
+        assert got.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12]
 
 
 def test_one_form_mapping_per_scan_k(tmp_path, capsys, monkeypatch):
@@ -640,7 +725,7 @@ def test_one_form_mapping_per_scan_k(tmp_path, capsys, monkeypatch):
         calls.clear()
         for bound in BOUNDS.values():
             bound.evaluate(fam, form)
-        _value_counts(fam, form, (True, False), DEFAULT_TUPLE_GUARD)
+        _value_counts(fam, (form,), (True, False), DEFAULT_TUPLE_GUARD)
         assert calls == []
 
 
