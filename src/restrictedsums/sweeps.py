@@ -7,14 +7,15 @@ against the exact backtracking enumerator in the test suite:
   * the subset lattice (`lattice_min_cardinality`): for every size profile
     (s_1, ..., s_n), the minimum value-set cardinality over every family of
     subsets of GF(p) with |A_i| = s_i.  Attained values are p-bit masks; the
-    axes n..2 fold into subset axes, and the folded slabs are cut into
+    axes n..2 fold into subset axes, those past the first laid out once by
+    popcount profile before it folds, and the folded slabs are cut into
     tiles of `LATTICE_TILE_BYTES` a slab along the first subset axis.  Each
-    tile walks the subsets of A_1 depth first and reduces its own
-    per-profile minimum while it is in cache, so no (2^p)^n grid of masks
-    is ever built and the walk's memory does not grow with the slab.  Peak
-    memory is the folded slabs, p*(2^p)^(n-1) bytes, and about 2 MB more:
-    17 MB and under a tenth of a second for GF(7), n = 4.  The byte guard
-    sizes it by (3p+3)*(2^p)^(n-1) bytes, an upper bound on that peak;
+    tile walks the subsets of A_1 depth first and ends in one segmented
+    minimum over the profiles while it is in cache, so no (2^p)^n grid of
+    masks is ever built and the walk's memory does not grow with the slab.
+    Peak memory is the folded slabs, p*(2^p)^(n-1) bytes, and about 2 MB
+    more: 17 MB and about 50 ms for GF(7), n = 4.  The byte guard sizes
+    it by (3p+3)*(2^p)^(n-1) bytes, an upper bound on that peak;
   * the per-family int64 grid (`_family_counts`), reached only through
     `_value_counts`, the one function that picks each form's route.  It
     serves the CLI's `verify-bounds` and `tightness` scans, the sampled
@@ -65,7 +66,7 @@ import hashlib
 import itertools
 import random
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -207,32 +208,17 @@ def _fold_axis(S: np.ndarray, axis: int, p: int) -> np.ndarray:
     return out
 
 
-def _popcount_order(p: int):
-    """Masks 0..2^p-1 sorted by popcount, plus the group-start offsets."""
-    M = 1 << p
-    pops = np.bitwise_count(np.arange(M, dtype=np.uint32)).astype(np.int64)
-    order = np.argsort(pops, kind="stable")
-    starts = np.cumsum([0] + [comb(p, s) for s in range(p)])
-    return order, starts
-
-
-def _reduce_profiles(card: np.ndarray, p: int, axes) -> np.ndarray:
-    """Minimum of ``card`` over the masks of each popcount, one subset axis
-    of ``axes`` at a time; each reduced axis shrinks from 2^p to p+1.
-
-    reduceat is quick only along the last, contiguous axis; across an
-    outer axis the minimum of each popcount's block of slabs is several
-    times quicker.  Reducing the last axis last keeps its pass small."""
-    order, starts = _popcount_order(p)
-    groups = list(zip(starts.tolist(), starts[1:].tolist() + [1 << p]))
-    for axis in axes:
-        card = card.take(order, axis=axis)
-        if axis == card.ndim - 1:
-            card = np.minimum.reduceat(card, starts, axis=axis)
-        else:
-            head = (slice(None),) * axis
-            card = np.stack([card[head + (slice(a, b),)].min(axis=axis) for a, b in groups], axis=axis)
-    return card
+def _profile_groups(p: int, axes: int):
+    """(order, starts) for ``axes`` subset axes of size 2^p read as one
+    axis of (2^p)^axes positions in C order: ``order`` lists the positions
+    of each popcount profile together, the profiles in C order, and run j
+    starts at ``starts[j]``.  No run is empty, as reduceat needs: a profile
+    (s_1, ...) has C(p, s_1)*... >= 1 positions."""
+    key = np.zeros(1, dtype=np.int64)  # each position's profile, as its C-order index
+    for _ in range(axes):
+        key = (key[:, None] * (p + 1) + np.bitwise_count(np.arange(1 << p))).ravel()
+    order = np.argsort(key, kind="stable")
+    return order, np.searchsorted(key[order], np.arange((p + 1) ** axes))
 
 
 def _walk_subsets(S: np.ndarray, p: int) -> np.ndarray:
@@ -284,18 +270,27 @@ def lattice_min_cardinality(
     When ``restricted``, the value table is first zeroed at the tuples with
     a repeated coordinate, so the ORs below see only injective tuples.
 
-    Axes n-1..1 fold into subset axes, leaving S[x] = the slab of masks for
-    A_1 = {x}.  S is then cut along its first subset axis into tiles of
-    about `LATTICE_TILE_BYTES` bytes a slab; each tile runs the whole walk
-    over the subsets of A_1 (`_walk_subsets`) and has subset axes 2..n-1 of
-    its result reduced to profiles while it is still in cache.  The tiles'
-    reduced blocks are joined and axis 1 is reduced last.  The byte guard's
-    estimate, (3p+3)*(2^p)^(n-1), bounds the peak from above.
+    Axes n-1..2 fold into subset axes, read as one axis of (2^p)^(n-2)
+    positions and permuted once (`_profile_groups`) so that the positions
+    of each profile (|A_3|, ..., |A_n|) form one run.  Axis 1 folds only
+    then, as its OR is blind to that order, leaving S[x] = the slab of
+    masks for A_1 = {x}.  S is cut along axis 1 into tiles of about
+    `LATTICE_TILE_BYTES` bytes a slab; each tile runs the whole walk over
+    the subsets of A_1 (`_walk_subsets`) and one segmented minimum over
+    the runs while it is in cache.  The tiles' blocks are joined, and
+    axis 1 is reduced last, by the same helper for one axis.
+
+    The byte guard's estimate, (3p+3)*(2^p)^(n-1), bounds the peak from
+    above: the walk holds the folded slabs, p*(2^p)^(n-1) bytes, and a
+    tile's buffers, and the last fold its output, the same size, its input,
+    the permuted p^2*(2^p)^(n-2)-byte copy (the unpermuted one is freed by
+    then), and that input's p rows copied out, p + 2p^2/2^p < 3p+3 times
+    (2^p)^(n-1) bytes.
     """
     n = len(leading)
     form = _field_form(prime_field(p), n, PowerSumForm(k, leading, SparsePoly.zero(n) if tail is None else tail))
     nbytes = (3 * p + 3) * (1 << p) ** (n - 1)
-    if nbytes > LATTICE_BYTE_GUARD:
+    if nbytes > LATTICE_BYTE_GUARD and p <= MAX_LATTICE_PRIME:  # `_value_table` refuses a larger p
         raise SearchSpaceTooLarge(
             f"the GF({p}), n = {n} lattice needs about {nbytes} bytes, "
             f"over the {LATTICE_BYTE_GUARD}-byte guard"
@@ -303,16 +298,20 @@ def lattice_min_cardinality(
     S = _value_table(form)
     if restricted:
         S[~_injective(np.ix_(*[np.arange(p)] * n))] = 0
-    for axis in range(n - 1, 0, -1):
+    for axis in range(n - 1, 1, -1):
         S = _fold_axis(S, axis, p)
-    S = S.reshape(p, -1, *S.shape[2:])  # n = 1 gains a unit axis to tile
-    step = max(LATTICE_TILE_BYTES // prod(S.shape[2:]), 1)
-    blocks = [
-        _reduce_profiles(_walk_subsets(S[:, lo : lo + step], p), p, range(2, n))
-        for lo in range(0, S.shape[1], step)
-    ]
-    acc = np.concatenate(blocks, axis=1)
-    return _reduce_profiles(acc, p, (1,)) if n > 1 else acc.reshape(p + 1)
+    order, starts = _profile_groups(p, max(n - 2, 0))
+    S = S.reshape(p, -1, len(order)).take(order, axis=2)  # n = 1 gains two unit axes
+    del order  # 8 bytes a position: kept, it would raise the walk's peak
+    if n > 1:
+        S = _fold_axis(S, 1, p)
+    step = max(LATTICE_TILE_BYTES // S.shape[2], 1)
+    tiles = (S[:, lo : lo + step] for lo in range(0, S.shape[1], step))
+    acc = np.concatenate([np.minimum.reduceat(_walk_subsets(t, p), starts, axis=2) for t in tiles], axis=1)
+    if n > 1:
+        order, starts = _profile_groups(p, 1)
+        acc = np.minimum.reduceat(acc.take(order, axis=1), starts, axis=1)
+    return acc.reshape((p + 1,) * n)
 
 
 def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):
@@ -324,12 +323,13 @@ def check_lattice_bounds(min_card: np.ndarray, p: int, bound_fn):
     checked = 0
     violations = []
     tight = []
-    for sizes in itertools.product(range(1, p + 1), repeat=n):
+    # the nonempty profiles' minima, read once, in the order of the loop
+    minima = min_card[(slice(1, None),) * n].ravel().tolist()
+    for sizes, mc in zip(itertools.product(range(1, p + 1), repeat=n), minima):
         b = bound_fn(sizes)
         if b is None:
             continue
         checked += 1
-        mc = int(min_card[sizes])
         if mc < b:
             violations.append((sizes, b, mc))
         elif mc == b:

@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import hashlib
 import itertools
 import json
 import random
@@ -48,6 +49,7 @@ from restrictedsums.sweeps import (
     _injective,
     _integer_route_fits,
     _merge_values,
+    _profile_groups,
     _residue_route_fits,
     _residue_values,
     _value_counts,
@@ -168,6 +170,11 @@ def test_value_table_guards():
     for p in (4, 6, 8):  # Z/p is no field
         with pytest.raises(NotPrime):
             lattice_min_cardinality(p, 2, (1, 1))
+    # a prime past the cap is refused for being one, before the bytes its
+    # lattice would need are weighed (2.8 GB and 309 GB here)
+    for p, n in ((13, 3), (11, 4)):
+        with pytest.raises(HypothesisViolated, match="lattice route needs"):
+            lattice_min_cardinality(p, 2, (1,) * n)
 
 
 def test_residue_values_reduce_each_power():
@@ -333,6 +340,26 @@ def test_lattice_tiles_equal_reference_profile_minima(p, monkeypatch):
                     assert got[sizes] == want, (p, n, restricted, budget, sizes)
 
 
+# sha256 of the GF(7), n = 4 lattice's bytes for the three kinds of
+# `sweep` input, each with a seeded tail: (k, unit leading coefficients,
+# restricted) -> digest.  No reference case reaches GF(7), n = 4, the
+# first shape where two trailing subset axes share one order of runs.
+LATTICE_PINS = {
+    (3, True, True): "2227769308e921277219d7f8b23691cb4bb98216cd0049f08f9798af90791d79",
+    (2, False, False): "d581ccda34cf73b14d0756a38b1d715f9b9b15aa3b2959aa828554df1fec98e7",
+    (5, False, True): "b37aac18e88eb9639a7bc130ba48e639f6ecf4018358077f4b6cd8d00bc12a3b",
+}
+
+
+@pytest.mark.parametrize("k, unit, restricted", sorted(LATTICE_PINS))
+def test_gf7_n4_lattices_are_pinned(k, unit, restricted):
+    rng = random.Random(derive_seed("lattice-pin", k, unit, restricted))
+    leading = (1,) * 4 if unit else random_leading(rng, 4, 7)
+    got = lattice_min_cardinality(7, k, leading, random_tail(rng, 4, k), restricted)
+    assert got.shape == (8,) * 4
+    assert hashlib.sha256(got.tobytes()).hexdigest() == LATTICE_PINS[k, unit, restricted]
+
+
 def test_reference_counts_equal_the_exact_enumerator():
     for p, n in ((3, 3), (5, 2), (7, 2)):
         rng = random.Random(derive_seed("reference", p, n))
@@ -383,6 +410,24 @@ def test_lattice_route_agrees_with_per_family_route():
         got = lattice_min_cardinality(p, k, leading, tail, restricted)
         for sizes, mins in minima.items():
             assert got[sizes] == mins[j], (sizes, restricted)
+
+
+def test_profile_groups_list_each_profile_in_one_run():
+    # run j holds exactly the flat positions, in C order over the subset
+    # axes, whose popcount vector is the j-th profile in C order
+    for p, axes in itertools.product((2, 3, 5, 7), (0, 1, 2)):
+        order, starts = _profile_groups(p, axes)
+        expected = [[] for _ in range((p + 1) ** axes)]
+        for flat, masks in enumerate(itertools.product(range(1 << p), repeat=axes)):
+            profile = 0
+            for m in masks:
+                profile = profile * (p + 1) + m.bit_count()
+            expected[profile].append(flat)
+        assert sorted(order.tolist()) == list(range((1 << p) ** axes))
+        bounds = [*starts.tolist(), len(order)]
+        assert [sorted(order[a:b].tolist()) for a, b in zip(bounds, bounds[1:])] == expected, (p, axes)
+        if axes == 0:
+            assert order.tolist() == [0] and starts.tolist() == [0]
 
 
 def test_streamed_lattice_route_memory():
@@ -449,6 +494,7 @@ def test_check_lattice_bounds_clean_and_tight():
     )
     assert violations == ()
     assert any(t[0] == (1, 2) for t in tight)  # singleton + pair is always tight
+    assert all(type(mc) is int for _, _, mc in violations + tight)
 
 
 def test_check_lattice_bounds_reports_synthetic_violation():
