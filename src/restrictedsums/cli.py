@@ -322,8 +322,9 @@ def _parse_tail(cfg: dict, n: int, k_min: int) -> SparsePoly:
 
 
 def _scan_families(args, cfg, allowed_bounds) -> list:
-    """Shared engine: one row per (k, family, bound), in that order.  Each
-    family is counted once for all its k."""
+    """Shared engine: one row per (family, k, bound), in that order, which
+    `_emit_rows` sorts by k first.  Each family is counted once for all its
+    k."""
     field = _config_field(cfg.get("field"))
     bounds = cfg.get("bounds")
     if (
@@ -347,7 +348,7 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
     variants = [flag for flag in (True, False) if any(BOUNDS[b].restricted == flag for b in bounds)]
 
     forms = [_field_form(field, n, PowerSumForm(k, leading, tail)) for k in ks]
-    by_k = [[] for _ in ks]  # each k's rows, family by family
+    rows = []
     for fam in families:
         start = time.monotonic()
         try:
@@ -356,7 +357,7 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
             counts = [()] * len(forms)  # guard violations are recorded per-row, never fatal
         # one counting time for all the family's k, carried by each of its rows
         elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
-        for rows, form, form_counts in zip(by_k, forms, counts):
+        for form, form_counts in zip(forms, counts):
             counted = dict(zip(variants, form_counts))
             for name in bounds:
                 rows.append(
@@ -373,7 +374,7 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
                         elapsed_ms=elapsed,
                     )
                 )
-    return [row for rows in by_k for row in rows]
+    return rows
 
 
 # ---------- commands ----------
@@ -532,24 +533,19 @@ def cmd_proof_replay(args) -> int:
     cfg = _load_config(
         args.config,
         required={"family", "k"},
-        optional={"tail", "witness", "expand_certificate"},
+        optional={"tail", "expand_certificate"},
     )
     family = family_from_json(cfg["family"])
     k = _require_int(cfg, "k", 1)
-    witness = cfg.get("witness", True)
     expand = cfg.get("expand_certificate", False)
-    if not isinstance(witness, bool) or not isinstance(expand, bool):
-        raise ConfigError('"witness" and "expand_certificate" must be booleans')
-    if expand and not witness:
-        # the expanded certificate is built on the witness
-        raise ConfigError('"expand_certificate": true needs the witness; drop "witness": false')
+    if not isinstance(expand, bool):
+        raise ConfigError('"expand_certificate" must be a boolean')
     tail = _parse_tail(cfg, family.n, k)
     f = PowerSumForm.unit(family.n, k, tail)
     replay = proof_replay(
         family,
         k,
         f=f,
-        witness=witness,
         expand_certificate=expand,
         guard_tuples=args.guard_tuples,
         guard_terms=args.guard_terms,
@@ -559,7 +555,7 @@ def cmd_proof_replay(args) -> int:
         out.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     if args.jsonl:
         _write_jsonl(args.jsonl, [record])
-    skipped = ", witness skipped by the tuple guard" if witness and replay.witness is None else ""
+    skipped = ", witness skipped by the tuple guard" if replay.witness is None else ""
     print(
         f"proof-replay: N={replay.N}, h={replay.h}, h in {family.field} is "
         f"{replay.h_element!r} (nonzero){skipped}",

@@ -347,7 +347,6 @@ def proof_replay(
     family: SetFamily,
     k: int,
     f: PowerSumForm | None = None,
-    witness: bool = True,
     expand_certificate: bool = False,
     guard_tuples: int = DEFAULT_TUPLE_GUARD,
     guard_terms: int = DEFAULT_TERM_GUARD,
@@ -355,9 +354,9 @@ def proof_replay(
     """Replay the constructive argument behind the residue-class bound.
 
     Carries out the plan of the arithmetic phase (`replay_shrink`) on the
-    family: embeds h in the field and checks it survives, then optionally
-    computes the shrunk value set, exhibits an injective tuple whose value
-    lies outside the first N - 1 values, and (if requested) expands the full
+    family: embeds h in the field and checks it survives, then computes the
+    shrunk value set, exhibits an injective tuple whose value lies outside
+    the first N - 1 values, and (if requested) expands the full
     contradiction polynomial and runs the Nullstellensatz certifier on it.
     The value set, with the first tuple in product order that reaches each
     value, comes from `sweeps._value_counts`: the int64 residue grid over
@@ -366,6 +365,7 @@ def proof_replay(
     When the shrunk family spans more tuples than ``guard_tuples``, the
     witness alone is skipped (``witness`` and ``value_count`` stay None),
     while the expanded certificate raises :class:`SearchSpaceTooLarge`.
+    A guard of 0 thus gives the arithmetic phase alone.
     """
     if f is None:
         f = PowerSumForm.unit(family.n, k)
@@ -386,12 +386,11 @@ def proof_replay(
     witness_record = None
     cn_certificate = None
     enum = None
-    if witness or expand_certificate:
-        try:
-            ((enum,),) = _value_counts(shrunk, (form,), (True,), guard_tuples, witnesses=True)
-        except SearchSpaceTooLarge:
-            if expand_certificate:
-                raise
+    try:
+        ((enum,),) = _value_counts(shrunk, (form,), (True,), guard_tuples, witnesses=True)
+    except SearchSpaceTooLarge:
+        if expand_certificate:
+            raise
     if enum is not None:
         value_count = enum.cardinality
         if value_count < plan.N:

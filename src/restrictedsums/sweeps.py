@@ -52,9 +52,10 @@ Both routes drop tuples with a repeated coordinate by one mask, `_injective`:
 the per-family grid is filtered with it, and the lattice zeroes its value
 table with it, so its folds, plain ORs, need no injectivity logic.
 
-The lattice is sized from the shapes first and refused with
-`SearchSpaceTooLarge` when it would pass `LATTICE_BYTE_GUARD` bytes; a
-family grid is never refused by bytes, only counted in slabs.
+The lattice refuses a prime past `MAX_LATTICE_PRIME` first, then is sized
+from the shapes and refused with `SearchSpaceTooLarge` when it would pass
+`LATTICE_BYTE_GUARD` bytes; a family grid is never refused by bytes, only
+counted in slabs.
 
 Elements of GF(p) are the residues 0..p-1 throughout, so on the lattice a
 subset is a p-bit mask and a set of attained values is again a p-bit mask.
@@ -102,40 +103,13 @@ def random_tail(rng: random.Random, n: int, k: int, max_terms: int = 3) -> Spars
     return SparsePoly(n, terms)
 
 
-def random_leading(rng: random.Random, n: int, p: int) -> tuple:
-    """Nonzero residues mod p, one per variable."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    return tuple(rng.randint(1, p - 1) for _ in range(n))
-
-
-def random_subset(rng: random.Random, p: int, size: int) -> tuple:
-    """A sorted subset of {0..p-1} of the given size."""
-    if not 0 <= size <= p:
-        raise ValueError(f"cannot pick {size} distinct residues mod {p}")
-    return tuple(sorted(rng.sample(range(p), size)))
-
-
-def random_sizes(rng: random.Random, n: int, low_fn, high: int) -> tuple:
-    """One size per set; set i draws from [low_fn(i), high] (i is 1-based)."""
-    sizes = []
-    for i in range(1, n + 1):
-        low = low_fn(i)
-        if low > high:
-            raise ValueError(f"set {i}: empty size range [{low}, {high}]")
-        sizes.append(rng.randint(low, high))
-    return tuple(sizes)
-
-
 # ---------- route 1: the subset lattice ----------
 
 
 def _value_table(form: FieldForm) -> np.ndarray:
     """uint8 grid of shape (p,)*n holding the bit 1 << f(x) for every tuple x
-    of GF(p)^n, for a form mapped into GF(p)."""
+    of GF(p)^n, for a form mapped into GF(p), p <= `MAX_LATTICE_PRIME`."""
     p = form.field.p
-    if not 2 <= p <= MAX_LATTICE_PRIME:
-        raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
     total = _residue_values(np.ix_(*[np.arange(p, dtype=np.int64)] * form.n), form)
     return (np.uint8(1) << total.astype(np.uint8)).astype(np.uint8)
 
@@ -289,8 +263,10 @@ def lattice_min_cardinality(
     """
     n = len(leading)
     form = _field_form(prime_field(p), n, PowerSumForm(k, leading, SparsePoly.zero(n) if tail is None else tail))
+    if not 2 <= p <= MAX_LATTICE_PRIME:  # before the byte estimate, a p*(n-1)-bit int
+        raise HypothesisViolated(f"lattice route needs 2 <= p <= {MAX_LATTICE_PRIME}, got {p}")
     nbytes = (3 * p + 3) * (1 << p) ** (n - 1)
-    if nbytes > LATTICE_BYTE_GUARD and p <= MAX_LATTICE_PRIME:  # `_value_table` refuses a larger p
+    if nbytes > LATTICE_BYTE_GUARD:
         raise SearchSpaceTooLarge(
             f"the GF({p}), n = {n} lattice needs about {nbytes} bytes, "
             f"over the {LATTICE_BYTE_GUARD}-byte guard"

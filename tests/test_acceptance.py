@@ -30,9 +30,6 @@ from restrictedsums import (
     power_sum_pow,
     prime_field,
     proof_replay,
-    random_leading,
-    random_sizes,
-    random_subset,
     random_tail,
     residue_class_bound,
     restricted_floor_bound,
@@ -45,6 +42,7 @@ from restrictedsums.bounds import BOUNDS
 from restrictedsums.poly import _field_form
 from restrictedsums.sweeps import _value_counts
 from permutations import Permutation
+from sampling import random_leading, random_sizes, random_subset
 
 LATTICE_PRIMES = (3, 5, 7)
 SAMPLED_PRIMES = (11, 13)

@@ -463,6 +463,7 @@ REPLAY_FAMILY = {"field": "gf(7)", "sets": [[0, 1]]}
         ("tightness", {"profiles": {"k_max": 2, "q_max": 2, "x": 1}}, "unknown \"profiles\" keys: ['x']"),
         ("proof-replay", {"family": [1], "k": 1}, "family JSON must be an object, got list"),
         ("proof-replay", {"family": {"field": "gf(7)", "sets": [0, 1]}, "k": 1}, '"sets" must be a list of lists'),
+        ("proof-replay", {"family": REPLAY_FAMILY, "k": 1, "expand_certificate": "yes"}, '"expand_certificate" must be a boolean'),
     ],
 )
 def test_each_config_error_names_its_key(tmp_path, capsys, verb, cfg, message):
@@ -1472,31 +1473,27 @@ def test_proof_replay_stdout_and_determinism(tmp_path, capsys):
     assert json.loads(first)["h_element"] == "3"
 
 
-def test_proof_replay_witness_off(tmp_path, capsys):
-    cfg = replay_config(tmp_path, witness=False)
-    out = tmp_path / "r.json"
-    assert cli.main(["proof-replay", "--config", cfg, "--out", str(out)]) == 0
+def test_proof_replay_without_tuples_is_arithmetic_only(tmp_path, capsys):
+    # a tuple guard of 0 admits no shrunk family: the replay stops after the
+    # arithmetic phase, with no value count or witness, and says why
+    cfg, out = replay_config(tmp_path), tmp_path / "r.json"
+    assert cli.main(["proof-replay", "--config", cfg, "--out", str(out), "--guard-tuples", "0"]) == 0
     payload = json.loads(out.read_text())
     assert payload["value_count"] is None
     assert payload["witness"] is None
-    capsys.readouterr()
+    assert payload["h"] == "3"
+    assert capsys.readouterr().err.endswith("(nonzero), witness skipped by the tuple guard\n")
 
 
-def test_proof_replay_refuses_an_expanded_certificate_without_its_witness(tmp_path, capsys):
-    # the expanded certificate is built on the witness, so turning the
-    # witness off while expanding is refused before any replay
-    cfg = replay_config(tmp_path, witness=False, expand_certificate=True)
+def test_proof_replay_has_no_witness_key(tmp_path, capsys):
+    # the tuple guard is the one switch for the witness
     out = tmp_path / "r.json"
-    assert cli.main(["proof-replay", "--config", cfg, "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert not out.exists() and captured.out == ""
-    assert captured.err.startswith("config error: "), captured.err
-    assert '"witness"' in captured.err and '"expand_certificate"' in captured.err
-    # either key alone is accepted
-    for witness, expand in ((False, False), (True, True)):
-        cfg = replay_config(tmp_path, witness=witness, expand_certificate=expand)
-        assert cli.main(["proof-replay", "--config", cfg, "--out", str(out)]) == 0
-    capsys.readouterr()
+    for witness in (True, False):
+        cfg = replay_config(tmp_path, witness=witness)
+        assert cli.main(["proof-replay", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert not out.exists() and captured.out == ""
+        assert captured.err == "config error: unknown config keys: ['witness']\n", captured.err
 
 
 def test_proof_replay_expanded_certificate(tmp_path, capsys):
@@ -1616,10 +1613,10 @@ PLAIN_REPLAY_PINS = {
         "6c4ad18d0908d047aeec9a2fbc330d89fbbd3f72776b44b63b2f0f4a57f4462a",
     ),
     "no-witness": (
-        {"family": {"field": "gf(13)", "sets": [list(range(s)) for s in (5, 6, 7, 8)]}, "k": 1, "witness": False},
-        [],
+        {"family": {"field": "gf(13)", "sets": [list(range(s)) for s in (5, 6, 7, 8)]}, "k": 1},
+        ["--guard-tuples", "0"],
         "666cca0941587ee1e19bad285f977a86845ed286820c730c3d748d9dfa87d842",
-        "013cd7944b7e4e4f0c4429ab78cfe64356ee8814ba4feb6695ffc540c2ff76d0",
+        "9eb0bf31d39e81c603374e4ae9b0014eb0df1630aca99cc8f0a5e9652ecb9289",
     ),
     "witness-past-the-tuple-guard": (
         {"family": {"field": "gf(13)", "sets": [list(range(s)) for s in (6, 7, 8, 8)]}, "k": 2},

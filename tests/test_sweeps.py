@@ -29,9 +29,6 @@ from restrictedsums import (
     lattice_min_cardinality,
     parse_poly,
     prime_field,
-    random_leading,
-    random_sizes,
-    random_subset,
     random_tail,
     rational_field,
     residue_class_bound,
@@ -55,6 +52,7 @@ from restrictedsums.sweeps import (
     _value_counts,
     _value_table,
 )
+from sampling import random_leading, random_sizes, random_subset
 
 
 def value_table(p, form):
@@ -155,7 +153,7 @@ def test_value_table_matches_field_evaluation():
 
 def test_value_table_guards():
     with pytest.raises(HypothesisViolated):
-        value_table(11, PowerSumForm.unit(2, 2))  # beyond the uint8 lattice limit
+        lattice_min_cardinality(11, 2, (1, 1))  # beyond the uint8 lattice limit
     # the form is checked once, by the entry that builds it
     with pytest.raises(HypothesisViolated):
         lattice_min_cardinality(5, 2, (5, 1))  # leading coefficient dies mod 5
@@ -175,6 +173,16 @@ def test_value_table_guards():
     for p, n in ((13, 3), (11, 4)):
         with pytest.raises(HypothesisViolated, match="lattice route needs"):
             lattice_min_cardinality(p, 2, (1,) * n)
+    # the byte estimate (3p+3)*(2^p)^(n-1) is a p*(n-1)-bit int: 20 MB for
+    # GF(10,000,019), n = 4, were it built before the cap refused the prime
+    tracemalloc.start()
+    try:
+        with pytest.raises(HypothesisViolated, match="lattice route needs"):
+            lattice_min_cardinality(10_000_019, 2, (1,) * 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_residue_values_reduce_each_power():
