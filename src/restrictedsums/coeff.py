@@ -346,12 +346,14 @@ def replay_shrink(sizes, k: int, char) -> ShrinkPlan:
 def proof_replay(
     family: SetFamily,
     k: int,
-    f: PowerSumForm | None = None,
+    tail: SparsePoly | None = None,
     expand_certificate: bool = False,
     guard_tuples: int = DEFAULT_TUPLE_GUARD,
     guard_terms: int = DEFAULT_TERM_GUARD,
 ) -> ProofReplay:
-    """Replay the constructive argument behind the residue-class bound.
+    """Replay the constructive argument behind the residue-class bound on
+    f = x_1^k + ... + x_n^k + ``tail`` (zero when None), mapped once by
+    `_field_form`; a tail it refuses, or k > n, raises HypothesisViolated.
 
     Carries out the plan of the arithmetic phase (`replay_shrink`) on the
     family: embeds h in the field and checks it survives, then computes the
@@ -367,13 +369,7 @@ def proof_replay(
     while the expanded certificate raises :class:`SearchSpaceTooLarge`.
     A guard of 0 thus gives the arithmetic phase alone.
     """
-    if f is None:
-        f = PowerSumForm.unit(family.n, k)
-    if f.k != k:
-        raise HypothesisViolated(f"form has k = {f.k}, replay needs k = {k}")
-    form = _field_form(family.field, family.n, f)
-    if any(a.value != 1 for a in form.leading):
-        raise HypothesisViolated("replay requires unit leading coefficients")
+    form = _field_form(family.field, family.n, PowerSumForm.unit(family.n, k, tail))
     plan = replay_shrink(family.sizes, k, family.field.characteristic)
     shrunk = family.subfamily(plan.shrunk_sizes)
     h_element = family.field.embed(plan.h)

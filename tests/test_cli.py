@@ -9,6 +9,7 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -250,7 +251,7 @@ def test_verify_bounds_reads_a_fraction_tail_over_the_rationals(tmp_path):
 def test_a_fraction_tail_is_refused_over_a_prime_field(tmp_path, capsys):
     cfg = {"field": "gf(7)", "k": 2, "bounds": ["thm11u"], "families": [[[0, 1, 4], [0, 2, 3]]], "tail": "x1 + 1/2*x2"}
     assert cli.main(["verify-bounds", "--config", write_config(tmp_path, cfg)]) == 1
-    assert capsys.readouterr().err == "error: tail coefficient 1/2 is not in gf(7)\n"
+    assert capsys.readouterr().err == "config error: tail coefficient 1/2 is not in gf(7)\n"
 
 
 def test_verify_bounds_timings_fill_elapsed(tmp_path):
@@ -438,6 +439,26 @@ def test_generation_config_errors(tmp_path, capsys):
     )
 
 
+def test_a_sample_past_the_family_cap_builds_no_family(tmp_path, monkeypatch, capsys):
+    built = []
+    from_elements = SetFamily.from_elements.__func__
+
+    def counting(cls, field, sets):
+        built.append(sets)
+        return from_elements(cls, field, sets)
+
+    monkeypatch.setattr(SetFamily, "from_elements", classmethod(counting))
+    cfg = {"field": "gf(13)", "k": 2, "bounds": ["thm12"], "sample": {"sizes": [[2, 2]], "count": 100_001}}
+    assert cli.main(["verify-bounds", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == 'config error: sample spans 100001 families; lower "count"\n'
+    assert built == []
+    # the cap is on count times the size vectors
+    cfg["sample"] = {"sizes": [[2, 2], [3, 3]], "count": 50_001}
+    assert cli.main(["verify-bounds", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == 'config error: sample spans 100002 families; lower "count"\n'
+    assert built == []
+
+
 def scan_config(**source):
     return {"field": "gf(7)", "k": 1, "bounds": ["thm12"], **source}
 
@@ -464,6 +485,12 @@ REPLAY_FAMILY = {"field": "gf(7)", "sets": [[0, 1]]}
         ("proof-replay", {"family": [1], "k": 1}, "family JSON must be an object, got list"),
         ("proof-replay", {"family": {"field": "gf(7)", "sets": [0, 1]}, "k": 1}, '"sets" must be a list of lists'),
         ("proof-replay", {"family": REPLAY_FAMILY, "k": 1, "expand_certificate": "yes"}, '"expand_certificate" must be a boolean'),
+        ("proof-replay", {"family": REPLAY_FAMILY, "k": 2}, "need k <= n = 1, got k = 2"),
+        ("proof-replay", {"family": REPLAY_FAMILY, "k": 1, "tail": "x1"}, "tail degree 1 must be < k = 1"),
+        ("tightness", scan_config(families=[[[0, 1], [2, 3]]], tail="x1 +"), "bad tail polynomial: cannot tokenize polynomial text: 'x1 +'"),
+        ("tightness", scan_config(families=[[[0, 1], [2, 3]]], tail="2**x1"), "bad tail polynomial: empty factor in term '2**x1' of '2**x1'"),
+        ("verify-bounds", scan_config(families=[[[0, 1], [2, 3]]], leading=[0, 1]), "leading coefficient a1 must be a nonzero int or Fraction, got 0"),
+        ("example41", {"n": 6, "k": 2, "q": 2, "r": 1}, "cannot choose 6 distinct roots from 5"),
     ],
 )
 def test_each_config_error_names_its_key(tmp_path, capsys, verb, cfg, message):
@@ -1323,6 +1350,41 @@ def test_verify_coeff_mismatch_exits_2(tmp_path, monkeypatch, capsys):
     code = cli.main(["verify-coeff", "--config", cfg, "--out", str(tmp_path / "c.csv")])
     assert code == 2
     assert "mismatches" in capsys.readouterr().err
+
+
+def coefficient_rows(n_max, sum_max, k_max=None):
+    """The rows a verify-coeff sweep writes: one per k <= min(n, k_max) and
+    per composition of a sum N <= sum_max into n parts."""
+    return sum(min(n, k_max or n) * comb(sum_max + n, n) for n in range(1, n_max + 1))
+
+
+def test_verify_coeff_refuses_a_sweep_past_its_row_cap(tmp_path, monkeypatch, capsys):
+    for cfg, rows in [({"n_max": 4, "sum_max": 4}, 420), ({"n_max": 4, "sum_max": 2, "k_max": 1}, 34)]:
+        out = tmp_path / "coeff.csv"
+        assert cli.main(["verify-coeff", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) - 1 == coefficient_rows(**cfg) == rows
+    capsys.readouterr()
+    assert coefficient_rows(5, 6) == 3465 and coefficient_rows(12, 14) == 195_568_425
+
+    def sweep(*args):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "_coefficient_sweep", sweep)
+    # refused at n = 6, where the sum passes the cap, whatever n_max is
+    message = "config error: coefficient sweep spans 305235 rows by n = 6; lower n_max or sum_max\n"
+    for n_max in (12, 10**12):
+        cfg = write_config(tmp_path, {"n_max": n_max, "sum_max": 14})
+        start = time.monotonic()
+        assert cli.main(["verify-coeff", "--config", cfg]) == 1
+        assert time.monotonic() - start < 1
+        assert capsys.readouterr().err == message
+    assert coefficient_rows(6, 14) == 305235
+    # (7, 7) and (8, 7) stay under the cap
+    monkeypatch.setattr(cli, "_coefficient_sweep", lambda *args: iter(()))
+    for n_max, rows in [(7, 40_040), (8, 91_520)]:
+        assert coefficient_rows(n_max, 7) == rows
+        assert cli.main(["verify-coeff", "--config", write_config(tmp_path, {"n_max": n_max, "sum_max": 7})]) == 0
+    capsys.readouterr()
 
 
 # ---------- example41 ----------

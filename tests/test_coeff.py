@@ -494,8 +494,6 @@ def test_proof_replay_rejects_bad_forms():
     F = prime_field(11)
     fam = interval_family(F, 3, 5)
     with pytest.raises(HypothesisViolated):
-        proof_replay(fam, 2, f=PowerSumForm(2, (2, 1, 1), SparsePoly.zero(3)))
-    with pytest.raises(HypothesisViolated):
         proof_replay(fam, 4)  # k > n
 
 
@@ -535,12 +533,13 @@ REPLAY_SHAPES = (
 )
 
 
-def unpacked_certificate(replay, f):
+def unpacked_certificate(replay, tail=None):
     """The replay's certificate by the route that unpacks Q: the product
     as a SparsePoly, certified with each point evaluated as the factored
     product in FieldElement arithmetic, and the witness checked on Q."""
     shrunk = replay.shrunk_family
     field, n = shrunk.field, shrunk.n
+    f = PowerSumForm.unit(n, replay.k, tail)
     excluded = [field.element(c) for c in replay.witness["excluded_values"]]
     f_poly = f.expand().reduce(field)
     factors = [vandermonde(n).reduce(field)]
@@ -574,9 +573,8 @@ def test_expanded_certificate_matches_unpacked_route(shape):
     p, n, k, sizes = shape
     rng = random.Random(f"replay|{shape}")
     family = SetFamily.from_elements(prime_field(p), [rng.sample(range(p), s) for s in sizes])
-    f = PowerSumForm.unit(n, k)
-    replay = proof_replay(family, k, f=f, expand_certificate=True)
-    assert replay.cn_certificate == unpacked_certificate(replay, f)
+    replay = proof_replay(family, k, expand_certificate=True)
+    assert replay.cn_certificate == unpacked_certificate(replay)
 
 
 @pytest.mark.parametrize(
@@ -594,12 +592,12 @@ def test_expanded_certificate_matches_unpacked_route(shape):
 )
 def test_expanded_certificate_frozen(field, sets, k, tail, want):
     family = SetFamily.from_elements(field, sets)
-    f = PowerSumForm.unit(family.n, k, None if tail is None else parse_poly(tail, family.n))
-    cert = proof_replay(family, k, f=f, expand_certificate=True).cn_certificate
+    tail = None if tail is None else parse_poly(tail, family.n)
+    cert = proof_replay(family, k, tail=tail, expand_certificate=True).cn_certificate
     d = cert.to_json_dict()
     assert (d["coefficient"], d["witness"], d["witness_value"]) == want
     assert type(cert.witness_value.value) is type(field.one.value)
-    assert cert == unpacked_certificate(proof_replay(family, k, f=f), f)
+    assert cert == unpacked_certificate(proof_replay(family, k, tail=tail), tail)
 
 
 def test_expanded_certificate_unpacks_only_the_vandermonde(monkeypatch):

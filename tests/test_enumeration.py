@@ -232,19 +232,18 @@ def test_every_route_refuses_the_same_forms(k, leading, tail, error):
         lambda: restricted_value_set(fam, f),
         lambda: unrestricted_value_set(fam, f),
         lambda: _value_counts(fam, (_field_form(GF7, fam.n, f),), (True, False), DEFAULT_TUPLE_GUARD),
-        lambda: proof_replay(fam, k, f=f),
     ]
+    if set(leading) == {1}:  # the replay takes k and the tail, and its leading coefficients are 1
+        routes.append(lambda: proof_replay(fam, k, tail=f.tail))
     for route in routes:
         with pytest.raises(error):
             route()
 
 
 def test_leading_coefficients_are_read_in_the_field_on_every_route():
-    # 8 = 1 in GF(7): the replay and the unit-coefficient bounds accept it
+    # 8 = 1 in GF(7): the unit-coefficient bounds accept it
     fam = SetFamily.from_elements(GF7, [[0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5]])
     eights, ones = PowerSumForm(2, (8, 8, 8), SparsePoly.zero(3)), PowerSumForm.unit(3, 2)
-    replay = proof_replay(fam, 2, f=eights, expand_certificate=True)
-    assert replay.to_json_dict() == proof_replay(fam, 2, f=ones, expand_certificate=True).to_json_dict()
     thm12 = BOUNDS["thm12"]
     assert thm12.evaluate(fam, _field_form(GF7, 3, eights)) == thm12.evaluate(fam, _field_form(GF7, 3, ones)) == 4
     assert restricted_value_set(fam, eights).values == restricted_value_set(fam, ones).values
