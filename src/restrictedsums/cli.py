@@ -231,7 +231,8 @@ def _size_vectors(raw) -> list:
 
 
 def _generate_families(field, cfg: dict, rng: random.Random) -> list:
-    """Families from exactly one of "families", "sweep", "sample"."""
+    """Families from exactly one of "families", "sweep", "sample": each a
+    `SetFamily`, validated in full, or a `_Drawn` one."""
     sources = [key for key in ("families", "sweep", "sample") if key in cfg]
     if len(sources) != 1:
         raise ConfigError('give exactly one of "families", "sweep", "sample"')
@@ -283,8 +284,29 @@ def _generate_families(field, cfg: dict, rng: random.Random) -> list:
             draws = ([rng.sample(range(p), s) for s in sizes] for _ in range(count))
         for sets in draws:
             sets = [sorted(s) for s in sets]
-            families.append(SetFamily.from_elements(field, sets * len(v) if equal_sets else sets))
+            families.append(_Drawn(tuple(sets * len(v) if equal_sets else sets)))
     return families
+
+
+@dataclass(frozen=True)
+class _Drawn:
+    """A family drawn by "sweep" or "sample", its sets kept as sorted
+    residue lists: what a row reads of a `SetFamily`, whose elements are
+    made only when the family is counted."""
+
+    sets: tuple
+
+    @property
+    def n(self) -> int:
+        return len(self.sets)
+
+    @property
+    def sizes(self) -> tuple:
+        return tuple(map(len, self.sets))
+
+    @property
+    def shared_set(self) -> bool:
+        return all(s == self.sets[0] for s in self.sets[1:])
 
 
 def _parse_leading(cfg: dict, n: int) -> tuple:
@@ -344,11 +366,11 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
     forms = [_field_form(field, n, PowerSumForm(k, leading, tail)) for k in ks]
     rows = []
     for fam in families:
+        counted = prod(fam.sizes) <= args.guard_tuples  # past the guard, rows are recorded uncounted
+        if counted and isinstance(fam, _Drawn):
+            fam = SetFamily.from_elements(field, fam.sets)
         start = time.monotonic()
-        try:
-            counts = _value_counts(fam, forms, variants, args.guard_tuples)
-        except SearchSpaceTooLarge:
-            counts = [()] * len(forms)  # guard violations are recorded per-row, never fatal
+        counts = _value_counts(fam, forms, variants, args.guard_tuples) if counted else [()] * len(forms)
         # one counting time for all the family's k, carried by each of its rows
         elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
         for form, form_counts in zip(forms, counts):

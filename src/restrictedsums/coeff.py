@@ -18,7 +18,7 @@ closed form is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb, factorial
 
 from .bounds import floor_minima
@@ -140,35 +140,6 @@ def _coefficient_sweep(n_max: int, sum_max: int, k_max: int | None, max_terms: i
                 yield n, k, N, qs, _closed_forms(qs, k), [None] * len(qs) if cells is None else cells
 
 
-@dataclass(frozen=True)
-class CoefficientCertificate:
-    """Record of one coefficient computation; big integers serialize as
-    decimal strings so JSON consumers never lose precision."""
-
-    n: int
-    k: int
-    q: tuple
-    N: int
-    closed_form: int
-    oracle: int | None = None
-    h: int | None = None
-    h_residue: int | None = None
-    field: str | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "q": list(self.q),
-            "N": self.N,
-            "closed_form": str(self.closed_form),
-            "oracle": None if self.oracle is None else str(self.oracle),
-            "h": None if self.h is None else str(self.h),
-            "h_residue": None if self.h_residue is None else str(self.h_residue),
-            "field": self.field,
-        }
-
-
 # ---------- constructive replay of the lower-bound argument ----------
 
 
@@ -192,16 +163,11 @@ class ShrinkPlan:
     h: int
     h_residue: int | None  # h mod p for finite characteristic
 
-    @property
-    def certificate(self) -> CoefficientCertificate:
-        """h as the coefficient at q', read off the plan: `replay_shrink`
-        has checked that it equals the closed form."""
-        return CoefficientCertificate(
-            n=len(self.sizes), k=self.k, q=self.q_prime, N=self.N - 1,
-            closed_form=self.h, h=self.h, h_residue=self.h_residue,
-        )
-
     def to_json_dict(self) -> dict:
+        # the "certificate" sub-record states h as the coefficient at q':
+        # `replay_shrink` has checked that it equals the closed form
+        h = str(self.h)
+        residue = None if self.h_residue is None else str(self.h_residue)
         return {
             "sizes": list(self.sizes),
             "k": self.k,
@@ -211,9 +177,12 @@ class ShrinkPlan:
             "split_index": self.split_index,
             "shrunk_sizes": list(self.shrunk_sizes),
             "q_prime": list(self.q_prime),
-            "h": str(self.h),
+            "h": h,
             "h_residue": self.h_residue,
-            "certificate": self.certificate.to_json_dict(),
+            "certificate": {
+                "n": len(self.sizes), "k": self.k, "q": list(self.q_prime), "N": self.N - 1,
+                "closed_form": h, "oracle": None, "h": h, "h_residue": residue, "field": None,
+            },
         }
 
 
@@ -229,14 +198,11 @@ class ProofReplay(ShrinkPlan):
     witness: dict | None = None
     cn_certificate: NullstellensatzCertificate | None = None
 
-    @property
-    def certificate(self) -> CoefficientCertificate:
-        return replace(super().certificate, field=str(self.family.field))
-
     def to_json_dict(self) -> dict:
         out = super().to_json_dict()
         del out["characteristic"], out["h_residue"]
         cn = None if self.cn_certificate is None else self.cn_certificate.to_json_dict()
+        out["certificate"]["field"] = str(self.family.field)
         out.update(
             field=str(self.family.field),
             n=self.family.n,

@@ -117,11 +117,14 @@ def family_to_json(family: SetFamily) -> dict:
 
 @dataclass(frozen=True)
 class ValueSetResult:
-    cardinality: int
     values: tuple
     tuples_examined: int
     restricted: bool
     witnesses: dict | None = None
+
+    @property
+    def cardinality(self) -> int:
+        return len(self.values)
 
 
 def _check_tuple_guard(sizes, guard_tuples: int) -> None:
@@ -168,7 +171,7 @@ def _enumerate(family, form: FieldForm, restricted, guard_tuples, collect_witnes
     rec(0, field.zero)
     values = tuple(sorted(seen, key=lambda e: e.sort_key()))
     witnesses = {v: seen[v] for v in values} if collect_witnesses else None
-    return ValueSetResult(len(values), values, examined, restricted, witnesses)
+    return ValueSetResult(values, examined, restricted, witnesses)
 
 
 def restricted_value_set(
@@ -266,4 +269,4 @@ def multiplicity_value_set(profile: MultiplicityProfile) -> ValueSetResult:
             rec(idx + 1, left - take, acc + take * (idx + 1))
 
     rec(0, profile.n, 0)
-    return ValueSetResult(len(values), tuple(sorted(values)), examined, True)
+    return ValueSetResult(tuple(sorted(values)), examined, True)

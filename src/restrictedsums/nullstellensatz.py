@@ -43,18 +43,22 @@ class NullstellensatzInstance:
 @dataclass(frozen=True)
 class NullstellensatzCertificate:
     coefficient: FieldElement
-    nonzero: bool
     witness: tuple | None
     witness_value: FieldElement | None
-    searched: bool
+
+    @property
+    def nonzero(self) -> bool:
+        return not self.coefficient.is_zero
 
     def to_json_dict(self) -> dict:
+        # `_certified` searches exactly when the coefficient is nonzero, and
+        # raises when a search finds nothing
         return {
             "coefficient": str(self.coefficient.value),
             "nonzero": self.nonzero,
             "witness": None if self.witness is None else [str(x.value) for x in self.witness],
             "witness_value": None if self.witness_value is None else str(self.witness_value.value),
-            "searched": self.searched,
+            "searched": self.nonzero,
         }
 
 
@@ -102,7 +106,7 @@ def _certified(degree, coefficient, degrees, family, guard_tuples, search):
     if isinstance(coefficient, int):
         coefficient = field.embed(coefficient)
     if coefficient.is_zero:
-        return NullstellensatzCertificate(coefficient, False, None, None, False)
+        return NullstellensatzCertificate(coefficient, None, None)
     _check_tuple_guard(family.sizes, guard_tuples)
     found = search()
     if found is None:
@@ -110,5 +114,4 @@ def _certified(degree, coefficient, degrees, family, guard_tuples, search):
             "nonzero coefficient but no witness on the whole grid; "
             f"degrees={degrees}, sizes={family.sizes}"
         )
-    point, value = found
-    return NullstellensatzCertificate(coefficient, True, point, value, True)
+    return NullstellensatzCertificate(coefficient, *found)

@@ -625,20 +625,12 @@ def power_sum_pow(
     n: int,
     k: int,
     N: int,
-    method: str = "multinomial",
     max_terms: int = DEFAULT_TERM_GUARD,
 ) -> SparsePoly:
-    """(x1^k + ... + xn^k) ** N, by direct multinomial generation or by
-    repeated squaring of the expanded power sum.  The two methods must agree;
-    tests rely on that as a cross-check."""
+    """(x1^k + ... + xn^k) ** N, by direct multinomial generation."""
     if any(type(v) is not int for v in (n, k, N)) or n < 1 or k < 1 or N < 0:
         raise ValueError(f"need integers n >= 1, k >= 1, N >= 0; got n={n!r}, k={k!r}, N={N!r}")
-    if method == "multinomial":
-        return _multinomial_poly(n, *_multinomial_terms(n, k, N, None, max_terms))
-    if method == "pow":
-        base = SparsePoly(n, {tuple(k if i == j else 0 for i in range(n)): 1 for j in range(n)})
-        return base.pow(N, max_terms=max_terms)
-    raise ValueError(f"unknown method {method!r}")
+    return _multinomial_poly(n, *_multinomial_terms(n, k, N, None, max_terms))
 
 
 @dataclass(frozen=True)

@@ -364,7 +364,7 @@ def _value_counts(family, forms, variants, guard_tuples: int, witnesses: bool = 
             for restricted, (grid_values, points, examined) in zip(variants, counted[i]):
                 values = tuple(field.element(Fraction(v, grid[i][1])) for v in grid_values.tolist())
                 first = {v: tuple(s[j] for s, j in zip(family.sets, row)) for v, row in zip(values, points.tolist())}
-                runs.append(ValueSetResult(len(values), values, examined, restricted, first))
+                runs.append(ValueSetResult(values, examined, restricted, first))
             results.append(tuple(runs))
     return tuple(results)
 

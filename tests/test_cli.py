@@ -8,6 +8,7 @@ import json
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -35,6 +36,7 @@ from restrictedsums import (
     vandermonde,
 )
 from restrictedsums import cli, sweeps
+from powering import power_sum_by_powering
 
 HEADER_LINE = "field,p(F),n,k,sizes,bound_name,bound_value,actual_cardinality,hypotheses_ok,tight,seed,elapsed_ms"
 
@@ -141,6 +143,44 @@ def test_tightness_summary_counts_guard_skips(tmp_path, capsys):
     assert cli.main(["tightness", "--config", cfg]) == 0
     # with nothing skipped the line keeps its exact form
     assert capsys.readouterr().err.strip() == "tightness: 24 rows, 3 tight, 0 violations"
+
+
+def test_a_drawn_family_past_the_guard_builds_no_elements(tmp_path, capsys):
+    # GF(200003)'s two full sets span 4e10 tuples: the family is recorded
+    # uncounted from its residue lists, and its 400006 elements are never
+    # made (they took 3 s and a 67 MB peak)
+    cfg = write_config(
+        tmp_path, {"field": "gf(200003)", "k": 1, "bounds": ["thm12"], "sweep": {"sizes": [[200003, 200003]]}}
+    )
+    out = tmp_path / "r.csv"
+    tracemalloc.start()
+    try:
+        assert cli.main(["verify-bounds", "--config", cfg, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_text() == HEADER_LINE + "\ngf(200003),200003,2,1,200003;200003,thm12,200003,,true,,0,\n"
+    assert capsys.readouterr().err == "verify-bounds: 1 rows, 0 checked, 1 skipped by the tuple guard, nothing checked\n"
+    assert peak < 40 * 2**20
+
+
+def test_a_drawn_family_past_the_guard_keeps_its_bounds(tmp_path):
+    # every pair of 3-subsets of GF(7), some of them one set twice: the
+    # shared-set bounds read the residue lists of a family past the guard
+    # as they read the family's elements
+    cfg = write_config(
+        tmp_path, {"field": "gf(7)", "k": [1, 2], "bounds": ["thm12", "dsh", "conj11"], "sweep": {"sizes": [[3, 3]]}}
+    )
+    bounds = []
+    for guard in ("8", "9"):
+        out = tmp_path / f"r{guard}.csv"
+        assert cli.main(["tightness", "--config", cfg, "--out", str(out), "--guard-tuples", guard]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert all((r[7] == "") == (guard == "8") for r in rows)
+        bounds.append([r[:7] for r in rows])
+    assert bounds[0] == bounds[1]
+    assert len(bounds[0]) == 2 * 3 * 35 * 35
+    assert sum(r[5] in ("dsh", "conj11") and r[6] != "" for r in bounds[0]) == 3 * 35
 
 
 def test_verify_bounds_byte_determinism(tmp_path):
@@ -1337,7 +1377,7 @@ def test_verify_coeff_is_exact_past_int64_multinomials(tmp_path, capsys):
         assert (closed, oracle, status) == (want, want, "ok"), (q, k)
         assert oracle == str(coefficient_by_expansion(q, k))
     for k in (1, 2):
-        assert power_sum_pow(2, k, 22) == power_sum_pow(2, k, 22, method="pow")
+        assert power_sum_pow(2, k, 22) == power_sum_by_powering(2, k, 22)
     assert capsys.readouterr().err.strip() == "verify-coeff: 575 identities checked, 0 mismatches, 0 skipped"
 
 

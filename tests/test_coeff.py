@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from restrictedsums import (
     INFINITY,
-    CoefficientCertificate,
     ExpansionTooLarge,
     ExtendedNat,
     HypothesisViolated,
@@ -350,13 +349,14 @@ def test_expansion_oracles_read_the_public_product():
 
 
 def test_certificate_serializes_big_integers_as_strings():
-    cert = CoefficientCertificate(
-        n=2, k=1, q=(20, 20), N=40, closed_form=factorial(40), oracle=None
-    )
-    d = cert.to_json_dict()
-    assert d["closed_form"] == str(factorial(40))
+    # the plan writes its certificate sub-record itself; over Q, sizes
+    # (40, 41) give q' = (39, 39), whose h is past 2^63
+    plan = replay_shrink((40, 41), 1, INFINITY)
+    d = plan.to_json_dict()["certificate"]
+    assert plan.h > 2**63
+    assert d["closed_form"] == d["h"] == str(plan.h)
     assert d["oracle"] is None
-    assert d["q"] == [20, 20]
+    assert d["q"] == [39, 39]
 
 
 # ---------- replay_shrink: the arithmetic spine ----------
@@ -371,7 +371,7 @@ def test_replay_shrink_infinite_characteristic():
     assert plan.q_prime == (1, 1, 1)
     assert plan.h == 3
     assert plan.h_residue is None
-    assert plan.certificate.closed_form == 3
+    assert plan.to_json_dict()["certificate"]["closed_form"] == "3"
 
 
 def test_replay_shrink_large_prime():

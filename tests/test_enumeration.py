@@ -259,6 +259,24 @@ def test_leading_coefficients_are_read_in_the_field_on_every_route():
     assert BOUNDS["thm11u"].evaluate(fam, half) == BOUNDS["thm11u"].evaluate(fam, unit)
 
 
+def test_cardinality_is_the_number_of_values_on_every_constructor():
+    # the enumerator, the multiplicity model and the int64 grid with
+    # witnesses each build a ValueSetResult; its cardinality is read off
+    # its values
+    fam = SetFamily.from_elements(GF7, [[0, 1, 2, 3], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5]])
+    f = PowerSumForm.unit(3, 2, parse_poly("x1 + 1", nvars=3))
+    (grid,) = _value_counts(fam, (_field_form(GF7, 3, f),), (True, False), DEFAULT_TUPLE_GUARD, witnesses=True)
+    results = [
+        restricted_value_set(fam, f, collect_witnesses=True),
+        unrestricted_value_set(fam, f),
+        multiplicity_value_set(MultiplicityProfile(k=2, q=2, r=1, n=3)),
+        *grid,
+    ]
+    for result in results:
+        assert result.cardinality == len(result.values) > 0
+    assert grid[0].values == results[0].values
+
+
 def test_search_space_guard():
     F = prime_field(7)
     fam = SetFamily.from_elements(F, [[0, 1, 2, 3]] * 3)

@@ -34,7 +34,6 @@ def test_vandermonde_certificate():
     x1, x2 = cert.witness
     assert x2.value != x1.value
     assert cert.witness_value == x2 - x1
-    assert cert.searched
 
 
 def test_product_monomial_witness():
@@ -92,7 +91,7 @@ def test_zero_coefficient_short_circuits():
     cert = certify(NullstellensatzInstance(poly, (1, 1), fam))
     assert not cert.nonzero
     assert cert.witness is None
-    assert not cert.searched
+    assert cert.witness_value is None
 
 
 def test_search_guard():
@@ -109,6 +108,10 @@ def test_certificate_json():
     assert d["nonzero"] is True
     assert isinstance(d["witness"], list)
     assert d["searched"] is True
+    # a zero coefficient is never searched: x1^2 + x2^2 has no x1*x2 term
+    zero = SparsePoly(2, {(2, 0): 1, (0, 2): 1})
+    d = certify(NullstellensatzInstance(zero, (1, 1), grid_family(7, (2, 2)))).to_json_dict()
+    assert d == {"coefficient": "0", "nonzero": False, "witness": None, "witness_value": None, "searched": False}
 
 
 @given(
