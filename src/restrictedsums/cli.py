@@ -19,7 +19,6 @@ import itertools
 import json
 import random
 import sys
-import time
 from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from math import comb, prod
@@ -67,7 +66,6 @@ _COLUMNS = (
     ("hypotheses_ok", "hypotheses_ok"),
     ("tight", "tight"),
     ("seed", "seed"),
-    ("elapsed_ms", "elapsed_ms"),
 )
 CSV_HEADER = [header for header, _ in _COLUMNS]
 
@@ -95,7 +93,6 @@ class ReportRow:
     bound_value: int | None  # None when a hypothesis of the bound fails
     actual_cardinality: int | None  # None when the count hit a guard
     seed: str
-    elapsed_ms: str = ""
     hypotheses_ok: bool = dataclass_field(init=False)
     tight: bool | None = dataclass_field(init=False)
     violated: bool = dataclass_field(init=False)  # carried in JSONL; decides the exit code
@@ -197,18 +194,18 @@ def _require_int(cfg: dict, key: str, minimum: int) -> int:
     return v
 
 
-def _k_range(raw) -> list:
+def _k_range(raw) -> range:
     if isinstance(raw, int) and not isinstance(raw, bool):
         if raw < 1:
             raise ConfigError(f'"k" must be >= 1, got {raw}')
-        return [raw]
+        return range(raw, raw + 1)
     if (
         isinstance(raw, list)
         and len(raw) == 2
         and all(isinstance(x, int) and not isinstance(x, bool) for x in raw)
         and 1 <= raw[0] <= raw[1]
     ):
-        return list(range(raw[0], raw[1] + 1))
+        return range(raw[0], raw[1] + 1)
     raise ConfigError(f'"k" must be an integer or [lo, hi] with 1 <= lo <= hi, got {raw!r}')
 
 
@@ -355,6 +352,9 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
     ks = _k_range(cfg.get("k"))
     rng = random.Random(args.seed)
     families = _generate_families(field, cfg, rng)
+    span = len(families) * (ks.stop - ks.start) * len(bounds)  # len() of a range stops at 2**63
+    if span > 1_000_000:
+        raise ConfigError(f'scan spans {span} rows; narrow "k" or the families')
     n = families[0].n
     leading = _parse_leading(cfg, n)
     tail = _parse_tail(cfg, n)
@@ -369,10 +369,7 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
         counted = prod(fam.sizes) <= args.guard_tuples  # past the guard, rows are recorded uncounted
         if counted and isinstance(fam, _Drawn):
             fam = SetFamily.from_elements(field, fam.sets)
-        start = time.monotonic()
         counts = _value_counts(fam, forms, variants, args.guard_tuples) if counted else [()] * len(forms)
-        # one counting time for all the family's k, carried by each of its rows
-        elapsed = str(int((time.monotonic() - start) * 1000)) if args.timings else ""
         for form, form_counts in zip(forms, counts):
             counted = dict(zip(variants, form_counts))
             for name in bounds:
@@ -387,7 +384,6 @@ def _scan_families(args, cfg, allowed_bounds) -> list:
                         bound_value=BOUNDS[name].evaluate(fam, form),
                         actual_cardinality=counted.get(BOUNDS[name].restricted),
                         seed=seed_str,
-                        elapsed_ms=elapsed,
                     )
                 )
     return rows
@@ -473,14 +469,13 @@ def _profile_rows(spec, args) -> list:
             f'"profiles" span {vectors} multiplicity vectors within the tuple guard, '
             f"more than {DEFAULT_TUPLE_GUARD}; lower k_max or q_max"
         )
-    return [_ex41_row(p, str(args.seed), args.guard_tuples, args.timings) for p in profiles]
+    return [_ex41_row(p, str(args.seed), args.guard_tuples) for p in profiles]
 
 
-def _ex41_row(profile: MultiplicityProfile, seed_str: str, guard_tuples: int, timings=False) -> ReportRow:
+def _ex41_row(profile: MultiplicityProfile, seed_str: str, guard_tuples: int) -> ReportRow:
     """The sharpness model's formula against its enumerated value set, left
     uncounted when its multiplicity vectors outnumber ``guard_tuples``."""
     n, k, q, r = profile.n, profile.k, profile.q, profile.r
-    start = time.monotonic()
     try:
         _check_vector_guard(profile, guard_tuples)
         actual = multiplicity_value_set(profile).cardinality
@@ -496,7 +491,6 @@ def _ex41_row(profile: MultiplicityProfile, seed_str: str, guard_tuples: int, ti
         bound_value=roots_model_cardinality(n, k, q, r).value,
         actual_cardinality=actual,
         seed=seed_str,
-        elapsed_ms=str(int((time.monotonic() - start) * 1000)) if timings else "",
     )
 
 
@@ -605,10 +599,6 @@ _OPTIONS = {
         "default": DEFAULT_TERM_GUARD,
         "help": "expansion guard: max distinct monomials formed while multiplying, cancelled ones included",
     },
-    "--timings": {
-        "action": "store_true",
-        "help": "fill elapsed_ms, a family's one counting time for all its k (breaks byte-determinism of reports)",
-    },
 }
 
 # verb: (handler, help, the options of _OPTIONS it reads)
@@ -616,7 +606,7 @@ _VERBS = {
     "verify-bounds": (
         cmd_verify_bounds,
         "enumerate families and assert theorem bounds",
-        ("--seed", "--guard-tuples", "--timings"),
+        ("--seed", "--guard-tuples"),
     ),
     "verify-coeff": (
         cmd_verify_coeff,
@@ -626,7 +616,7 @@ _VERBS = {
     "tightness": (
         cmd_tightness,
         "scan for tight instances and conjecture violations",
-        ("--seed", "--guard-tuples", "--timings"),
+        ("--seed", "--guard-tuples"),
     ),
     "example41": (
         cmd_example41,
@@ -667,7 +657,7 @@ def main(argv=None) -> int:
     except InternalInvariantBroken as exc:
         print(f"theorem assertion violated: {exc}", file=sys.stderr)
         return 2
-    except RestrictedSumsError as exc:
+    except (RestrictedSumsError, OSError) as exc:  # OSError: a report path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

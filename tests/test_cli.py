@@ -38,7 +38,7 @@ from restrictedsums import (
 from restrictedsums import cli, sweeps
 from powering import power_sum_by_powering
 
-HEADER_LINE = "field,p(F),n,k,sizes,bound_name,bound_value,actual_cardinality,hypotheses_ok,tight,seed,elapsed_ms"
+HEADER_LINE = "field,p(F),n,k,sizes,bound_name,bound_value,actual_cardinality,hypotheses_ok,tight,seed"
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -159,7 +159,7 @@ def test_a_drawn_family_past_the_guard_builds_no_elements(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.read_text() == HEADER_LINE + "\ngf(200003),200003,2,1,200003;200003,thm12,200003,,true,,0,\n"
+    assert out.read_text() == HEADER_LINE + "\ngf(200003),200003,2,1,200003;200003,thm12,200003,,true,,0\n"
     assert capsys.readouterr().err == "verify-bounds: 1 rows, 0 checked, 1 skipped by the tuple guard, nothing checked\n"
     assert peak < 40 * 2**20
 
@@ -292,14 +292,6 @@ def test_a_fraction_tail_is_refused_over_a_prime_field(tmp_path, capsys):
     cfg = {"field": "gf(7)", "k": 2, "bounds": ["thm11u"], "families": [[[0, 1, 4], [0, 2, 3]]], "tail": "x1 + 1/2*x2"}
     assert cli.main(["verify-bounds", "--config", write_config(tmp_path, cfg)]) == 1
     assert capsys.readouterr().err == "config error: tail coefficient 1/2 is not in gf(7)\n"
-
-
-def test_verify_bounds_timings_fill_elapsed(tmp_path):
-    cfg = write_config(tmp_path, verify_bounds_config())
-    out = tmp_path / "r.csv"
-    assert cli.main(["verify-bounds", "--config", cfg, "--out", str(out), "--timings"]) == 0
-    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert all(r[11] != "" for r in rows)
 
 
 def test_verify_bounds_theorem_violation_exits_2(tmp_path, monkeypatch, capsys):
@@ -575,6 +567,30 @@ def test_readme_example_configs_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_k_range_past_the_row_cap_builds_no_form(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("built or counted past the row cap")
+
+    monkeypatch.setattr(cli, "_field_form", refuse)
+    monkeypatch.setattr(cli, "_value_counts", refuse)
+    cfg = {"field": "gf(7)", "k": [1, 10**12], "bounds": ["thm11u"], "families": [[[0, 1], [1, 2]]]}
+    assert cli.main(["verify-bounds", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == 'config error: scan spans 1000000000000 rows; narrow "k" or the families\n'
+    # the cap is on families times k values times bounds
+    cfg.update(k=[1, 250_001], bounds=["thm11u", "thm11r"], families=[[[0, 1], [1, 2]], [[0, 2], [1, 3]]])
+    assert cli.main(["tightness", "--config", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == 'config error: scan spans 1000004 rows; narrow "k" or the families\n'
+
+
+def test_an_unwritable_report_path_is_an_error_not_a_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"n": 3, "k": 2, "q": 2, "r": 1})
+    missing = str(tmp_path / "missing" / "x")
+    for report in (["--out", missing], ["--out", str(tmp_path / "x.csv"), "--jsonl", missing]):
+        assert cli.main(["example41", "--config", cfg, *report]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err and "Traceback" not in err
+
+
 def test_unreadable_or_malformed_config(tmp_path, capsys):
     assert cli.main(["verify-bounds", "--config", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"
@@ -599,6 +615,8 @@ def test_usage_errors_exit_1(capsys):
     for verb, option in [
         ("verify-coeff", ["--seed", "5"]),
         ("proof-replay", ["--timings"]),
+        ("verify-bounds", ["--timings"]),
+        ("tightness", ["--timings"]),
         ("verify-bounds", ["--guard-terms", "9"]),
         ("example41", ["--n", "2"]),
     ]:
@@ -626,8 +644,8 @@ SHARED_OPTIONS = {"--config", "--out", "--jsonl"}
 @pytest.mark.parametrize(
     "verb, options",
     [
-        ("verify-bounds", {"--seed", "--guard-tuples", "--timings"}),
-        ("tightness", {"--seed", "--guard-tuples", "--timings"}),
+        ("verify-bounds", {"--seed", "--guard-tuples"}),
+        ("tightness", {"--seed", "--guard-tuples"}),
         ("verify-coeff", {"--guard-terms"}),
         ("example41", {"--seed", "--guard-tuples"}),
         ("proof-replay", {"--guard-tuples", "--guard-terms"}),
@@ -735,13 +753,12 @@ def vector_count(n, k, q, r):
     return sum(sum(takes) == n for takes in itertools.product(*(range(min(cap, n) + 1) for cap in caps)))
 
 
-def test_tightness_profiles_read_the_guard_and_timings(tmp_path, capsys):
+def test_tightness_profiles_read_the_guard(tmp_path, capsys):
     cfg = write_config(tmp_path, {"profiles": {"k_max": 3, "q_max": 2}})
-    plain, guarded, timed = (tmp_path / name for name in ("plain.jsonl", "guarded.jsonl", "timed.jsonl"))
+    plain, guarded = tmp_path / "plain.jsonl", tmp_path / "guarded.jsonl"
     assert cli.main(["tightness", "--config", cfg, "--jsonl", str(plain), "--out", str(tmp_path / "a.csv")]) == 0
     assert capsys.readouterr().err.strip() == "tightness: 54 rows, 54 tight, 0 violations"
     rows = [json.loads(line) for line in plain.read_text().splitlines()]
-    assert all(r["elapsed_ms"] == "" for r in rows)
     # a guard of 4 refuses the profiles with more multiplicity vectors
     argv = ["tightness", "--config", cfg, "--out", str(tmp_path / "b.csv"), "--guard-tuples", "4"]
     assert cli.main(argv + ["--jsonl", str(guarded)]) == 0
@@ -758,13 +775,6 @@ def test_tightness_profiles_read_the_guard_and_timings(tmp_path, capsys):
     # a guard no profile passes checks nothing: each has a vector
     assert cli.main(["tightness", "--config", cfg, "--guard-tuples", "0"]) == 0
     assert capsys.readouterr().err.strip().endswith("54 skipped by the tuple guard, nothing checked")
-    # --timings fills elapsed_ms and changes nothing else
-    argv = ["tightness", "--config", cfg, "--out", str(tmp_path / "c.csv"), "--timings"]
-    assert cli.main(argv + ["--jsonl", str(timed)]) == 0
-    timed_rows = [json.loads(line) for line in timed.read_text().splitlines()]
-    assert all(r["elapsed_ms"].isdigit() for r in timed_rows)
-    assert [{**r, "elapsed_ms": ""} for r in timed_rows] == rows
-    capsys.readouterr()
     # k = q = 10, n = 50 would visit about 1.02e9 multiplicity vectors: the
     # default guard refuses it before enumerating.  k = q = 8, n = 8 visits
     # 6,435 of the 9^8 vectors of its caps, so it is counted.
@@ -1085,14 +1095,14 @@ SCAN_PINS = {
         {
             "verify-bounds": (
                 0,
-                "897dfccbbe026a0e906e9489c855c3c4f6996af5e3d792d27ddd61259f73c967",
-                "19fde36c77d1dab19bd48fea8d943216c34b45f04fd0b392ad0b73a5fa8f36bf",
+                "c2d1a322ca49e123b91c9c21dc802afe676579a9d9d7afea5b10d2c401e7be92",
+                "2bca52bfe05b1a3cad6288707958e38674cebc23a10475f08ee77e10d6a14639",
                 "9a7db9ce8db88a167e8e133a232b3887bc9f05bb404077a42aee1741a9801302",
             ),
             "tightness": (
                 0,
-                "cdcec5f0c85c71c9289318e21a81beec8137f624dd5237043f0b76fb50e7c10b",
-                "158efe93abcf0aa2615d1897eae1f08d1fdbb53e76a865ee57991981c8649208",
+                "b7251814b0e7eac62b5df02a803c22c823bb4dfea89f8e8dcfe85704cf6d4a1a",
+                "a4cca8fbaef148e34732d14c19062a7cfefb6ce3b39e6cb9a9975d52fdf1c19d",
                 "1233da08aa4ee0abc68c31e4fe1148961c5dd39a0723bc6f921f2579e053f85b",
             ),
         },
@@ -1114,14 +1124,14 @@ SCAN_PINS = {
         {
             "verify-bounds": (
                 0,
-                "21f3ba3d204c7cd7e6f358acfb30b1246f4c936f206dd5277899bc1c7121fee9",
-                "5675eaa4bcc490e52e6dcb1992c3d36efc6ce8c5c611e3a09b0468352323ba88",
+                "24719c8bf578d923d2f757600d9c471df6cdcf6e8b983b538e43c9f90f5e0028",
+                "c567914b771f78216c0409bc8e591d39fa45dc8abdfc51abff696d05ad60144d",
                 "5ba7cf3a4fa99fa170a5796e20a34ca4ebe6a6faea1af67df136e4df3b906142",
             ),
             "tightness": (
                 0,
-                "340bde966d39ecca62a47f5b86d33493fba3663b5d7a069198ef13a7ef8dd957",
-                "88221036a400b7276dd787d5df4a2e4bd24f1953d9e6f947228d754cd42daa68",
+                "cb0b2783b3eca6e52cc8f14bcfdfa5a42c773b1ff2a92e71d8cac6cbdbc03695",
+                "3a9907247b9f889ba49c3a4c485599c6695b6be9e71b8b57415536f0f1111ab5",
                 "0f8c0e695e906d82f7170e354592461a969342ebed83c350b08940d140be4053",
             ),
         },
@@ -1143,14 +1153,14 @@ SCAN_PINS = {
         {
             "verify-bounds": (
                 0,
-                "748b043388e795f0b3df4970d039bdfe65d3aba61a1cb7d5e5ec4bdafd1893d4",
-                "f158b16c5fc18fa2c1501104b871577f32ffec3ba714d2d18b7687f663c1e7f5",
+                "7a90d79772c099d376676995a05352fb63078bed940dab4854cb95b405b85446",
+                "bfbdda36c72e7014911f165411915eac012da2f41eb87ba2def699628e5b1411",
                 "7d3a926c558001a0474eb732b611b813ea2346a05339e5eaec5125a19e3c4e16",
             ),
             "tightness": (
                 0,
-                "9a0cb937fde3884e20f8a450676a9ab2c39bbfb9b87e9a0a65b44f60b0dbee0e",
-                "424b84cdb3991365dc37fb05d7b695302433ee0fd58b65dea43dd611761acdae",
+                "9013648d88699543d6d1d7bf625ea4416c57a94c31f286c9bf5917ad4602b9aa",
+                "66b4a82f3f250f9d9c89416520d3d454edb2a2d7752c516e30648ddd993ba6f7",
                 "18c08137bf258344e901aeb2b918520e481b9a6cc83e7c3740d7ba4b98e3f330",
             ),
         },
@@ -1170,14 +1180,14 @@ SCAN_PINS = {
         {
             "verify-bounds": (
                 0,
-                "2f9e2bd5cc0bf83d0046eab0c8715f8df33b8e40f658aa7a7998cab3e1908536",
-                "952e694074475f9a2aa45cbdde3bd294aa91d61053f0b835337a2bb378c57b7f",
+                "1eab0a92ff1ccc8999ba4a0a5957461557ba4d175f901640ff694c34fee87fed",
+                "c5e23905f19c5f53474ce7f7ecf6163067c4e655e734d67f297b84e12b1bc0f5",
                 "05713bfa8fc1a98b1550ab16d886fc90fd1c2b7ad219eeb7304c1e54ac9bf5e7",
             ),
             "tightness": (
                 0,
-                "86654dcbc6f072202b73e99175f06549eab32d5617b969fd43976868a3a17960",
-                "9955740de58135d7492693d3e87e816e06dd682631ca2b7b4bcc0bbb184a6e63",
+                "af638c82bd772236e62122bb687f1ec5b3f116b55261c94cfcd44078c059ff85",
+                "7d86222cd54c941a123ba4289a575745e16ba8624e4b42666dd7dc750fbf9e55",
                 "0f8c0e695e906d82f7170e354592461a969342ebed83c350b08940d140be4053",
             ),
         },
@@ -1190,14 +1200,14 @@ SCAN_PINS = {
         {
             "verify-bounds": (
                 0,
-                "61e8cdcd8bb51546d5b3793e59f38ddd3e1cd15d7833198aa006e7258060c711",
-                "1896eaa7a30608867c737754595b7d45256219fbe8470f166a20a9cb4b7ba327",
+                "37e6e48ecbc549dbc8e81c974503576dca7345c7ae1c8d081af5f1126d061e4a",
+                "3c1b9efd854591ba19fe4e526d317fc1d87913adfffb894d0a97c46f5743da24",
                 "1ff2d84a3821e4d57ef8b65e94f92c17ed9e50ce11e8c15ccf1a63c63ce3c6c2",
             ),
             "tightness": (
                 0,
-                "197fa68eea58f3785bb1b9bfc14d5393ee373355b5ce3ca6029cc164e3562e81",
-                "8dd3a2161f40889454f495eb07de966a6bbf93932d33e4bb26f86549c76fc115",
+                "7b9a6ca052b0d33b4c69479ba60539b0955cf5511073ffc645e4ac47bd383cc1",
+                "403e34e528743cbf29e9b2a4808ae451dafeca96f70a4915e397b1a4b870ed95",
                 "666c7627c5cedb54a1d7af5698aa50259c5b1fe824057b3de3f793c4a7a6fac4",
             ),
         },
