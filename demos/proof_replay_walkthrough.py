@@ -63,10 +63,11 @@ qfam = SetFamily.from_elements(Q, [[0, 1, 2, 3, 4]] * 3)
 qreplay = proof_replay(qfam, k)
 print(f"\nover {Q}: N = {qreplay.N}, h = {qreplay.h} = {qreplay.h_element.value}")
 
-# A case small enough to expand in full: sizes (3, 4) over GF(5).  The
-# replay multiplies out the contradiction polynomial Q, runs the
-# coefficient extraction on the target monomial, and packages witness and
-# coefficient as a certificate whose claims are rechecked independently.
+# The expanded certificate on sizes (3, 4) over GF(5).  The replay
+# multiplies the factors of the contradiction polynomial Q in the box of
+# exponents up to the target monomial, reads Q's coefficient there, and
+# packages witness and coefficient as a certificate whose claims are
+# rechecked independently.
 G = prime_field(5)
 small = SetFamily.from_elements(G, [[0, 1, 2], [0, 1, 3, 4]])
 full = proof_replay(small, 2, expand_certificate=True)

@@ -185,6 +185,10 @@ def single_set_conjecture_bound(
 
     ``negated_pair`` encodes the bracket.  Flag-only: callers must record
     violations, never hard-assert them.  [token conj11]
+
+    One family breaks it as encoded: A = GF(p), n = p - 1, k = 1, leading
+    coefficients (1, ..., 1, 2).  An injective tuple leaves out one y, so
+    the form equals x_n - y, never 0: p - 1 values against the floor p.
     """
     _require("conj11", m, k, n)
     first = char - iverson(negated_pair and n == 2)

@@ -597,7 +597,8 @@ _OPTIONS = {
     "--guard-terms": {
         "type": int,
         "default": DEFAULT_TERM_GUARD,
-        "help": "expansion guard: max distinct monomials formed while multiplying, cancelled ones included",
+        "help": "expansion guard: max distinct monomials formed while multiplying, cancelled ones"
+        " included, and max coefficients in proof-replay's certificate box",
     },
 }
 

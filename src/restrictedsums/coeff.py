@@ -31,6 +31,7 @@ from .poly import (
     FieldForm,
     PowerSumForm,
     SparsePoly,
+    _box_coefficient,
     _compositions,
     _expansion_oracles,
     _field_form,
@@ -118,7 +119,7 @@ def coefficient_by_expansion(q, k: int, max_terms: int = DEFAULT_TERM_GUARD) -> 
     q = _validate_q(q, k)
     n = len(q)
     factors = [power_sum_pow(n, k, sum(q), max_terms=max_terms), vandermonde(n, max_terms=max_terms)]
-    return _product_coefficients(factors, [target_monomial(q, k)], max_terms)[1][0]
+    return _product_coefficients(factors, [target_monomial(q, k)], max_terms)[0]
 
 
 def _coefficient_sweep(n_max: int, sum_max: int, k_max: int | None, max_terms: int):
@@ -324,8 +325,9 @@ def proof_replay(
     Carries out the plan of the arithmetic phase (`replay_shrink`) on the
     family: embeds h in the field and checks it survives, then computes the
     shrunk value set, exhibits an injective tuple whose value lies outside
-    the first N - 1 values, and (if requested) expands the full
-    contradiction polynomial and runs the Nullstellensatz certifier on it.
+    the first N - 1 values, and (if requested) reads the contradiction
+    polynomial's coefficient in the box of the shrunk sizes and runs the
+    Nullstellensatz certifier's checks on it (`_expanded_certificate`).
     The value set, with the first tuple in product order that reaches each
     value, comes from `sweeps._value_counts`: the int64 residue grid over
     GF(p) where it fits, else the exact enumerator.
@@ -385,12 +387,19 @@ def proof_replay(
 
 
 def _expanded_certificate(shrunk, form: FieldForm, enum, excluded, h_element, guard_tuples, guard_terms):
-    """Multiply out Q = prod_c (f - c) * vandermonde over the field and certify.
-    Each f - c is the mapped form's terms in graded-lex order, its constant
-    term shifted by -c and dropped where it vanishes.
+    """Certify Q = prod_c (f - c) * vandermonde over the field from its
+    coefficient at t, the product of x_i^(|A'_i| - 1).  Each f - c is the
+    mapped form's terms in graded-lex order, its constant term shifted by
+    -c and dropped where it vanishes.
 
-    Q's degree and its coefficient at the product of x_i^(|A'_i| - 1) are
-    read off the packed product, which is never unpacked.  That coefficient
+    Q is never expanded.  `poly._box_coefficient` multiplies the literal
+    factors, every f - c and then the Vandermonde (its coefficients +-1
+    mapped into the field), in the box of exponents up to t, the
+    Vandermonde read last against it; the box has prod |A'_i| entries,
+    which ``guard_terms`` caps, as it caps the Vandermonde's own
+    expansion.  Over a field the degree of Q is
+    the sum of its factors' degrees, k * (N - 1) + C(n, 2), which must be
+    |t|; a nonzero coefficient at t then confirms it.  That coefficient
     must be exactly the embedded h: the top-degree part of every factor
     (f - c) is the pure power sum, so Q's top homogeneous component is the
     closed-form product.
@@ -406,12 +415,14 @@ def _expanded_certificate(shrunk, form: FieldForm, enum, excluded, h_element, gu
     terms = {tuple(k if i == j else 0 for i in range(n)): a for j, a in enumerate(form.leading)}
     terms.update(form.tail.terms())
     constant = terms.pop((0,) * n, field.zero)
-    factors = [vandermonde(n, max_terms=guard_terms).reduce(field)]
+    factors = []
     for c in excluded:
         shifted = constant - c
         factors.append(SparsePoly._trusted(n, terms if shifted.is_zero else {**terms, (0,) * n: shifted}))
+    factors.append(vandermonde(n, max_terms=guard_terms))
     degrees = tuple(size - 1 for size in shrunk.sizes)
-    degree, (coefficient,) = _product_coefficients(factors, [degrees], guard_terms)
+    coefficient = _box_coefficient(factors, degrees, guard_terms)
+    degree = sum(f.degree for f in factors)
     expected_degree = k * len(excluded) + comb(n, 2)
     if degree != expected_degree or expected_degree != sum(degrees):
         raise InternalInvariantBroken(

@@ -17,12 +17,16 @@ and its product is settled once (zeros dropped, residues reduced mod p).
 Keys and scalars are int64 where they provably fit and object columns of
 exact Python values where they do not, so nothing ever wraps.  A settled
 product is read two ways: `_product` unpacks it, and
-`_product_coefficients` reads its degree and looks up targets by one
-searchsorted.  `_expansion_oracles` serves `verify-coeff` and alone
-decides which sums N share a product: a batch whose term pairs stay
-within the guard sums only the pairs of its power sums and the
-Vandermonde that land on a target; an N past the guard goes through
-`_product_coefficients`.
+`_product_coefficients` looks up targets by one searchsorted.
+`_expansion_oracles` serves `verify-coeff` and alone decides which sums N
+share a product: a batch whose term pairs stay within the guard sums only
+the pairs of its power sums and the Vandermonde that land on a target; an
+N past the guard goes through `_product_coefficients`.
+
+One coefficient x^t of a product is read without forming it by
+`_box_coefficient`, in the dense box of exponents up to t; the proof
+replay's certificate is read that way, with the packed product as its
+oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, permutations
-from math import comb, factorial, inf
+from math import comb, factorial, inf, prod
 import re
 
 import numpy as np
@@ -476,24 +480,83 @@ def _packed_targets(targets, width: int, nvars: int, dtype) -> np.ndarray:
     return np.where(past, -1, _keys(np.where(past[:, None], 0, targets), width, nvars))
 
 
-def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> tuple:
-    """``(P.degree, [P.coefficient_of(t) for t in targets])`` for P =
-    ``_product(factors)``, read off the settled packed product: the degree
-    field of the highest key (-inf for none), and one searchsorted for the
-    targets.  A target of degree 2**width or more is above the product's
-    degree and may not fit the fields, so its key could alias another
-    monomial's; it reads 0."""
+def _product_coefficients(factors, targets, max_terms: int = DEFAULT_TERM_GUARD) -> list:
+    """``[P.coefficient_of(t) for t in targets]`` for P = ``_product(factors)``,
+    read off the settled packed product by one searchsorted.  A target of
+    degree 2**width or more is above the product's degree and may not fit
+    the fields, so its key could alias another monomial's; it reads 0."""
     (keys, scalars), width, field = _packed_product(factors, max_terms)
-    nvars = factors[0].nvars
-    packed = _packed_targets(targets, width, nvars, keys.dtype)
+    packed = _packed_targets(targets, width, factors[0].nvars, keys.dtype)
     if not len(keys):
-        return NEG_INF, [0] * len(packed)
+        return [0] * len(packed)
     at = np.minimum(np.searchsorted(keys, packed), len(keys) - 1)
     found = (keys[at] == packed).tolist()
-    return int(keys[-1]) >> (nvars * width), [
+    return [
         (c if field is None else FieldElement(field, c)) if hit else 0
         for c, hit in zip(scalars[at].tolist(), found)
     ]
+
+
+def _box_coefficient(factors, t, max_terms: int = DEFAULT_TERM_GUARD):
+    """The coefficient of x^t in the product of ``factors``, as
+    `_product_coefficients` reads it: an element where the factors hold
+    field elements, else an int or a Fraction, and the int 0 where it
+    vanishes.
+
+    It is worked out in F[x]/(x_1^(t_1 + 1), ..., x_n^(t_n + 1)).  Reduction
+    mod that monomial ideal is a ring map that keeps the coefficient of
+    every exponent inside the box 0 <= e <= t, so the box holds the
+    product's coefficient at t.  The box is one dense array of shape t + 1,
+    the unit at first; each factor but the last is multiplied in by one
+    slice-add per term, and a term with an exponent past t is dropped.  The
+    last factor is never multiplied in: the answer is sum_e a_e * P[t - e]
+    over its terms, summed in Python scalars.  A box of more than
+    ``max_terms`` entries is refused before it is allocated.
+
+    The scalars are the factors' coefficients in the field of their
+    elements, ints mapped into it.  Over GF(p) the box holds residues, on
+    int64 while (p - 1)**2 * (terms + 1) < 2**63 for the most terms of a
+    factor multiplied in, else Python ints; over Q it holds Fractions, and
+    over Z the coefficients as they are."""
+    first = factors[0]
+    for other in factors[1:]:
+        first._check_arity(other)
+    t = tuple(t)
+    _check_exponents(first.nvars, t)
+    shape = tuple(e + 1 for e in t)
+    if prod(shape) > max_terms:
+        raise ExpansionTooLarge(
+            f"product exceeds {max_terms} terms (box of {' x '.join(map(str, shape))} coefficients)"
+        )
+    field = next((c.field for f in factors for c in f._terms.values() if isinstance(c, FieldElement)), None)
+    p = None if field is None else field.p
+
+    def scalar(c):
+        if isinstance(c, FieldElement) and c.field is field:
+            return c.value
+        if field is None or type(c) is int:
+            return c if p is None else c % p
+        return field.element(c).value
+
+    inside = [[(e, scalar(c)) for e, c in f._terms.items() if all(map(int.__le__, e, t))] for f in factors]
+    fits = p is not None and (p - 1) ** 2 * (max(map(len, inside[:-1]), default=0) + 1) < _WORD
+    box = np.zeros(shape, dtype=np.int64 if fits else object)
+    box[(0,) * len(t)] = 1
+    slices = {}  # each exponent's (target, source) slices, which the factors share
+    for terms in inside[:-1]:
+        out = np.zeros_like(box)
+        for e, a in terms:
+            if e not in slices:
+                slices[e] = tuple(slice(d, None) for d in e), tuple(slice(s - d) for s, d in zip(shape, e))
+            to, of = slices[e]
+            out[to] += a * box[of]
+        box = out if p is None else out % p
+    total = sum(a * box.item(tuple(map(int.__sub__, t, e))) for e, a in inside[-1])
+    if p is not None:
+        total %= p
+    if not total:
+        return 0
+    return total if field is None else field.element(total)
 
 
 def _expansion_oracles(n: int, k: int, sums, vdm: SparsePoly, max_terms: int) -> list:
@@ -527,7 +590,7 @@ def _expansion_oracles(n: int, k: int, sums, vdm: SparsePoly, max_terms: int) ->
             try:
                 exps, coefficients = _multinomial_terms(n, k, N, compositions, max_terms)
                 power = _multinomial_poly(n, exps, coefficients)
-                oracles.append(_product_coefficients([power, vdm], exps + np.arange(n), max_terms)[1])
+                oracles.append(_product_coefficients([power, vdm], exps + np.arange(n), max_terms))
             except ExpansionTooLarge:
                 oracles.append(None)
             continue

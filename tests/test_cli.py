@@ -819,6 +819,24 @@ def test_tightness_conjecture_violation_exits_3(tmp_path, monkeypatch, capsys):
     assert "1 violations" in capsys.readouterr().err
 
 
+def test_tightness_conj11_fails_on_the_full_field_with_one_doubled_coefficient(tmp_path, capsys):
+    # A = GF(5), n = 4 = p - 1, leading (1, 1, 1, 2): an injective tuple
+    # leaves out one y, so x1 + x2 + x3 + 2*x4 = x4 - y is never 0 and takes
+    # 4 values, while conj11 as encoded here floors the count at p = 5 with
+    # its hypotheses met.  The one conjectural violation exits 3.
+    cfg = write_config(
+        tmp_path,
+        {"field": "gf(5)", "k": 1, "bounds": ["conj11"], "leading": [1, 1, 1, 2], "families": [[list(range(5))] * 4]},
+    )
+    out, jsonl = tmp_path / "r.csv", tmp_path / "r.jsonl"
+    assert cli.main(["tightness", "--config", cfg, "--out", str(out), "--jsonl", str(jsonl)]) == 3
+    assert capsys.readouterr().err == "tightness: 1 rows, 0 tight, 1 violations\n"
+    assert out.read_text().splitlines()[1] == "gf(5),5,4,1,5;5;5;5,conj11,5,4,true,false,0"
+    (record,) = map(json.loads, jsonl.read_text().splitlines())
+    assert (record["bound_value"], record["actual_cardinality"]) == (5, 4)
+    assert (record["hypotheses_ok"], record["tight"], record["violated"]) == (True, False, True)
+
+
 def test_tightness_theorem_beats_conjecture(tmp_path, monkeypatch, capsys):
     real_thm = bounds_module.residue_class_bound
     real_conj = bounds_module.single_set_conjecture_bound
@@ -1627,29 +1645,38 @@ def test_proof_replay_expanded_certificate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _digest(line):
+    return hashlib.sha256(line.encode()).hexdigest()
+
+
 # sha256 of the --out JSON, None where the replay stops, and of the stderr
 # line of expanded replays, at the default guard and four --guard-terms:
-# however the contradiction polynomial is multiplied and read, the replay
-# and every guard trip keep their bytes
+# however the contradiction polynomial is multiplied and read, a replay
+# that finishes keeps its bytes.  The coefficient is read in the box of
+# exponents up to |A'_i| - 1, of prod |A'_i| entries, so past the
+# Vandermonde's own guard a replay stops exactly when its box passes
+# --guard-terms; each such trip line is written out from the shrunk sizes.
 REPLAY_PINS = {
     "gf13-k1": (
         {"family": {"field": "gf(13)", "sets": [list(range(s)) for s in (5, 6, 7, 8)]}, "k": 1},
         {
-            None: (
-                "9a2a91b2b9ddfdc764ce0ae06698471aba8342fbc1162c6e568ca262b104fdd3",
-                "013cd7944b7e4e4f0c4429ab78cfe64356ee8814ba4feb6695ffc540c2ff76d0",
+            **dict.fromkeys(
+                (None, 1000),
+                (
+                    "9a2a91b2b9ddfdc764ce0ae06698471aba8342fbc1162c6e568ca262b104fdd3",
+                    "013cd7944b7e4e4f0c4429ab78cfe64356ee8814ba4feb6695ffc540c2ff76d0",
+                ),
             ),
             10: (None, "40226eac4623c36f9c25b96df8e7ca5fb0fb0b47cc0b6cecf5c7121512cdf629"),
-            50: (None, "40f1b8b8fcf8280670ceaa56d2b95062c35001ccdbc71ac8d782bd7ddf74f8d7"),
-            200: (None, "355d2cc7ae53361df903efade8ed4d7510b643084a9bbd3e1dca7266f9beff97"),
-            1000: (None, "d68d09513b044f9e986fa5cb3c63055f8b904a1bc57d4b0320f48d45f72147b2"),
+            50: (None, _digest("error: product exceeds 50 terms (box of 1 x 6 x 7 x 8 coefficients)")),
+            200: (None, _digest("error: product exceeds 200 terms (box of 1 x 6 x 7 x 8 coefficients)")),
         },
     ),
     "gf11-k2": (
         {"family": {"field": "gf(11)", "sets": [[0, 1, 2, 3, 4]] * 3}, "k": 2},
         {
-            10: (None, "2df512d7d50ccb8a5c6e8ed66ebf3c77eb1b7358a6ac07c0c0e4791bf763b149"),
-            50: (None, "b0abf138d47185d8fd3fba72cc325fee82453750e036c71233be90bbe43a2866"),
+            10: (None, _digest("error: product exceeds 10 terms (box of 3 x 4 x 5 coefficients)")),
+            50: (None, _digest("error: product exceeds 50 terms (box of 3 x 4 x 5 coefficients)")),
             **dict.fromkeys(
                 (None, 200, 1000),
                 (
@@ -1666,8 +1693,8 @@ REPLAY_PINS = {
             "tail": "x1 - 2*x3 + 1",
         },
         {
-            10: (None, "43d11be05b92d66125755570c71baa9c80167e67f5b498c8bff776856e73ca57"),
-            50: (None, "cf6e31d5b1d979bf35c927c880469c839e6cf4f900d54aba10db8555cc5f079c"),
+            10: (None, _digest("error: product exceeds 10 terms (box of 3 x 4 x 5 coefficients)")),
+            50: (None, _digest("error: product exceeds 50 terms (box of 3 x 4 x 5 coefficients)")),
             **dict.fromkeys(
                 (None, 200, 1000),
                 (

@@ -314,7 +314,7 @@ def test_expansion_oracles_read_the_public_product():
         targets = [target_monomial(q, k) for q in compositions]
         try:
             power = power_sum_pow(n, k, total, max_terms=max_terms)
-            cells = poly._product_coefficients([power, vdm], targets, max_terms)[1]
+            cells = poly._product_coefficients([power, vdm], targets, max_terms)
         except ExpansionTooLarge:
             return None
         return [(type(c), c) for c in cells]
@@ -533,6 +533,18 @@ REPLAY_SHAPES = (
 )
 
 
+def literal_factors(replay, tail=None):
+    """Q's literal factors over the shrunk family's field, every f - c for
+    an excluded value c of the replay and then the Vandermonde, with the
+    exponents t_i = |A'_i| - 1 of the certificate's monomial."""
+    shrunk = replay.shrunk_family
+    field, n = shrunk.field, shrunk.n
+    f = PowerSumForm.unit(n, replay.k, tail).expand().reduce(field)
+    factors = [f - field.element(c) for c in replay.witness["excluded_values"]]
+    factors.append(vandermonde(n).reduce(field))
+    return factors, tuple(size - 1 for size in shrunk.sizes)
+
+
 def unpacked_certificate(replay, tail=None):
     """The replay's certificate by the route that unpacks Q: the product
     as a SparsePoly, certified with each point evaluated as the factored
@@ -541,10 +553,7 @@ def unpacked_certificate(replay, tail=None):
     field, n = shrunk.field, shrunk.n
     f = PowerSumForm.unit(n, replay.k, tail)
     excluded = [field.element(c) for c in replay.witness["excluded_values"]]
-    f_poly = f.expand().reduce(field)
-    factors = [vandermonde(n).reduce(field)]
-    factors += [f_poly - SparsePoly.constant(n, c) for c in excluded]
-    degrees = tuple(size - 1 for size in shrunk.sizes)
+    factors, degrees = literal_factors(replay, tail)
 
     def factored(point):
         value = field.one
@@ -600,9 +609,35 @@ def test_expanded_certificate_frozen(field, sets, k, tail, want):
     assert cert == unpacked_certificate(proof_replay(family, k, tail=tail), tail)
 
 
+def random_tail(rng, n, k, rational):
+    """c_j * x_j^(d_j) summed over j, each d_j < k; Fractions over Q."""
+    terms = {}
+    for j in range(n):
+        exps = tuple(rng.randrange(k) if i == j else 0 for i in range(n))
+        terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rational else rng.randint(-5, 5)
+    return SparsePoly(n, terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, None])
+def test_expanded_certificate_reads_the_literal_product(p):
+    # the box route against the packed product of factors built here, for
+    # every n <= min(4, p) and k <= n, with and without a tail
+    rng = random.Random(f"literal|{p}")
+    field = rational_field() if p is None else prime_field(p)
+    pool = sorted({Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(20)}) if p is None else range(p)
+    for n in range(1, min(4, len(pool)) + 1):
+        for k in range(1, n + 1):
+            for tail in (None, random_tail(rng, n, k, p is None)):
+                sets = [rng.sample(pool, rng.randint(n, min(len(pool), 7))) for _ in range(n)]
+                replay = proof_replay(SetFamily.from_elements(field, sets), k, tail=tail, expand_certificate=True)
+                factors, t = literal_factors(replay, tail)
+                (want,) = poly._product_coefficients(factors, [t])
+                assert replay.cn_certificate.coefficient == want == replay.h_element
+
+
 def test_expanded_certificate_unpacks_only_the_vandermonde(monkeypatch):
-    # Q is read packed, and at the default guard vandermonde(n) is written
-    # down, so no product is unpacked
+    # Q's coefficient is read in the box, and at the default guard
+    # vandermonde(n) is written down, so no product is unpacked
     calls = []
     unpacked = poly._unpacked
 

@@ -16,6 +16,7 @@ from restrictedsums import (
     ArityMismatch,
     ExpansionTooLarge,
     FieldElement,
+    FieldMismatch,
     HypothesisViolated,
     PowerSumForm,
     SetFamily,
@@ -30,7 +31,7 @@ from restrictedsums import (
 )
 from restrictedsums import poly
 from restrictedsums.fields import FieldDescriptor
-from restrictedsums.poly import _field_form, _packed_product, _product, _product_coefficients
+from restrictedsums.poly import _box_coefficient, _field_form, _packed_product, _product, _product_coefficients
 from powering import power_sum_by_powering
 
 
@@ -575,7 +576,8 @@ def test_list_targets_past_int64_read_zero():
     x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
     factors = [x1 + x2, x1 - x2]
     targets = [(1 << 70, 0), (2, 0), (1 << 63, 0), ((1 << 63) - 1, 1), (0, 2), (1 << 64, 1 << 64)]
-    assert _product_coefficients(factors, targets) == (2, [0, 1, 0, 0, -1, 0])
+    assert _product(factors).degree == 2
+    assert _product_coefficients(factors, targets) == [0, 1, 0, 0, -1, 0]
     with pytest.raises(ArityMismatch):
         _product_coefficients(factors, [(1, 1), (1 << 70, 0, 0)])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -605,7 +607,7 @@ def test_product_coefficients_match_coefficient_of(kind):
         # packed, these carry into x1's field and match a present monomial
         # there; only the degree field tells the two apart
         targets += [(e[0] - 1, e[1] + (1 << width), e[2]) for e, _ in product.terms() if e[0] % 2]
-        got = _product_coefficients(factors, targets)[1]
+        got = _product_coefficients(factors, targets)
         want = [product.coefficient_of(t) for t in targets]
         assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
 
@@ -623,12 +625,11 @@ def test_product_coefficients_take_a_target_matrix():
             targets += [(0, 0, 1 << width), (1 << width, 0, 0), (0, (1 << width) - 1, 1 << width)]
             targets += [(e[0] - 1, e[1] + (1 << width), e[2]) for e in targets if e[0] % 2]
             targets += [(1 << 62, 1 << 62, 0)]  # a row whose degree wraps int64
-            want_degree, want = _product_coefficients(factors, targets)
-            got_degree, got = _product_coefficients(factors, np.array(targets, dtype=np.int64))
-            assert got_degree == want_degree
+            want = _product_coefficients(factors, targets)
+            got = _product_coefficients(factors, np.array(targets, dtype=np.int64))
             assert [(type(c), c) for c in got] == [(type(c), c) for c in want]
     x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
-    assert _product_coefficients([x1 + x2, x1 - x2], np.zeros((0, 2), dtype=np.int64)) == (2, [])
+    assert _product_coefficients([x1 + x2, x1 - x2], np.zeros((0, 2), dtype=np.int64)) == []
     with pytest.raises(ArityMismatch):
         _product_coefficients([x1 + x2, x1 - x2], np.array([[1, 1, 0]]))
     with pytest.raises(ArityMismatch):
@@ -638,7 +639,8 @@ def test_product_coefficients_take_a_target_matrix():
     # keys past 63 bits are packed one by one, from the matrix too
     tall = SparsePoly.monomial(2, (1 << 21, 0))
     targets = [(1 << 21, 1), ((1 << 21) + 1, 0), (1, 1)]
-    assert _product_coefficients([tall, x1 + x2], np.array(targets)) == ((1 << 21) + 1, [1, 1, 0])
+    assert _product([tall, x1 + x2]).degree == (1 << 21) + 1
+    assert _product_coefficients([tall, x1 + x2], np.array(targets)) == [1, 1, 0]
 
 
 def test_product_coefficients_types():
@@ -646,20 +648,19 @@ def test_product_coefficients_types():
     a, b = (x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)
     # x1^2 - x2^2 over GF(13): a present term is a GF(13) element, an absent
     # or cancelled one the int 0
-    degree, got = _product_coefficients([a, b], [(2, 0), (0, 2), (1, 1), (0, 0), (9, 9)])
-    assert degree == 2
+    got = _product_coefficients([a, b], [(2, 0), (0, 2), (1, 1), (0, 0), (9, 9)])
     assert got == [GF13.element(1), GF13.element(12), 0, 0, 0]
     assert [type(c) for c in got] == [FieldElement, FieldElement, int, int, int]
-    assert _product_coefficients([x1 + x2, x1 - x2], [(2, 0), (1, 1)]) == (2, [1, 0])
+    assert _product_coefficients([x1 + x2, x1 - x2], [(2, 0), (1, 1)]) == [1, 0]
     half = (x1 + x2).reduce(QQ) * QQ.element(Fraction(1, 2))
-    assert _product_coefficients([half, half], [(1, 1), (3, 0)]) == (2, [QQ.element(Fraction(1, 2)), 0])
+    assert _product_coefficients([half, half], [(1, 1), (3, 0)]) == [QQ.element(Fraction(1, 2)), 0]
     with pytest.raises(ArityMismatch):
         _product_coefficients([a, b], [(1, 1, 0)])
     with pytest.raises(ValueError):
         _product_coefficients([a, b], [(-1, 3)])
 
 
-# ---------- reading the degree off the packed product ----------
+# ---------- reading the top of the packed product ----------
 
 
 def assert_same_top(factors, target, max_terms=DEFAULT_TERM_GUARD):
@@ -669,8 +670,7 @@ def assert_same_top(factors, target, max_terms=DEFAULT_TERM_GUARD):
         with pytest.raises(ExpansionTooLarge, match=f"^{re.escape(str(exc))}$"):
             _product_coefficients(factors, [target], max_terms)
         return
-    degree, (coefficient,) = _product_coefficients(factors, [target], max_terms)
-    assert (type(degree), degree) == (type(product.degree), product.degree)
+    (coefficient,) = _product_coefficients(factors, [target], max_terms)
     want = product.coefficient_of(target)
     assert (type(coefficient), coefficient) == (type(want), want)
 
@@ -695,15 +695,18 @@ def test_product_top_edge_cases():
     # 13*x1^3 + x1^2 over Z times x1 over GF(13): the top term dies mod 13
     # and the degree drops from 3 to 2
     drop = [13 * x1**2 + x1, x1.reduce(GF13)]
-    assert _product_coefficients(drop, [(2, 0), (3, 0)]) == (2, [GF13.element(1), 0])
+    assert _product(drop).degree == 2
+    assert _product_coefficients(drop, [(2, 0), (3, 0)]) == [GF13.element(1), 0]
     # products that settle to zero: a zero factor, and one that dies mod 13
-    assert _product_coefficients([x1 + x2, SparsePoly.zero(2)], [(0, 0)]) == (float("-inf"), [0])
-    assert _product_coefficients([13 * x1, x2.reduce(GF13)], [(1, 1)]) == (float("-inf"), [0])
+    assert _product([x1 + x2, SparsePoly.zero(2)]).degree == float("-inf")
+    assert _product_coefficients([x1 + x2, SparsePoly.zero(2)], [(0, 0)]) == [0]
+    assert _product([13 * x1, x2.reduce(GF13)]).degree == float("-inf")
+    assert _product_coefficients([13 * x1, x2.reduce(GF13)], [(1, 1)]) == [0]
     # x1^2 - x2^2 over GF(13): the mixed monomial is absent
-    degree, (coefficient,) = _product_coefficients([(x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)], [(1, 1)])
-    assert (degree, type(coefficient), coefficient) == (2, int, 0)
+    (coefficient,) = _product_coefficients([(x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)], [(1, 1)])
+    assert (type(coefficient), coefficient) == (int, 0)
     half = (x1 + x2).reduce(QQ) * QQ.element(Fraction(1, 2))
-    assert _product_coefficients([half, half], [(1, 1)]) == (2, [QQ.element(Fraction(1, 2))])
+    assert _product_coefficients([half, half], [(1, 1)]) == [QQ.element(Fraction(1, 2))]
     # the guard trips at the same step, with the same message, as _product's
     s = (x1 + x2).reduce(GF2)
     cancelling = [s, s, (x1 + 3 * x2 + 1).reduce(GF2)]
@@ -715,6 +718,103 @@ def test_product_top_edge_cases():
                 assert_same_top(factors, target, max_terms)
     with pytest.raises(ArityMismatch):
         _product_coefficients(drop, [(1, 1, 0)])
+
+
+# ---------- the coefficient read in the box, against the packed product ----------
+
+# (p - 1)^2 * 5 < 2**63 <= (p - 1)^2 * 6, so a box over the first multiplies
+# factors of up to four terms on int64 and factors of five on Python ints;
+# (p - 1)^2 * 2 >= 2**63 for the second, so its box always holds Python ints
+GF_BOX_EDGE, GF_BOX_PAST = prime_field(1_358_187_913), prime_field(2_147_483_659)
+BOX_FIELDS = {"gf2": GF2, "gf5": prime_field(5), "gf13": GF13, "edge": GF_BOX_EDGE, "past": GF_BOX_PAST}
+
+
+def random_box_factor(rng, nvars, kind, max_exp, size):
+    """A factor of ``size`` random terms; over GF(p) half its coefficients
+    are p - 1, p - 2 or p - 3, so the residues and products run near p."""
+    terms = {}
+    for _ in range(size):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(nvars))
+        if kind in BOX_FIELDS:
+            field = BOX_FIELDS[kind]
+            terms[exps] = field.element(rng.choice((rng.randint(1, 3), -rng.randint(1, 3))))
+        elif kind == "rational":
+            terms[exps] = QQ.element(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        else:
+            terms[exps] = rng.randint(-3, 3)
+    return SparsePoly(nvars, terms)
+
+
+@pytest.mark.parametrize("kind", [*BOX_FIELDS, "rational", "int"])
+def test_box_coefficient_matches_the_packed_product(kind):
+    rng = random.Random(f"box|{kind}")
+    zeros = outside = 0
+    for _ in range(40):
+        nvars = rng.randint(1, 3)
+        factors = [random_box_factor(rng, nvars, kind, 3, rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
+        present = [e for e, _ in _product(factors).terms()]
+        targets = rng.sample(present, min(4, len(present)))  # reached, bar cancellation
+        targets += [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(4)]  # mostly absent
+        for t in targets:
+            want, got = _product_coefficients(factors, [t])[0], _box_coefficient(factors, t)
+            assert (type(got), got) == (type(want), want), (factors, t)
+            zeros += want == 0
+            outside += any(any(d > b for d, b in zip(e, t)) for f in factors for e, _ in f.terms())
+    assert zeros and outside  # absent targets, and factors with terms past the box
+
+
+def test_box_coefficient_edge_cases():
+    x1, x2 = SparsePoly.variable(2, 1), SparsePoly.variable(2, 2)
+    a, b = (x1 + x2).reduce(GF13), (x1 - x2).reduce(GF13)
+    # one factor is never multiplied in: it is read against the unit
+    assert _box_coefficient([a], (1, 0)) == GF13.element(1)
+    assert _box_coefficient([b], (0, 1)) == GF13.element(12)
+    assert _box_coefficient([a], (1, 1)) == 0
+    # x1^2 - x2^2: the mixed monomial cancels, and reads the int 0
+    got = _box_coefficient([a, b], (1, 1))
+    assert (type(got), got) == (int, 0)
+    # ints are mapped into the field of the elements: 13 dies mod 13
+    drop = [13 * x1**2 + x1, x1.reduce(GF13)]
+    assert _box_coefficient(drop, (2, 0)) == GF13.element(1)
+    assert _box_coefficient(drop, (3, 0)) == 0
+    assert _box_coefficient([x1 + x2, SparsePoly.zero(2)], (1, 0)) == 0
+    assert _box_coefficient([SparsePoly.zero(2), x1 + x2], (1, 0)) == 0
+    half = (x1 + x2).reduce(QQ) * QQ.element(Fraction(1, 2))
+    assert _box_coefficient([half, half, half], (2, 1)) == QQ.element(Fraction(3, 8))
+    # the guard counts the box's entries and trips before it is built
+    assert _box_coefficient([a, b], (2, 0), max_terms=3) == GF13.element(1)
+    with pytest.raises(ExpansionTooLarge, match=r"^product exceeds 5 terms \(box of 2 x 3 coefficients\)$"):
+        _box_coefficient([a, b], (1, 2), max_terms=5)
+    with pytest.raises(ArityMismatch):
+        _box_coefficient([a, b], (1, 1, 0))
+    with pytest.raises(ArityMismatch):
+        _box_coefficient([a, SparsePoly.variable(3, 1)], (1, 1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        _box_coefficient([a, b], (-1, 3))
+    with pytest.raises(FieldMismatch):
+        _box_coefficient([a, (x1 - x2).reduce(GF2)], (1, 1))
+
+
+@pytest.mark.parametrize("size, dtype", [(4, np.int64), (5, object)])
+def test_box_coefficient_leaves_int64_where_a_step_could_wrap(monkeypatch, size, dtype):
+    # every coefficient is p - 1, so each box entry of a step sums `size`
+    # products (p - 1)^2; at the edge prime four fit int64 and five do not
+    F = GF_BOX_EDGE
+    x1 = SparsePoly.variable(1, 1).reduce(F)
+    factor = sum((x1**i * F.element(-1) for i in range(size)), SparsePoly.zero(1))
+    factors = [factor] * 4
+    dtypes = []
+    zeros = np.zeros
+
+    def spy(shape, dtype=float):
+        dtypes.append(dtype)
+        return zeros(shape, dtype=dtype)
+
+    monkeypatch.setattr(poly.np, "zeros", spy)
+    got = _box_coefficient(factors, (2 * size,))
+    monkeypatch.undo()
+    assert dtypes == [dtype]
+    assert got == _product_coefficients(factors, [(2 * size,)])[0]
 
 
 # ---------- evaluation ----------
